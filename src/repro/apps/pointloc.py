@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.core.baseline import synchronous_multisearch
 from repro.core.hierdag import hierdag_multisearch
-from repro.core.model import QuerySet
+from repro.core.model import STOP, QuerySet
 from repro.geometry.kirkpatrick import (
     KirkpatrickHierarchy,
     build_kirkpatrick,
@@ -55,7 +55,13 @@ def _final_triangles(qs: QuerySet, structure) -> np.ndarray:
     level = np.asarray(structure.level)
     h = int(level.max(initial=0))
     start_h = int(np.searchsorted(level, h))
-    finals = np.array([p[-1] if p else -1 for p in qs.paths()], dtype=np.int64)
+    # each query's final vertex: the last non-STOP entry of its trace row
+    trace = np.stack(qs.trace, axis=1)  # (m, T)
+    live = trace != STOP
+    last = trace.shape[1] - 1 - np.argmax(live[:, ::-1], axis=1)
+    finals = np.where(
+        live.any(axis=1), trace[np.arange(trace.shape[0]), last], -1
+    )
     ok = (finals >= 0) & (level[np.clip(finals, 0, None)] == h)
     return np.where(ok, finals - start_h, -1)
 

@@ -28,7 +28,11 @@ import numpy as np
 from scipy.spatial import Delaunay
 
 from repro.core.model import STOP, SearchStructure
-from repro.geometry.primitives import orient2d, point_in_triangle, triangles_overlap
+from repro.geometry.primitives import (
+    orient2d,
+    point_in_triangle,
+    triangles_overlap_matrix,
+)
 from repro.geometry.triangulate import ear_clip
 from repro.mesh.construct import Construction
 from repro.util.rng import make_rng
@@ -261,21 +265,19 @@ def _build_kirkpatrick(
                             cycle = cycle[::-1]
                             poly = all_pts[cycle]
                         tri_idx = ear_clip(poly, construct=construct)
-                        for ta, tb, tc in tri_idx:
-                            new_t = (cycle[ta], cycle[tb], cycle[tc])
-                            overlaps = [
-                                ti
-                                for ti in hole_tris
-                                if triangles_overlap(
-                                    all_pts[list(new_t)], all_pts[list(current[ti])]
-                                )
-                            ]
-                            if not overlaps:
-                                raise RuntimeError(
-                                    "new triangle overlaps no old triangle"
-                                )
-                            new_tris.append(new_t)
-                            links.append(overlaps)
+                        hole_new = np.asarray(cycle, dtype=np.int64)[tri_idx]
+                        overlap = triangles_overlap_matrix(
+                            all_pts[hole_new], all_pts[tri_arr[hole_tris]]
+                        )
+                        if not overlap.any(axis=1).all():
+                            raise RuntimeError(
+                                "new triangle overlaps no old triangle"
+                            )
+                        new_tris.extend(map(tuple, hole_new.tolist()))
+                        links.extend(
+                            [hole_tris[j] for j in np.flatnonzero(row)]
+                            for row in overlap
+                        )
 
             survivors = [ti for ti in range(len(current)) if ti not in removed_tris]
             next_tris = [current[ti] for ti in survivors] + new_tris
@@ -379,20 +381,15 @@ def kirkpatrick_successor(h: int):
             q = np.asarray(qkey)[internal]  # (mi, 2)
             adj = vadjacency[internal]
             pl = vpayload[internal]
-            mi = q.shape[0]
-            chosen = np.full(mi, STOP, dtype=np.int64)
-            undecided = np.ones(mi, dtype=bool)
-            for slot in range(MAX_CHILDREN):
-                cand = adj[:, slot]
-                tri = pl[:, 6 + 6 * slot : 12 + 6 * slot].reshape(mi, 3, 2)
-                ok = (
-                    undecided
-                    & (cand >= 0)
-                    & point_in_triangle(q, tri[:, 0], tri[:, 1], tri[:, 2])
-                )
-                chosen[ok] = cand[ok]
-                undecided &= ~ok
-            nxt[internal] = chosen
+            # every child slot at once; the first containing one wins
+            tri = pl[:, 6:].reshape(q.shape[0], MAX_CHILDREN, 3, 2)
+            ok = (adj >= 0) & point_in_triangle(
+                q[:, None], tri[:, :, 0], tri[:, :, 1], tri[:, :, 2]
+            )
+            first = np.argmax(ok, axis=1)
+            nxt[internal] = np.where(
+                ok.any(axis=1), adj[np.arange(adj.shape[0]), first], STOP
+            )
         return nxt, qstate
 
     return successor

@@ -3,6 +3,11 @@
 Plain float arithmetic with explicit epsilons: the workloads are random
 point sets (joggled where needed), so robustness requirements are mild;
 every consumer states which side of a tie it tolerates.
+
+The 2-d predicates broadcast over leading axes, so a caller tests many
+points or pairs in one call.  Triangle overlap is one batched
+separating-axis test, :func:`triangles_overlap_matrix`, over every pair
+of two triangle sets; :func:`triangles_overlap` is its single-pair case.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ __all__ = [
     "orient2d",
     "point_in_triangle",
     "triangles_overlap",
+    "triangles_overlap_matrix",
     "plane_from_points",
     "signed_volume",
 ]
@@ -46,28 +52,52 @@ def point_in_triangle(
     return ~(has_neg & has_pos)
 
 
-def _tri_axes(tri: np.ndarray) -> np.ndarray:
-    """Outward edge normals of a 2-d triangle ``(3, 2)``."""
-    edges = np.roll(tri, -1, axis=0) - tri
-    return np.stack([edges[:, 1], -edges[:, 0]], axis=1)
+def triangles_overlap_matrix(
+    a: np.ndarray, b: np.ndarray, eps: float = 1e-12
+) -> np.ndarray:
+    """Pairwise interior overlap of 2-d triangles (batched SAT test).
+
+    ``a`` is ``(N, 3, 2)`` and ``b`` is ``(M, 3, 2)``; returns the
+    ``(N, M)`` boolean matrix whose entry ``[i, j]`` is True iff the
+    interiors of ``a[i]`` and ``b[j]`` intersect.  The separating axes are
+    the six edge normals of the pair; a pair whose projections onto one
+    of them overlap by at most ``eps`` is separated, so shared edges and
+    vertices do not count as overlap, which is what the Kirkpatrick
+    parent-linking needs (a new triangle is linked to the old triangles
+    whose interiors it shares area with).
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+
+    def separated(tri: np.ndarray, other: np.ndarray) -> np.ndarray:
+        # (T, 3, 2) outward edge normals of each triangle in ``tri``
+        edges = np.roll(tri, -1, axis=1) - tri
+        axes = np.stack([edges[..., 1], -edges[..., 0]], axis=-1)[..., None]
+        # project with matmul, one matrix-vector product per (triangle,
+        # axis): at a shared edge the eps decision hangs on the last bit,
+        # and the BLAS kernel may fuse the multiply-add, so an elementwise
+        # x * ax + y * ay would round differently and link differently.
+        # p1[t, k, v] puts vertex v of tri[t] on axis k of tri[t] and
+        # p2[t, o, k, v] puts vertex v of other[o] on axis k of tri[t]
+        p1 = np.matmul(tri[:, None], axes)[..., 0]
+        p2 = np.matmul(other[None, :, None], axes[:, None])[..., 0]
+        lo1, hi1 = p1.min(axis=-1)[:, None], p1.max(axis=-1)[:, None]
+        lo2, hi2 = p2.min(axis=-1), p2.max(axis=-1)
+        return ((hi1 <= lo2 + eps) | (hi2 <= lo1 + eps)).any(axis=-1)
+
+    return ~(separated(a, b) | separated(b, a).T)
 
 
 def triangles_overlap(t1: np.ndarray, t2: np.ndarray, eps: float = 1e-12) -> bool:
-    """True iff the *interiors* of two 2-d triangles intersect (SAT test).
+    """True iff the *interiors* of two 2-d triangles intersect.
 
-    Shared edges/vertices do not count as overlap, which is what the
-    Kirkpatrick parent-linking needs (a new triangle is linked to the old
-    triangles whose interiors it shares area with).
+    The single-pair case of :func:`triangles_overlap_matrix`.
     """
-    t1 = np.asarray(t1, dtype=np.float64)
-    t2 = np.asarray(t2, dtype=np.float64)
-    for tri, other in ((t1, t2), (t2, t1)):
-        for axis in _tri_axes(tri):
-            p1 = tri @ axis
-            p2 = other @ axis
-            if p1.max() <= p2.min() + eps or p2.max() <= p1.min() + eps:
-                return False
-    return True
+    return bool(
+        triangles_overlap_matrix(
+            np.asarray(t1)[None], np.asarray(t2)[None], eps
+        )[0, 0]
+    )
 
 
 def plane_from_points(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:

@@ -1,15 +1,28 @@
 """Tests for the Kirkpatrick subdivision hierarchy."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench.workloads import uniform_sites
-from repro.core.model import QuerySet, run_reference
+from repro.core.model import STOP, QuerySet, run_reference
 from repro.geometry.kirkpatrick import (
+    MAX_CHILDREN,
     build_kirkpatrick,
+    kirkpatrick_snapshot_arrays,
     kirkpatrick_structure,
+    kirkpatrick_successor,
 )
-from repro.geometry.primitives import orient2d, point_in_triangle
+from repro.geometry.primitives import (
+    orient2d,
+    point_in_triangle,
+    triangles_overlap,
+    triangles_overlap_matrix,
+)
 
 
 @pytest.fixture(scope="module")
@@ -131,3 +144,177 @@ class TestSmallInputs:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             build_kirkpatrick(np.zeros((5, 3)))
+
+
+def _reference_successor(h: int):
+    """The descent tested one child slot at a time (the reference)."""
+
+    def successor(vid, vpayload, vadjacency, vlevel, qkey, qstate):
+        nxt = np.full(vid.shape[0], STOP, dtype=np.int64)
+        internal = vlevel < h
+        q = np.asarray(qkey)[internal]
+        adj = vadjacency[internal]
+        pl = vpayload[internal]
+        mi = q.shape[0]
+        chosen = np.full(mi, STOP, dtype=np.int64)
+        undecided = np.ones(mi, dtype=bool)
+        for slot in range(MAX_CHILDREN):
+            cand = adj[:, slot]
+            tri = pl[:, 6 + 6 * slot : 12 + 6 * slot].reshape(mi, 3, 2)
+            ok = (
+                undecided
+                & (cand >= 0)
+                & point_in_triangle(q, tri[:, 0], tri[:, 1], tri[:, 2])
+            )
+            chosen[ok] = cand[ok]
+            undecided &= ~ok
+        nxt[internal] = chosen
+        return nxt, qstate
+
+    return successor
+
+
+class TestSuccessor:
+    """The broadcast child test picks exactly what a per-slot loop picks."""
+
+    @staticmethod
+    def _queries(hier, rng):
+        pts = hier.points
+        edge_mids = []
+        for lvl in hier.levels:
+            t = lvl.triangles
+            for i, j in ((0, 1), (1, 2), (2, 0)):
+                edge_mids.append((pts[t[:, i]] + pts[t[:, j]]) / 2)
+        return np.vstack(
+            [
+                rng.uniform(-20.0, 120.0, (200, 2)),  # random
+                pts,  # on every site and bounding corner
+                np.vstack(edge_mids),  # on edges of every level
+                np.array([[1e9, 1e9], [-1e9, 0.0], [0.0, -1e9]]),  # outside
+                np.array([[np.nan, 0.0], [0.0, np.nan], [np.nan, np.nan]]),
+            ]
+        )
+
+    def test_matches_per_slot_reference(self, hier):
+        st_, _ = kirkpatrick_structure(hier)
+        h = int(st_.level.max())
+        new, ref = kirkpatrick_successor(h), _reference_successor(h)
+        rng = np.random.default_rng(5)
+        q = self._queries(hier, rng)
+        state = np.zeros((q.shape[0], 1))
+
+        def check(vid, key):
+            args = (
+                vid,
+                st_.payload[vid],
+                st_.adjacency[vid],
+                st_.level[vid],
+                key,
+                state[: vid.shape[0]],
+            )
+            got, _ = new(*args)
+            want, _ = ref(*args)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            return got
+
+        # along the real descent paths, where children contain the point
+        vid = np.zeros(q.shape[0], dtype=np.int64)
+        key = q
+        while vid.size:
+            nxt = check(vid, key)
+            keep = nxt != STOP
+            vid, key = nxt[keep], key[keep]
+        # and at random vertices of every level, mostly missing all children
+        check(rng.integers(0, st_.n_vertices, q.shape[0]), q)
+
+
+def _reference_overlap(t1, t2, eps=1e-12):
+    """Per-pair separating-axis test over the six edge normals."""
+    t1 = np.asarray(t1, dtype=np.float64)
+    t2 = np.asarray(t2, dtype=np.float64)
+    for tri, other in ((t1, t2), (t2, t1)):
+        edges = np.roll(tri, -1, axis=0) - tri
+        for axis in np.stack([edges[:, 1], -edges[:, 0]], axis=1):
+            p1 = tri @ axis
+            p2 = other @ axis
+            if p1.max() <= p2.min() + eps or p2.max() <= p1.min() + eps:
+                return False
+    return True
+
+
+_coord = st.integers(-3, 3).map(float) | st.floats(-100, 100, allow_nan=False)
+
+
+@st.composite
+def _triangle_sets(draw):
+    """Two triangle sets over a shared point pool, plus the pool's first
+    triangle's twin, a shrunken copy inside it, an edge-sharing and a
+    vertex-sharing neighbour."""
+    pool = np.array(
+        draw(st.lists(st.tuples(_coord, _coord), min_size=3, max_size=7))
+    )
+    idx = st.lists(st.integers(0, len(pool) - 1), min_size=3, max_size=3)
+    a = np.array([pool[draw(idx)] for _ in range(draw(st.integers(1, 4)))])
+    b = [pool[draw(idx)] for _ in range(draw(st.integers(0, 4)))]
+    t = a[0]
+    far = np.array(draw(st.tuples(_coord, _coord)))
+    b += [
+        t.copy(),  # identical
+        (t + t.mean(axis=0)) / 2,  # contained
+        np.array([t[0], t[1], far]),  # shared edge
+        np.array([t[2], far, pool[0]]),  # shared vertex
+    ]
+    return a, np.array(b)
+
+
+class TestOverlapMatrix:
+    @given(_triangle_sets(), st.sampled_from([1e-12, 1e-6, 0.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_pair_reference(self, sets, eps):
+        a, b = sets
+        got = triangles_overlap_matrix(a, b, eps)
+        want = np.array([[_reference_overlap(x, y, eps) for y in b] for x in a])
+        assert got.shape == (a.shape[0], b.shape[0])
+        assert np.array_equal(got, want)
+        assert triangles_overlap(a[0], b[0], eps) == want[0, 0]
+
+    def test_named_cases(self):
+        t = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
+        b = np.array(
+            [
+                t,  # identical
+                (t + t.mean(axis=0)) / 2,  # contained
+                [[4.0, 0.0], [0.0, 4.0], [4.0, 4.0]],  # shared edge
+                [[4.0, 0.0], [6.0, 0.0], [6.0, -2.0]],  # shared vertex
+                [[1.0, 1.0], [9.0, 1.0], [1.0, 9.0]],  # crossing
+            ]
+        )
+        got = triangles_overlap_matrix(t[None], b)
+        assert got.tolist() == [[True, True, False, False, True]]
+
+
+def _snapshot_digest(n: int, seed: int) -> str:
+    hier = build_kirkpatrick(uniform_sites(n, seed=seed), seed=seed)
+    arrays, meta = kirkpatrick_snapshot_arrays(*kirkpatrick_structure(hier))
+    h = hashlib.sha256()
+    for k in sorted(arrays):
+        a = np.ascontiguousarray(arrays[k])
+        h.update(f"{k}:{a.dtype.str}:{a.shape}".encode())
+        h.update(a.tobytes())
+    h.update(json.dumps(meta, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+#: snapshot digests of the per-pair linking construction, pinned so the
+#: batched linking is held to the same structure bytes
+_GOLDEN_DIGESTS = {
+    (200, 0): "67e549d448a3d1c1e183b8dca96ffa108b12f0919d7b0eaf7ea7598f3b2c2cab",
+    (200, 1): "bbcece54705a4d73e98fc3d7753383f184dfd5dff3c7d81edecf01fdb4109c25",
+    (200, 2): "0e3aaa1ba14092087fe4187e9b0c147be84fb190554175cbbead0183760cda87",
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(_GOLDEN_DIGESTS))
+def test_snapshot_digest_is_pinned(n, seed):
+    assert _snapshot_digest(n, seed) == _GOLDEN_DIGESTS[(n, seed)]
