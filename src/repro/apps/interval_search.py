@@ -20,6 +20,7 @@ Every mesh result is verified against
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,7 +71,12 @@ def _tree_splittings_ab(tree: BalancedKTree) -> tuple[Splitting, Splitting]:
 
 @dataclass
 class IntervalSearchSetup:
-    """Prebuilt structures shared by counting and reporting runs."""
+    """Prebuilt structures shared by counting and reporting runs.
+
+    Counting needs only the two endpoint trees; the interval tree and its
+    flattened structure, which only reporting uses, are built on first
+    access.
+    """
 
     lefts: np.ndarray
     rights: np.ndarray
@@ -78,13 +84,20 @@ class IntervalSearchSetup:
     tree_rights: BalancedKTree
     #: permutation: left-sorted leaf rank -> interval id
     left_order: np.ndarray
-    itree: IntervalTree
-    istruct: IntervalStructure
     k: int
+
+    @cached_property
+    def itree(self) -> IntervalTree:
+        return IntervalTree(self.lefts, self.rights)
+
+    @cached_property
+    def istruct(self) -> IntervalStructure:
+        return build_interval_structure(self.itree)
 
 
 def setup_interval_search(lefts: np.ndarray, rights: np.ndarray, k: int = 2) -> IntervalSearchSetup:
-    """Build the trees and the flattened interval tree for a dataset.
+    """Build the endpoint trees for a dataset (the interval tree for
+    reporting follows on first use).
 
     Traced as one host span ``intervals:setup``.
     """
@@ -98,16 +111,12 @@ def _setup_interval_search(lefts, rights, k: int) -> IntervalSearchSetup:
     left_order = np.argsort(lefts, kind="stable")
     tree_lefts = tree_from_keys(k, lefts[left_order])
     tree_rights = tree_from_keys(k, np.sort(rights))
-    itree = IntervalTree(lefts, rights)
-    istruct = build_interval_structure(itree)
     return IntervalSearchSetup(
         lefts=lefts,
         rights=rights,
         tree_lefts=tree_lefts,
         tree_rights=tree_rights,
         left_order=left_order,
-        itree=itree,
-        istruct=istruct,
         k=k,
     )
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.apps.pointloc import final_vertices
 from repro.core.hierdag import hierdag_multisearch
 from repro.core.model import QuerySet
 from repro.geometry.dk3d import DKHierarchy, dk_query_mu, dk_tangent_structure
@@ -148,7 +149,7 @@ def line_queries_on_structure(
         hierdag_multisearch(engine, structure, qs, mu=mu, c=c)
     mesh_steps = engine.clock.current - t0
 
-    finals = np.array([p[-1] for p in qs.paths()], dtype=np.int64)
+    finals = final_vertices(qs)
     cand = original[finals]  # point ids of candidate tangent vertices
 
     intersects = np.zeros(m, dtype=bool)

@@ -25,6 +25,7 @@ from repro.mesh.trace import traced
 
 __all__ = [
     "PointLocationRun",
+    "final_vertices",
     "locate_points_mesh",
     "locate_faces_mesh",
     "locate_on_structure",
@@ -43,6 +44,18 @@ class PointLocationRun:
     method: str
 
 
+def final_vertices(qs: QuerySet) -> np.ndarray:
+    """Each query's final vertex: the last non-STOP entry of its trace row.
+
+    The last vertex of each of ``qs.paths()`` (``-1`` for an empty path),
+    read with numpy instead of building the paths.
+    """
+    trace = np.stack(qs.trace, axis=1)  # (m, T)
+    live = trace != STOP
+    last = trace.shape[1] - 1 - np.argmax(live[:, ::-1], axis=1)
+    return np.where(live.any(axis=1), trace[np.arange(trace.shape[0]), last], -1)
+
+
 def _final_triangles(qs: QuerySet, structure) -> np.ndarray:
     """Map final DAG vertices back to base-triangulation triangle indices.
 
@@ -55,13 +68,7 @@ def _final_triangles(qs: QuerySet, structure) -> np.ndarray:
     level = np.asarray(structure.level)
     h = int(level.max(initial=0))
     start_h = int(np.searchsorted(level, h))
-    # each query's final vertex: the last non-STOP entry of its trace row
-    trace = np.stack(qs.trace, axis=1)  # (m, T)
-    live = trace != STOP
-    last = trace.shape[1] - 1 - np.argmax(live[:, ::-1], axis=1)
-    finals = np.where(
-        live.any(axis=1), trace[np.arange(trace.shape[0]), last], -1
-    )
+    finals = final_vertices(qs)
     ok = (finals >= 0) & (level[np.clip(finals, 0, None)] == h)
     return np.where(ok, finals - start_h, -1)
 

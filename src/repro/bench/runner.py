@@ -902,7 +902,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--compare", type=pathlib.Path, default=None, metavar="BASELINE",
         help="baseline BENCH_<name>.json file (or a directory of them); "
-        f"exit 1 on a >{REGRESSION_TOLERANCE:.0%} fast-path wall-clock regression",
+        # argparse %-formats help strings, so the percent sign is doubled
+        f"exit 1 on a >{REGRESSION_TOLERANCE * 100:.0f}%% fast-path wall-clock "
+        "regression",
     )
     parser.add_argument("--tolerance", type=float, default=REGRESSION_TOLERANCE)
     args = parser.parse_args(argv)

@@ -8,7 +8,11 @@ delegates mesh construction to [DSS88] and contributes the query phase):
    base subdivision; any triangulation works);
 2. repeatedly remove a greedy independent set of non-corner vertices of
    degree <= 8, retriangulate each star-shaped hole by ear clipping, and
-   link every new triangle to the old triangles its interior overlaps;
+   link every new triangle to the old triangles its interior overlaps.
+   The holes of one independent set are disjoint, so a round handles all
+   of them at once, in arrays padded to its largest hole: one lockstep
+   ear clip (:func:`repro.geometry.triangulate.ear_clip_many`) and one
+   batched overlap test;
 3. stop when only the bounding triangle remains.
 
 The result is a hierarchical DAG (paper Figure 1's shape, with the
@@ -31,9 +35,9 @@ from repro.core.model import STOP, SearchStructure
 from repro.geometry.primitives import (
     orient2d,
     point_in_triangle,
-    triangles_overlap_matrix,
+    triangles_overlap_pairs,
 )
-from repro.geometry.triangulate import ear_clip
+from repro.geometry.triangulate import ear_clip_many, signed_area2
 from repro.mesh.construct import Construction
 from repro.util.rng import make_rng
 
@@ -56,8 +60,15 @@ class _Level:
     """One triangulation level: triangles as vertex-index triples."""
 
     triangles: np.ndarray  # (T, 3) int64
-    #: children[t] = indices of overlapping triangles in the next FINER level
-    children: list[list[int]] = field(default_factory=list)
+    #: the children of triangle t, i.e. the indices of the triangles of the
+    #: next FINER level it overlaps, are
+    #: ``child_ids[child_ptr[t]:child_ptr[t + 1]]`` (none on the finest level)
+    child_ptr: np.ndarray = field(
+        default_factory=lambda: np.zeros(1, dtype=np.int64)
+    )
+    child_ids: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.int64)
+    )
 
 
 @dataclass
@@ -104,7 +115,8 @@ class KirkpatrickHierarchy:
                 continue  # outside the bounding triangle
             while lvl > 0:
                 found = -1
-                for ch in self.levels[lvl].children[tri_idx]:
+                ptr, ids = self.levels[lvl].child_ptr, self.levels[lvl].child_ids
+                for ch in ids[ptr[tri_idx] : ptr[tri_idx + 1]]:
                     t = self.levels[lvl - 1].triangles[ch]
                     if point_in_triangle(p, pts[t[0]], pts[t[1]], pts[t[2]]):
                         found = ch
@@ -117,35 +129,129 @@ class KirkpatrickHierarchy:
         return out
 
 
-def _hole_polygon(v: int, tris: list[tuple[int, int, int]]) -> list[int]:
-    """Order the link of vertex ``v`` (edges opposite ``v``) into a cycle.
+def _neighbors(tris: np.ndarray) -> dict[int, set[int]]:
+    """Vertex adjacency of a triangulation: ``{v: {w : vw is an edge}}``."""
+    src = tris[:, [0, 1, 2, 1, 2, 0]].ravel()
+    dst = tris[:, [1, 2, 0, 0, 1, 2]].ravel()
+    width = int(tris.max()) + 1
+    code = np.sort(src * width + dst)
+    code = code[np.r_[True, code[1:] != code[:-1]]]  # each edge once
+    verts = code // width
+    first = np.flatnonzero(np.r_[True, verts[1:] != verts[:-1]])
+    nbrs = (code % width).tolist()
+    bounds = first.tolist() + [len(nbrs)]
+    return {
+        v: set(nbrs[lo:hi])
+        for v, lo, hi in zip(verts[first].tolist(), bounds, bounds[1:])
+    }
 
-    Chains the undirected link edges; orientation is normalized by the
-    caller (shoelace sign), so winding consistency is not assumed here.
+
+#: the two vertices of a triangle other than the one at position p, in
+#: triangle order
+_REST = np.array([[1, 2], [0, 2], [0, 1]])
+
+
+def _hole_polygons(
+    tris: np.ndarray, chosen: list[int], n_points: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The holes left by removing the independent set ``chosen``.
+
+    Returns ``(old, sizes, cycles)``.  ``old`` lists the indices of the
+    triangles around each removed vertex, hole after hole in ``chosen``
+    order, ascending within a hole; ``sizes[h]`` is the number of them
+    around ``chosen[h]``, and ``cycles[h]`` is its link (the vertices
+    opposite it) as a cycle, padded to the largest hole ``K``.
+
+    Each cycle starts at the first of the two link vertices of the first
+    incident triangle, in that triangle's vertex order, and turns towards
+    the second: the undirected link edges are chained from there, so
+    winding consistency is not assumed here; the caller normalizes
+    orientation (shoelace sign).
     """
-    edges: dict[int, list[int]] = {}
-    for t in tris:
-        rest = [x for x in t if x != v]
-        edges.setdefault(rest[0], []).append(rest[1])
-        edges.setdefault(rest[1], []).append(rest[0])
-    start = next(iter(edges))
-    cycle = [start]
-    prev = -1
-    while True:
-        cur = cycle[-1]
-        nbrs = [w for w in edges[cur] if w != prev]
-        if not nbrs:
-            break
-        nxt_v = nbrs[0]
-        if nxt_v == start:
-            break
-        cycle.append(nxt_v)
-        prev = cur
-        if len(cycle) > len(edges) + 1:
-            raise RuntimeError("link of vertex is not a simple cycle")
-    if len(cycle) != len(edges):
+    hole_of = np.full(n_points, -1, dtype=np.int64)
+    hole_of[chosen] = np.arange(len(chosen))
+    at = hole_of[tris]
+    # row-major, so each hole's triangles come in ascending order; the
+    # set is independent, so a triangle lies around at most one hole
+    tri_idx, pos = np.nonzero(at >= 0)
+    hole = at[tri_idx, pos]
+    by_hole = np.argsort(hole, kind="stable")
+    tri_idx, pos, hole = tri_idx[by_hole], pos[by_hole], hole[by_hole]
+    H = len(chosen)
+    sizes = np.bincount(hole, minlength=H)
+    K = int(sizes.max())
+    firsts = np.cumsum(sizes) - sizes
+
+    # link edges as half-edges (rest0 -> rest1, rest1 -> rest0) in
+    # triangle order; every link vertex must have exactly two
+    rest = tris[tri_idx[:, None], _REST[pos]]
+    he_key = np.repeat(hole, 2) * n_points + rest.ravel()
+    he_dst = rest[:, ::-1].ravel()
+    order = np.argsort(he_key, kind="stable")
+    key = he_key[order]
+    if not (
+        (key[0::2] == key[1::2]).all() and (key[2::2] != key[1:-1:2]).all()
+    ):
+        raise RuntimeError("link of vertex is not a simple cycle")
+    key, nb0, nb1 = key[0::2], he_dst[order][0::2], he_dst[order][1::2]
+
+    rows = np.arange(H)
+    cycles = np.empty((H, K + 1), dtype=np.int64)
+    cycles[:, 0] = rest[firsts, 0]
+    cycles[:, 1] = rest[firsts, 1]
+    for step in range(2, K + 1):
+        prev, cur = cycles[:, step - 2], cycles[:, step - 1]
+        at_cur = np.searchsorted(key, rows * n_points + cur)
+        cycles[:, step] = np.where(nb0[at_cur] != prev, nb0[at_cur], nb1[at_cur])
+    # the walk must first come back to its start after exactly ``size``
+    # steps, i.e. the link is one cycle through all its vertices
+    back = cycles[:, 1:] == cycles[:, :1]
+    if not (np.argmax(back, axis=1) + 1 == sizes).all():
         raise RuntimeError("link of vertex is not a single cycle")
-    return cycle
+    return tri_idx, sizes, cycles[:, :K]
+
+
+def _remove(
+    pts: np.ndarray, tris: np.ndarray, chosen: list[int], construct: Construction
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One removal round: take out ``chosen`` and retriangulate the holes.
+
+    Returns the next level's triangles — the survivors in order, then each
+    hole's new triangles in ``chosen`` order — and its children in
+    :class:`_Level` form: a survivor's child is its own old triangle, a
+    new triangle's children are the hole's old triangles its interior
+    overlaps, in ascending order.
+    """
+    old, sizes, cycles = _hole_polygons(tris, chosen, pts.shape[0])
+    H, K = cycles.shape
+    pos = np.arange(K)
+    # ensure CCW for ear clipping
+    flip = signed_area2(pts[cycles], sizes) < 0
+    rev = np.where(pos < sizes[:, None], sizes[:, None] - 1 - pos, pos)
+    cycles = np.where(flip[:, None], np.take_along_axis(cycles, rev, axis=1), cycles)
+    # the holes of one independent set are disjoint: retriangulate them
+    # in parallel, the round pays the costliest hole
+    local = ear_clip_many(pts[cycles], sizes, construct=construct)
+    hole = np.repeat(np.arange(H), sizes - 2)
+    new = cycles[hole[:, None], local]
+
+    # link every new triangle to the old triangles of its hole it overlaps:
+    # one overlap test over all (new, old) pairs of every hole, ordered by
+    # new triangle, then by old triangle
+    pair_new, slot = np.nonzero(pos[None, :] < sizes[hole][:, None])
+    pair_old = (np.cumsum(sizes) - sizes)[hole[pair_new]] + slot
+    overlap = triangles_overlap_pairs(pts[new], pts[tris[old]], pair_new, pair_old)
+    links = np.bincount(pair_new[overlap], minlength=new.shape[0])
+    if not links.all():
+        raise RuntimeError("new triangle overlaps no old triangle")
+
+    removed = np.zeros(tris.shape[0], dtype=bool)
+    removed[old] = True
+    survivors = np.flatnonzero(~removed)
+    counts = np.concatenate([np.ones(survivors.size, dtype=np.int64), links])
+    child_ptr = np.concatenate([[0], np.cumsum(counts)])
+    child_ids = np.concatenate([survivors, old[pair_old[overlap]]])
+    return np.concatenate([tris[survivors], new]), child_ptr, child_ids
 
 
 def build_kirkpatrick(
@@ -208,93 +314,37 @@ def _build_kirkpatrick(
         )
 
     levels = [_Level(triangles=base)]
-    current = [tuple(int(x) for x in t) for t in base]
+    tris = base
 
     round_no = 0
     while True:
-        verts: set[int] = set()
-        for t in current:
-            verts.update(t)
+        # a set built in triangle order, as the greedy selection's
+        # candidate order (hence the chosen set) depends on it
+        verts = set(tris.ravel().tolist())
         removable = verts - corner_ids
         if not removable:
             break
         round_no += 1
         with construct.span("kirkpatrick:round"):
-            T = len(current)
+            T = tris.shape[0]
             # modelled mesh cost of the round's graph bookkeeping: sort the
             # 3T (vertex, triangle) incidence records, scan for run starts
-            tri_arr = np.array(current, dtype=np.int64)
-            construct.sort(tri_arr.ravel(), n=3 * T)
+            construct.sort(tris.ravel(), n=3 * T)
             construct.scan(np.ones(3 * T, dtype=np.int64), n=3 * T)
-            neighbors: dict[int, set[int]] = {v: set() for v in verts}
-            incident: dict[int, list[int]] = {v: [] for v in verts}
-            for ti, t in enumerate(current):
-                for x in t:
-                    incident[x].append(ti)
-                for x in t:
-                    for y in t:
-                        if x != y:
-                            neighbors[x].add(y)
             chosen = construct.independent_set(
-                neighbors, removable, max_degree=max_degree, seed=rng, n=len(verts)
+                _neighbors(tris),
+                removable,
+                max_degree=max_degree,
+                seed=rng,
+                n=len(verts),
             )
             if not chosen:
                 raise RuntimeError("no removable vertex found")  # pragma: no cover
-
-            removed_tris: set[int] = set()
-            new_tris: list[tuple[int, int, int]] = []
-            #: per new triangle, the old-level triangle indices it overlaps
-            links: list[list[int]] = []
-            # holes of one independent set are disjoint: retriangulate them
-            # in parallel, the round pays the costliest hole
-            with construct.parallel() as par:
-                for v in chosen:
-                    with par.branch():
-                        hole_tris = incident[v]
-                        removed_tris.update(hole_tris)
-                        cycle = _hole_polygon(v, [current[ti] for ti in hole_tris])
-                        poly = all_pts[cycle]
-                        # ensure CCW for ear clipping
-                        area2 = float(
-                            np.sum(
-                                poly[:, 0] * np.roll(poly[:, 1], -1)
-                                - np.roll(poly[:, 0], -1) * poly[:, 1]
-                            )
-                        )
-                        if area2 < 0:
-                            cycle = cycle[::-1]
-                            poly = all_pts[cycle]
-                        tri_idx = ear_clip(poly, construct=construct)
-                        hole_new = np.asarray(cycle, dtype=np.int64)[tri_idx]
-                        overlap = triangles_overlap_matrix(
-                            all_pts[hole_new], all_pts[tri_arr[hole_tris]]
-                        )
-                        if not overlap.any(axis=1).all():
-                            raise RuntimeError(
-                                "new triangle overlaps no old triangle"
-                            )
-                        new_tris.extend(map(tuple, hole_new.tolist()))
-                        links.extend(
-                            [hole_tris[j] for j in np.flatnonzero(row)]
-                            for row in overlap
-                        )
-
-            survivors = [ti for ti in range(len(current)) if ti not in removed_tris]
-            next_tris = [current[ti] for ti in survivors] + new_tris
-            next_children = [[ti] for ti in survivors] + links
-            next_arr = np.array(next_tris, dtype=np.int64)
+            tris, child_ptr, child_ids = _remove(all_pts, tris, chosen, construct)
             # compress the survivors and route the next level into place
             construct.scan(np.ones(T, dtype=np.int64), n=T)
-            construct.route(
-                np.arange(next_arr.shape[0]), next_arr[:, 0], n=next_arr.shape[0]
-            )
-            levels.append(
-                _Level(
-                    triangles=next_arr,
-                    children=next_children,
-                )
-            )
-            current = next_tris
+            construct.route(np.arange(tris.shape[0]), tris[:, 0], n=tris.shape[0])
+            levels.append(_Level(tris, child_ptr, child_ids))
         if round_no > 10 * (n + 4):
             raise RuntimeError("hierarchy construction did not converge")
 
@@ -327,26 +377,28 @@ def kirkpatrick_structure(
         construct = Construction(V)
 
     with construct.span("kirkpatrick:structure"):
+        # payload rows as 1 + MAX_CHILDREN (own or child) triangles
+        slots = payload.reshape(V, 1 + MAX_CHILDREN, 6)
         for d in range(L):
             tl = L - 1 - d  # triangulation level
-            tris = levels[tl].triangles
+            lv = levels[tl]
+            T = lv.triangles.shape[0]
             base = int(starts[d])
-            level[base : base + tris.shape[0]] = d
-            coords = pts[tris].reshape(tris.shape[0], 6)
-            payload[base : base + tris.shape[0], :6] = coords
+            level[base : base + T] = d
+            slots[base : base + T, 0] = pts[lv.triangles].reshape(T, 6)
             if d < L - 1:
-                child_base = int(starts[d + 1])
-                for ti, kids in enumerate(levels[tl].children):
-                    if len(kids) > MAX_CHILDREN:
-                        raise RuntimeError(
-                            f"triangle has {len(kids)} children > {MAX_CHILDREN}"
-                        )
-                    for slot, ch in enumerate(kids):
-                        adjacency[base + ti, slot] = child_base + ch
-                        ct = levels[tl - 1].triangles[ch]
-                        payload[base + ti, 6 + 6 * slot : 12 + 6 * slot] = pts[
-                            ct
-                        ].reshape(6)
+                counts = np.diff(lv.child_ptr)
+                if counts.max() > MAX_CHILDREN:
+                    raise RuntimeError(
+                        f"triangle has {counts.max()} children > {MAX_CHILDREN}"
+                    )
+                row = base + np.repeat(np.arange(T), counts)
+                slot = np.arange(lv.child_ids.size) - np.repeat(
+                    lv.child_ptr[:-1], counts
+                )
+                adjacency[row, slot] = int(starts[d + 1]) + lv.child_ids
+                finer = levels[tl - 1].triangles[lv.child_ids]
+                slots[row, 1 + slot] = pts[finer].reshape(-1, 6)
         # modelled mesh cost: sort nodes by DAG level, route each node's
         # record (adjacency + payload ride as O(1) words) to its slot
         construct.sort(level, n=V)

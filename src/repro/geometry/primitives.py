@@ -6,8 +6,9 @@ every consumer states which side of a tie it tolerates.
 
 The 2-d predicates broadcast over leading axes, so a caller tests many
 points or pairs in one call.  Triangle overlap is one batched
-separating-axis test, :func:`triangles_overlap_matrix`, over every pair
-of two triangle sets; :func:`triangles_overlap` is its single-pair case.
+separating-axis test, :func:`triangles_overlap_pairs`, over a list of
+index pairs into two triangle sets; :func:`triangles_overlap` is its
+single-pair case.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ __all__ = [
     "orient2d",
     "point_in_triangle",
     "triangles_overlap",
-    "triangles_overlap_matrix",
+    "triangles_overlap_pairs",
     "plane_from_points",
     "signed_volume",
 ]
@@ -52,51 +53,65 @@ def point_in_triangle(
     return ~(has_neg & has_pos)
 
 
-def triangles_overlap_matrix(
-    a: np.ndarray, b: np.ndarray, eps: float = 1e-12
+def triangles_overlap_pairs(
+    a: np.ndarray, b: np.ndarray, ia, ib, eps: float = 1e-12
 ) -> np.ndarray:
-    """Pairwise interior overlap of 2-d triangles (batched SAT test).
+    """Interior overlap of chosen pairs of 2-d triangles (batched SAT test).
 
-    ``a`` is ``(N, 3, 2)`` and ``b`` is ``(M, 3, 2)``; returns the
-    ``(N, M)`` boolean matrix whose entry ``[i, j]`` is True iff the
-    interiors of ``a[i]`` and ``b[j]`` intersect.  The separating axes are
-    the six edge normals of the pair; a pair whose projections onto one
-    of them overlap by at most ``eps`` is separated, so shared edges and
-    vertices do not count as overlap, which is what the Kirkpatrick
-    parent-linking needs (a new triangle is linked to the old triangles
-    whose interiors it shares area with).
+    ``a`` is ``(N, 3, 2)``, ``b`` is ``(M, 3, 2)``, and ``ia``, ``ib`` are
+    index arrays of one length ``P``; returns the ``(P,)`` boolean array
+    whose entry ``p`` is True iff the interiors of ``a[ia[p]]`` and
+    ``b[ib[p]]`` intersect.  The separating axes are the six edge normals
+    of the pair; a pair whose projections onto one of them overlap by at
+    most ``eps`` is separated, so shared edges and vertices do not count
+    as overlap, which is what the Kirkpatrick parent-linking needs (a new
+    triangle is linked to the old triangles whose interiors it shares
+    area with).
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    ia = np.asarray(ia, dtype=np.int64)
+    ib = np.asarray(ib, dtype=np.int64)
 
-    def separated(tri: np.ndarray, other: np.ndarray) -> np.ndarray:
-        # (T, 3, 2) outward edge normals of each triangle in ``tri``
-        edges = np.roll(tri, -1, axis=1) - tri
+    def separated(tri, other, it, io):
+        # (T, 3, 2, 1) outward edge normals of each triangle in ``tri``
+        edges = tri[:, [1, 2, 0]] - tri
         axes = np.stack([edges[..., 1], -edges[..., 0]], axis=-1)[..., None]
-        # project with matmul, one matrix-vector product per (triangle,
-        # axis): at a shared edge the eps decision hangs on the last bit,
-        # and the BLAS kernel may fuse the multiply-add, so an elementwise
-        # x * ax + y * ay would round differently and link differently.
-        # p1[t, k, v] puts vertex v of tri[t] on axis k of tri[t] and
-        # p2[t, o, k, v] puts vertex v of other[o] on axis k of tri[t]
+        # project with matmul, one (3, 2) @ (2, 1) matrix-vector product
+        # per (triangle, axis): at a shared edge the eps decision hangs on
+        # the last bit, and the BLAS kernel may fuse the multiply-add, so
+        # an elementwise x * ax + y * ay would round differently and link
+        # differently.  p1[t, k, v] puts vertex v of tri[t] on axis k of
+        # tri[t] (once per triangle) and p2[p, k, v] puts vertex v of
+        # other[io[p]] on axis k of tri[it[p]]
         p1 = np.matmul(tri[:, None], axes)[..., 0]
-        p2 = np.matmul(other[None, :, None], axes[:, None])[..., 0]
-        lo1, hi1 = p1.min(axis=-1)[:, None], p1.max(axis=-1)[:, None]
-        lo2, hi2 = p2.min(axis=-1), p2.max(axis=-1)
-        return ((hi1 <= lo2 + eps) | (hi2 <= lo1 + eps)).any(axis=-1)
+        p2 = np.matmul(other[io][:, None], axes[it])[..., 0]
+        # min / max / any over the last axis of length 3, unrolled (numpy's
+        # reductions over a short trailing axis are slow)
+        lo1, hi1 = _lo(p1)[it], _hi(p1)[it]
+        gap = (hi1 <= _lo(p2) + eps) | (_hi(p2) <= lo1 + eps)
+        return gap[:, 0] | gap[:, 1] | gap[:, 2]
 
-    return ~(separated(a, b) | separated(b, a).T)
+    return ~(separated(a, b, ia, ib) | separated(b, a, ib, ia))
+
+
+def _lo(p: np.ndarray) -> np.ndarray:
+    return np.minimum(np.minimum(p[..., 0], p[..., 1]), p[..., 2])
+
+
+def _hi(p: np.ndarray) -> np.ndarray:
+    return np.maximum(np.maximum(p[..., 0], p[..., 1]), p[..., 2])
 
 
 def triangles_overlap(t1: np.ndarray, t2: np.ndarray, eps: float = 1e-12) -> bool:
     """True iff the *interiors* of two 2-d triangles intersect.
 
-    The single-pair case of :func:`triangles_overlap_matrix`.
+    The single-pair case of :func:`triangles_overlap_pairs`.
     """
     return bool(
-        triangles_overlap_matrix(
-            np.asarray(t1)[None], np.asarray(t2)[None], eps
-        )[0, 0]
+        triangles_overlap_pairs(
+            np.asarray(t1)[None], np.asarray(t2)[None], [0], [0], eps
+        )[0]
     )
 
 

@@ -1,9 +1,18 @@
 """Ear-clipping triangulation of simple polygons.
 
-Used by the Kirkpatrick hierarchy to retriangulate the star-shaped hole
-left by removing an independent-set vertex.  O(k^2) per polygon, which is
-O(1) amortized in the hierarchy because removed vertices have degree at
-most a constant.
+Used by the Kirkpatrick hierarchy to retriangulate the star-shaped holes
+left by removing an independent set of vertices.  The holes of one
+removal round are disjoint, so :func:`ear_clip_many` clips all of them in
+lockstep: the polygons are padded to one ``(H, K, 2)`` array, and on each
+of the ``K - 3`` iterations every polygon that still has more than three
+vertices clips its *first* valid ear in its current vertex order — the
+classic sequential rule, with the same ``orient2d`` and strict-inside
+arithmetic, run as a few numpy calls for all polygons at once.  So each
+polygon's triangles, and their order, do not depend on the batch it was
+clipped in.  :func:`ear_clip` is the one-polygon case.
+
+O(k^2) work per polygon, which is O(1) amortized in the hierarchy
+because removed vertices have degree at most a constant.
 """
 
 from __future__ import annotations
@@ -13,75 +22,118 @@ import numpy as np
 from repro.geometry.primitives import orient2d
 from repro.mesh.trace import traced
 
-__all__ = ["ear_clip"]
+__all__ = ["ear_clip", "ear_clip_many", "signed_area2"]
 
 
-def _strict_inside(p, a, b, c, eps: float) -> bool:
-    d1, d2, d3 = orient2d(p, a, b), orient2d(p, b, c), orient2d(p, c, a)
-    return bool((d1 > eps) and (d2 > eps) and (d3 > eps))
+def signed_area2(polygons: np.ndarray, sizes) -> np.ndarray:
+    """Twice the signed (shoelace) area of each polygon; > 0 for CCW.
+
+    ``polygons`` is ``(H, K, 2)``; polygon ``h`` is its first
+    ``sizes[h]`` rows, the rest is padding and does not count.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    pos = np.arange(polygons.shape[1])
+    nxt = (pos + 1) % sizes[:, None]
+    x, y = polygons[..., 0], polygons[..., 1]
+    terms = x * np.take_along_axis(y, nxt, axis=1) - np.take_along_axis(
+        x, nxt, axis=1
+    ) * y
+    return np.where(pos < sizes[:, None], terms, 0.0).sum(axis=1)
 
 
 def ear_clip(polygon: np.ndarray, eps: float = 1e-12, construct=None) -> np.ndarray:
     """Triangulate a simple polygon given in counter-clockwise order.
 
     Returns ``(k-2, 3)`` vertex-index triples into ``polygon``.  Raises
-    ``ValueError`` if the polygon is not simple/CCW enough to clip.
-
-    Traced as one ``triangulate:ear-clip`` span per polygon.  With a
-    :class:`repro.mesh.construct.Construction` attached the span charges
-    ``k`` modelled local steps — clipping a constant-size star-shaped
-    hole is O(1) local work per incident processor; standalone calls
-    (``construct=None``) stay host-only ambient spans.
+    ``ValueError`` if the polygon is not simple/CCW enough to clip.  The
+    one-polygon case of :func:`ear_clip_many`.
     """
     polygon = np.asarray(polygon, dtype=np.float64)
-    k = polygon.shape[0]
-    if k < 3:
-        raise ValueError(f"polygon needs >= 3 vertices, got {k}")
+    return ear_clip_many(polygon[None], [polygon.shape[0]], eps, construct)
+
+
+def ear_clip_many(
+    polygons: np.ndarray, sizes, eps: float = 1e-12, construct=None
+) -> np.ndarray:
+    """Triangulate many simple CCW polygons in lockstep.
+
+    ``polygons`` is ``(H, K, 2)``; polygon ``h`` is its first
+    ``sizes[h]`` rows (the rest is padding).  Returns the
+    ``(sum(sizes - 2), 3)`` vertex-index triples into each polygon's own
+    rows, polygon after polygon, each polygon's triangles in the order
+    :func:`ear_clip` gives them.  Raises ``ValueError`` if any polygon has
+    fewer than three vertices or is not simple/CCW enough to clip.
+
+    With a :class:`repro.mesh.construct.Construction` attached, each
+    polygon is one branch of a parallel section with its own
+    ``triangulate:ear-clip`` span charging ``k`` modelled local steps —
+    clipping a constant-size star-shaped hole is O(1) local work per
+    incident processor, and the batch pays for its largest polygon.
+    Standalone calls (``construct=None``) are one host-only ambient
+    ``triangulate:ear-clip`` span.
+    """
+    polygons = np.asarray(polygons, dtype=np.float64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if sizes.size and sizes.min() < 3:
+        raise ValueError(f"polygon needs >= 3 vertices, got {sizes.min()}")
     if construct is None:
         with traced(None, "triangulate:ear-clip"):
-            return _ear_clip(polygon, k, eps)
-    with construct.span("triangulate:ear-clip"):
-        construct.local(k)
-        return _ear_clip(polygon, k, eps)
+            return _ear_clip_many(polygons, sizes, eps)
+    with construct.parallel() as par:
+        for k in sizes.tolist():
+            with par.branch(), construct.span("triangulate:ear-clip"):
+                construct.local(k)
+    return _ear_clip_many(polygons, sizes, eps)
 
 
-def _ear_clip(polygon: np.ndarray, k: int, eps: float) -> np.ndarray:
-    # ensure CCW
-    area2 = float(
-        np.sum(
-            polygon[:, 0] * np.roll(polygon[:, 1], -1)
-            - np.roll(polygon[:, 0], -1) * polygon[:, 1]
-        )
-    )
-    if area2 < 0:
+def _ear_clip_many(polygons: np.ndarray, sizes: np.ndarray, eps: float) -> np.ndarray:
+    if (signed_area2(polygons, sizes) < 0).any():
         raise ValueError("polygon must be counter-clockwise")
-    idx = list(range(k))
-    triangles: list[tuple[int, int, int]] = []
-    guard = 0
-    while len(idx) > 3:
-        guard += 1
-        if guard > 4 * k * k:
-            raise ValueError("ear clipping failed: polygon not simple?")
-        clipped = False
-        m = len(idx)
-        for i in range(m):
-            a_i, b_i, c_i = idx[(i - 1) % m], idx[i], idx[(i + 1) % m]
-            a, b, c = polygon[a_i], polygon[b_i], polygon[c_i]
-            if orient2d(a, b, c) <= eps:
-                continue
-            blocked = False
-            for j_pos, j in enumerate(idx):
-                if j in (a_i, b_i, c_i):
-                    continue
-                if _strict_inside(polygon[j], a, b, c, eps):
-                    blocked = True
-                    break
-            if not blocked:
-                triangles.append((a_i, b_i, c_i))
-                idx.pop(i)
-                clipped = True
-                break
-        if not clipped:
+    H, K = polygons.shape[:2]
+    if H == 0:
+        return np.zeros((0, 3), dtype=np.int64)
+    # order[h, :m[h]] = polygon h's remaining vertices, in polygon order
+    order = np.tile(np.arange(K), (H, 1))
+    m = sizes.copy()
+    out = np.empty((H, K - 2, 3), dtype=np.int64)
+    for it in range(K - 3):
+        width = K - it
+        pos = np.arange(width)
+        # the polygons with more than three vertices left clip one ear each
+        h = np.flatnonzero(m > 3)[:, None]
+        o, mh = order[h[:, 0], :width], m[h]
+        prev_pos, next_pos = (pos - 1) % mh, (pos + 1) % mh
+        ia = np.take_along_axis(o, prev_pos, axis=1)
+        ic = np.take_along_axis(o, next_pos, axis=1)
+        a, b, c = polygons[h, ia], polygons[h, o], polygons[h, ic]
+        # ear (h, i) is blocked by a remaining vertex j other than its own
+        # three that lies strictly inside it
+        p = b[:, None]
+        A, B, C = a[:, :, None], b[:, :, None], c[:, :, None]
+        inside = (
+            (orient2d(p, A, B) > eps)
+            & (orient2d(p, B, C) > eps)
+            & (orient2d(p, C, A) > eps)
+        )
+        j = pos[None, None, :]
+        others = (
+            (j < mh[:, :, None])
+            & (j != pos[:, None])
+            & (j != prev_pos[:, :, None])
+            & (j != next_pos[:, :, None])
+        )
+        ear = (
+            ~(orient2d(a, b, c) <= eps)
+            & ~(inside & others).any(axis=2)
+            & (pos < mh)
+        )
+        if not ear.any(axis=1).all():
             raise ValueError("ear clipping stuck: degenerate polygon")
-    triangles.append((idx[0], idx[1], idx[2]))
-    return np.array(triangles, dtype=np.int64)
+        i = ear.argmax(axis=1)[:, None]
+        out[h[:, 0], it] = np.concatenate(
+            [np.take_along_axis(x, i, axis=1) for x in (ia, o, ic)], axis=1
+        )
+        order[h, pos[:-1]] = o[pos != i].reshape(-1, width - 1)
+        m[h] -= 1
+    out[np.arange(H), sizes - 3] = order[:, :3]
+    return out[np.arange(K - 2) < (sizes - 2)[:, None]]

@@ -5,6 +5,7 @@ import pytest
 
 from repro.apps.interval_search import (
     count_intersections_mesh,
+    interval_count_snapshot_arrays,
     report_intersections_mesh,
     setup_interval_search,
 )
@@ -89,3 +90,31 @@ class TestScaling:
             _, steps = count_intersections_mesh(setup, a, b)
             ratios[n] = steps / setup.tree_lefts.size ** 0.5
         assert ratios[1024] / ratios[256] < 2.5
+
+
+class TestLazyIntervalTree:
+    """Only reporting uses the interval tree, so it is built on first use."""
+
+    def _fresh(self):
+        lefts, rights = random_intervals(300, seed=0, domain=100.0, mean_len=6.0)
+        return setup_interval_search(lefts, rights)
+
+    def test_counting_never_builds_it(self):
+        setup = self._fresh()
+        count_intersections_mesh(setup, np.array([10.0]), np.array([20.0]))
+        interval_count_snapshot_arrays(setup)
+        assert "itree" not in vars(setup) and "istruct" not in vars(setup)
+
+    def test_outputs_match_an_eager_build(self, dataset):
+        _, _, _, a, b = dataset
+        eager, lazy = self._fresh(), self._fresh()
+        assert eager.istruct is eager.istruct  # built up front, then cached
+        assert "istruct" not in vars(lazy)
+        counts_e, steps_e = count_intersections_mesh(eager, a, b)
+        counts_l, steps_l = count_intersections_mesh(lazy, a, b)
+        assert counts_l.tobytes() == counts_e.tobytes() and steps_l == steps_e
+        reports_e, rsteps_e = report_intersections_mesh(eager, a, b)
+        reports_l, rsteps_l = report_intersections_mesh(lazy, a, b)
+        assert rsteps_l == rsteps_e
+        assert [r.tobytes() for r in reports_l] == [r.tobytes() for r in reports_e]
+        assert "istruct" in vars(lazy)

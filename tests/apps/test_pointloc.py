@@ -3,10 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.apps.pointloc import locate_points_mesh
+from repro.apps.pointloc import final_vertices, locate_points_mesh
 from repro.bench.workloads import uniform_sites
+from repro.core.model import STOP, QuerySet
 from repro.geometry.primitives import point_in_triangle
 from repro.util.rng import make_rng
+
+
+def test_final_vertices_are_the_last_path_vertices():
+    qs = QuerySet.start(np.zeros((4, 2)), [0, 0, 0, STOP], record_trace=True)
+    qs.trace.append(np.array([5, STOP, 7, STOP]))
+    qs.trace.append(np.array([5, STOP, 9, STOP]))
+    want = [p[-1] if p else -1 for p in qs.paths()]
+    assert final_vertices(qs).tolist() == want == [5, 0, 9, -1]
 
 
 class TestLocatePointsMesh:

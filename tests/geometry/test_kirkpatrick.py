@@ -21,8 +21,9 @@ from repro.geometry.primitives import (
     orient2d,
     point_in_triangle,
     triangles_overlap,
-    triangles_overlap_matrix,
+    triangles_overlap_pairs,
 )
+from repro.mesh.construct import Construction
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +54,7 @@ class TestConstruction:
 
     def test_children_bounded(self, hier):
         for lvl in hier.levels[1:]:
-            assert max(len(k) for k in lvl.children) <= 10
+            assert np.diff(lvl.child_ptr).max() <= 10
 
     def test_children_cover_parent(self, hier):
         # a triangle's children must cover it: sample interior points
@@ -73,7 +74,7 @@ class TestConstruction:
                     point_in_triangle(
                         p, pts[finer[ch][0]], pts[finer[ch][1]], pts[finer[ch][2]]
                     )
-                    for ch in lvl.children[ti]
+                    for ch in lvl.child_ids[lvl.child_ptr[ti] : lvl.child_ptr[ti + 1]]
                 )
                 assert hit
 
@@ -268,16 +269,28 @@ def _triangle_sets(draw):
     return a, np.array(b)
 
 
+def _overlap_matrix(a, b, eps=1e-12):
+    """The ``(N, M)`` overlap matrix: one pairs call over every pair."""
+    ia, ib = np.divmod(np.arange(a.shape[0] * b.shape[0]), b.shape[0])
+    return triangles_overlap_pairs(a, b, ia, ib, eps).reshape(len(a), len(b))
+
+
 class TestOverlapMatrix:
     @given(_triangle_sets(), st.sampled_from([1e-12, 1e-6, 0.0]))
     @settings(max_examples=150, deadline=None)
     def test_matches_per_pair_reference(self, sets, eps):
         a, b = sets
-        got = triangles_overlap_matrix(a, b, eps)
+        got = _overlap_matrix(a, b, eps)
         want = np.array([[_reference_overlap(x, y, eps) for y in b] for x in a])
         assert got.shape == (a.shape[0], b.shape[0])
         assert np.array_equal(got, want)
         assert triangles_overlap(a[0], b[0], eps) == want[0, 0]
+        # any list of index pairs, repeats and any order included
+        rng = np.random.default_rng(a.shape[0] * 31 + b.shape[0])
+        ia = rng.integers(0, a.shape[0], 12)
+        ib = rng.integers(0, b.shape[0], 12)
+        pairs = triangles_overlap_pairs(a, b, ia, ib, eps)
+        assert np.array_equal(pairs, want[ia, ib])
 
     def test_named_cases(self):
         t = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
@@ -290,28 +303,52 @@ class TestOverlapMatrix:
                 [[1.0, 1.0], [9.0, 1.0], [1.0, 9.0]],  # crossing
             ]
         )
-        got = triangles_overlap_matrix(t[None], b)
+        got = _overlap_matrix(t[None], b)
         assert got.tolist() == [[True, True, False, False, True]]
 
 
-def _snapshot_digest(n: int, seed: int) -> str:
-    hier = build_kirkpatrick(uniform_sites(n, seed=seed), seed=seed)
-    arrays, meta = kirkpatrick_snapshot_arrays(*kirkpatrick_structure(hier))
+def _snapshot_digest(n: int, seed: int) -> tuple[str, float]:
+    """Snapshot sha256 and modelled steps of building the structure."""
+    construct = Construction(n + 3)
+    hier = build_kirkpatrick(
+        uniform_sites(n, seed=seed), seed=seed, construct=construct
+    )
+    arrays, meta = kirkpatrick_snapshot_arrays(
+        *kirkpatrick_structure(hier, construct=construct)
+    )
     h = hashlib.sha256()
     for k in sorted(arrays):
         a = np.ascontiguousarray(arrays[k])
         h.update(f"{k}:{a.dtype.str}:{a.shape}".encode())
         h.update(a.tobytes())
     h.update(json.dumps(meta, sort_keys=True).encode())
-    return h.hexdigest()
+    return h.hexdigest(), construct.steps
 
 
-#: snapshot digests of the per-pair linking construction, pinned so the
-#: batched linking is held to the same structure bytes
+#: snapshot digests and construction steps of the per-pair linking,
+#: per-polygon retriangulation construction, pinned so the batched
+#: removal rounds are held to the same structure bytes and charges
 _GOLDEN_DIGESTS = {
-    (200, 0): "67e549d448a3d1c1e183b8dca96ffa108b12f0919d7b0eaf7ea7598f3b2c2cab",
-    (200, 1): "bbcece54705a4d73e98fc3d7753383f184dfd5dff3c7d81edecf01fdb4109c25",
-    (200, 2): "0e3aaa1ba14092087fe4187e9b0c147be84fb190554175cbbead0183760cda87",
+    (200, 0): (
+        "67e549d448a3d1c1e183b8dca96ffa108b12f0919d7b0eaf7ea7598f3b2c2cab",
+        2820.0,
+    ),
+    (200, 1): (
+        "bbcece54705a4d73e98fc3d7753383f184dfd5dff3c7d81edecf01fdb4109c25",
+        2689.0,
+    ),
+    (200, 2): (
+        "0e3aaa1ba14092087fe4187e9b0c147be84fb190554175cbbead0183760cda87",
+        2795.0,
+    ),
+    (1000, 3): (
+        "e0480753991f60b8966b03290163995336249fe3470a4448620c2e2f39210f6f",
+        6141.0,
+    ),
+    (3000, 4): (
+        "9f880dfa7923cd4274586f939776e891cf2ad4f9c8d42bfe9b05c9849ff1845f",
+        10792.0,
+    ),
 }
 
 

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry.primitives import orient2d
-from repro.geometry.triangulate import ear_clip
+from repro.geometry.triangulate import ear_clip, ear_clip_many
 
 
 def total_area(polygon: np.ndarray, tris: np.ndarray) -> float:
@@ -86,3 +88,104 @@ class TestEarClip:
             tris = ear_clip(poly)
             assert tris.shape[0] == k - 2
             assert total_area(poly, tris) == pytest.approx(polygon_area(poly))
+
+
+def _sequential_ear_clip(polygon: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+    """Reference: one polygon, one ear at a time, in plain Python loops."""
+    k = polygon.shape[0]
+    area2 = float(
+        np.sum(
+            polygon[:, 0] * np.roll(polygon[:, 1], -1)
+            - np.roll(polygon[:, 0], -1) * polygon[:, 1]
+        )
+    )
+    if area2 < 0:
+        raise ValueError("polygon must be counter-clockwise")
+    idx = list(range(k))
+    triangles = []
+    while len(idx) > 3:
+        m = len(idx)
+        for i in range(m):
+            a_i, b_i, c_i = idx[(i - 1) % m], idx[i], idx[(i + 1) % m]
+            a, b, c = polygon[a_i], polygon[b_i], polygon[c_i]
+            if orient2d(a, b, c) <= eps:
+                continue
+            if any(
+                orient2d(polygon[j], a, b) > eps
+                and orient2d(polygon[j], b, c) > eps
+                and orient2d(polygon[j], c, a) > eps
+                for j in idx
+                if j not in (a_i, b_i, c_i)
+            ):
+                continue
+            triangles.append((a_i, b_i, c_i))
+            idx.pop(i)
+            break
+        else:
+            raise ValueError("ear clipping stuck: degenerate polygon")
+    triangles.append((idx[0], idx[1], idx[2]))
+    return np.array(triangles, dtype=np.int64)
+
+
+@st.composite
+def _polygons(draw):
+    """Star-shaped polygons with reflex vertices, some clockwise, some
+    degenerate (collinear, or with a repeated vertex)."""
+    k = draw(st.integers(3, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    theta = np.sort(rng.uniform(0, 2 * np.pi, k))
+    radii = rng.uniform(0.2, 2.0, k)
+    poly = np.stack([radii * np.cos(theta), radii * np.sin(theta)], axis=1)
+    kind = draw(st.sampled_from(["star", "star", "cw", "collinear", "repeat"]))
+    if kind == "cw":
+        poly = poly[::-1].copy()
+    elif kind == "collinear":
+        poly[:, 1] = 0.5 * poly[:, 0]
+    elif kind == "repeat":
+        poly[rng.integers(k)] = poly[rng.integers(k)]
+    return poly
+
+
+def _clip_or_error(clip, *args):
+    try:
+        return clip(*args)
+    except ValueError:
+        return "ValueError"
+
+
+class TestLockstepMatchesSequential:
+    @given(st.lists(_polygons(), min_size=1, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_batch_matches_per_polygon_reference(self, polys):
+        want = [_clip_or_error(_sequential_ear_clip, p) for p in polys]
+        for p, w in zip(polys, want):
+            got = _clip_or_error(ear_clip, p)
+            if isinstance(w, str):
+                assert got == w
+            else:
+                assert got.dtype == w.dtype and got.tobytes() == w.tobytes()
+        sizes = [p.shape[0] for p in polys]
+        padded = np.zeros((len(polys), max(sizes), 2))
+        for h, p in enumerate(polys):
+            padded[h, : sizes[h]] = p
+        got = _clip_or_error(ear_clip_many, padded, sizes)
+        if any(isinstance(w, str) for w in want):
+            # one unclippable polygon fails the whole batch
+            assert got == "ValueError"
+        else:
+            assert got.tobytes() == np.concatenate(want).tobytes()
+
+    def test_degenerate_polygons_raise(self):
+        line = np.stack([np.arange(5.0), np.arange(5.0)], axis=1)
+        with pytest.raises(ValueError, match="stuck"):
+            ear_clip(line)
+        square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float)
+        padded = np.zeros((2, 5, 2))
+        padded[0, :4] = square
+        padded[1] = line
+        with pytest.raises(ValueError, match="stuck"):
+            ear_clip_many(padded, [4, 5])
+        with pytest.raises(ValueError, match="counter-clockwise"):
+            ear_clip_many(padded[:, ::-1], [5, 5])
+        with pytest.raises(ValueError, match=">= 3 vertices"):
+            ear_clip_many(padded, [4, 2])
