@@ -224,6 +224,11 @@ class GraphStore:
     Slot *j* of the region holds the record of global vertex ``ids[j]``;
     ``ids`` is kept sorted so membership/locating is the standard
     sort-and-merge, whose cost is part of every RAR/route charge.
+
+    A whole-structure store is the paper's initial configuration: ``G``
+    is resident before any search starts and only queries move.  It holds
+    the structure's own records as read-only views, so loading it copies
+    nothing and no search can write through to the structure.
     """
 
     def __init__(
@@ -235,13 +240,12 @@ class GraphStore:
         level: np.ndarray,
         per_proc: int = 4,
     ) -> None:
-        ids = np.asarray(ids, dtype=np.int64)
-        order = np.argsort(ids, kind="stable")
+        """Records in ``ids`` order; ``ids`` must be sorted ascending."""
         self.region = region
-        self.ids = ids[order]
-        self.adjacency = np.asarray(adjacency)[order]
-        self.payload = np.asarray(payload)[order]
-        self.level = np.asarray(level)[order]
+        self.ids = ids
+        self.adjacency = adjacency
+        self.payload = payload
+        self.level = level
         region.check_capacity(self.ids.size, per_proc=per_proc, what="vertex records")
 
     @classmethod
@@ -252,18 +256,23 @@ class GraphStore:
         vertex_ids: np.ndarray | None = None,
         per_proc: int = 4,
     ) -> "GraphStore":
-        """Place (a subgraph of) ``structure`` into ``region``."""
+        """Place (a subgraph of) ``structure`` into ``region``.
+
+        Without ``vertex_ids`` the store covers the whole structure:
+        ``ids`` is ``arange(V)`` (already sorted) and the records are
+        read-only views of the structure's arrays, so nothing is sorted
+        or copied.  A subgraph load sorts ``vertex_ids`` and copies the
+        selected records.
+        """
+        arrays = (structure.adjacency, structure.payload, structure.level)
         if vertex_ids is None:
-            vertex_ids = np.arange(structure.n_vertices, dtype=np.int64)
-        vertex_ids = np.asarray(vertex_ids, dtype=np.int64)
-        return cls(
-            region,
-            vertex_ids,
-            structure.adjacency[vertex_ids],
-            structure.payload[vertex_ids],
-            structure.level[vertex_ids],
-            per_proc=per_proc,
-        )
+            ids = np.arange(structure.n_vertices, dtype=np.int64)
+            records = [_read_only(a) for a in arrays]
+        else:
+            ids = np.asarray(vertex_ids, dtype=np.int64)
+            ids = ids[np.argsort(ids, kind="stable")]
+            records = [a[ids] for a in arrays]
+        return cls(region, ids, *records, per_proc=per_proc)
 
     @property
     def n_local(self) -> int:
@@ -294,6 +303,13 @@ class GraphStore:
             slots, self.payload, self.adjacency, self.level, label=label
         )
         return slots >= 0, payload, adjacency, level
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A write-protected view of ``a``; ``a`` itself stays writable."""
+    view = a.view()
+    view.setflags(write=False)
+    return view
 
 
 def advance_queries(

@@ -171,6 +171,46 @@ class TestGraphStore:
         store.gather(np.array([0]))
         assert eng.clock.time - t0 == eng.clock.cost.route * 4
 
+    def test_full_load_shares_the_structure_records(self):
+        st = chain_structure(10)
+        eng = MeshEngine(4)
+        store = GraphStore.load(eng.root, st)
+        assert store.ids.tolist() == list(range(10))
+        for mine, theirs in (
+            (store.adjacency, st.adjacency),
+            (store.payload, st.payload),
+            (store.level, st.level),
+        ):
+            assert np.shares_memory(mine, theirs)
+
+    def test_full_load_records_are_read_only(self):
+        st = chain_structure(10)
+        eng = MeshEngine(4)
+        store = GraphStore.load(eng.root, st)
+        for arr in (store.adjacency, store.payload, store.level):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 7
+
+    def test_subgraph_load_sorts_and_copies(self):
+        st = chain_structure(10)
+        eng = MeshEngine(4)
+        store = GraphStore.load(eng.root, st, vertex_ids=np.array([7, 2, 5]))
+        assert store.ids.tolist() == [2, 5, 7]
+        assert store.level.tolist() == [2, 5, 7]
+        assert store.adjacency[:, 0].tolist() == [3, 6, 8]
+        assert not np.shares_memory(store.level, st.level)
+        assert store.locate(np.array([5, 7, 2])).tolist() == [1, 2, 0]
+
+    def test_structure_stays_writable(self):
+        # the chaos corruptor ``corrupt_structure_level`` writes in place
+        st = chain_structure(10)
+        eng = MeshEngine(4)
+        GraphStore.load(eng.root, st)
+        st.level[3] = 99
+        st.adjacency[3, 0] = 5
+        st.payload[3, 0] = 1.5
+        assert st.level[3] == 99
+
     def test_capacity_enforced(self):
         st = chain_structure(64)
         eng = MeshEngine(2, capacity=2)
