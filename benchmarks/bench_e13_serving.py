@@ -5,15 +5,15 @@ accumulating them into mesh-sized batches.  This sweep fixes the
 structure (a Kirkpatrick DAG over ``sites`` points, built and
 snapshotted once, untimed) and the query load (``queries`` independent
 points), then measures wall time to push the whole load through a
-:class:`repro.serve.batcher.BatchingServer` across batch-size and
-flush-deadline settings:
+:class:`repro.serve.batcher.BatchingServer` across batch sizes:
 
 * small ``batch`` — many flushes, each paying the per-batch multisearch
   overhead on few queries: low throughput;
 * ``batch`` at or above the load — one or two flushes amortizing the
-  descent across every query, with the tail flushed by the deadline
-  timer: the ``deadline_ms`` column is the latency floor visible in
-  wall time when the batch never fills.
+  descent across every query.  A tail smaller than ``batch`` flushes on
+  the next event-loop turn (the in-process executor is never busy), so
+  no point waits on the flush deadline and the sweep has no deadline
+  axis.
 
 Each timed call restores the service from the snapshot's in-memory form
 and runs a fresh event loop, server and result cache, so repeats don't
@@ -30,7 +30,7 @@ import numpy as np
 __all__ = ["sweep_setup", "sweep_run", "run_once"]
 
 
-def sweep_setup(sites: int, queries: int, batch: int, deadline_ms: float) -> dict:
+def sweep_setup(sites: int, queries: int, batch: int) -> dict:
     """Untimed: build + snapshot + restore the structure, draw the load.
 
     The snapshot round-trips through its serialized bytes (header
@@ -57,47 +57,34 @@ def sweep_setup(sites: int, queries: int, batch: int, deadline_ms: float) -> dic
     return {"service": service, "load": load}
 
 
-async def _serve_load(service, load, batch: int, deadline_s: float):
+async def _serve_load(service, load, batch: int):
     from repro.serve import BatchingServer, ResultCache
 
     server = BatchingServer(
-        service,
-        batch_size=batch,
-        deadline_s=deadline_s,
-        cache=ResultCache(capacity=4 * len(load)),
+        service, batch_size=batch, cache=ResultCache(capacity=4 * len(load))
     )
     # submit_many gathers per-query futures; a tail batch smaller than
-    # ``batch`` resolves when the deadline timer fires
+    # ``batch`` flushes on the next loop turn
     results = await server.submit_many(load)
     return results, server.stats
 
 
-def sweep_run(
-    ctx: dict, sites: int, queries: int, batch: int, deadline_ms: float
-) -> tuple[float, int]:
+def sweep_run(ctx: dict, sites: int, queries: int, batch: int) -> tuple[float, int]:
     """Timed: the full load through a fresh server; returns (steps, m)."""
-    results, stats = asyncio.run(
-        _serve_load(ctx["service"], ctx["load"], batch, deadline_ms / 1e3)
-    )
+    results, stats = asyncio.run(_serve_load(ctx["service"], ctx["load"], batch))
     assert len(results) == queries
     return float(stats["mesh_steps"]), len(results)
 
 
-def run_once(sites: int, queries: int, batch: int, deadline_ms: float):
-    return sweep_run(
-        sweep_setup(sites, queries, batch, deadline_ms),
-        sites,
-        queries,
-        batch,
-        deadline_ms,
-    )
+def run_once(sites: int, queries: int, batch: int):
+    return sweep_run(sweep_setup(sites, queries, batch), sites, queries, batch)
 
 
 def test_e13_batching_matches_direct():
     """The batched answers equal one direct run over the same load."""
-    ctx = sweep_setup(sites=64, queries=48, batch=16, deadline_ms=20.0)
-    steps, m = sweep_run(ctx, 64, 48, 16, 20.0)
+    ctx = sweep_setup(sites=64, queries=48, batch=16)
+    steps, m = sweep_run(ctx, 64, 48, 16)
     assert m == 48 and steps > 0
     direct, _ = ctx["service"].run_batch(ctx["load"])
-    rebatched, _stats = asyncio.run(_serve_load(ctx["service"], ctx["load"], 16, 0.02))
+    rebatched, _stats = asyncio.run(_serve_load(ctx["service"], ctx["load"], 16))
     assert np.array_equal(np.array(rebatched), np.array(direct))

@@ -10,8 +10,8 @@ the two across process lifetimes:
 * :mod:`repro.serve.service` — per-application query services over
   restored structures, batch-in / per-query-results-out;
 * :mod:`repro.serve.batcher` — asyncio front-end turning individual
-  queries into mesh-sized batches (flush on size or deadline), with
-  single-flight dedup and typed shutdown;
+  queries into mesh-sized batches (flush on size, or once the executor
+  is free), with single-flight dedup and typed shutdown;
 * :mod:`repro.serve.cache` — bounded LRU over
   ``(snapshot_id, query bytes)`` with profile-visible hit/miss counters;
 * :mod:`repro.serve.pool` / :mod:`repro.serve.supervisor` — self-healing

@@ -1,15 +1,28 @@
 """Asyncio batching front-end: individual queries -> mesh-sized batches.
 
 The mesh answers *batches* in ``O(sqrt(n))`` steps; a service endpoint
-receives *individual* queries.  :class:`BatchingServer` bridges the two
-with the classic accumulate-and-flush state machine:
+receives *individual* queries.  One accumulate-and-flush state machine
+bridges the two for both front ends — :class:`BatchingServer` (batches
+run in-process) and :class:`~repro.serve.supervisor.SupervisedServer`
+(batches run on a worker pool):
 
-* **idle** — no pending queries, no timer;
-* **accumulating** — pending queries below ``batch_size``, a deadline
-  timer armed at the first enqueue;
-* **flush** — triggered by reaching ``batch_size``, by the deadline
-  expiring, or by an explicit :meth:`drain`; runs one multisearch batch
-  on a **fresh engine** and resolves every pending future.
+* **idle** — no pending queries, nothing armed;
+* **accumulating** — pending queries below ``batch_size``.  If the
+  executor has a free slot, a flush is armed for the *next loop turn*,
+  so every query that becomes due in the current turn (a whole
+  :meth:`submit_many`, or the arrivals that piled up while the previous
+  inline batch ran) rides one batch.  If every slot is busy, the
+  queries keep accumulating until an in-flight batch lands, with a
+  ``deadline_s`` timer as the upper bound on the wait;
+* **flush** — triggered by reaching ``batch_size`` (``flush_size``), by
+  a free executor (``flush_idle``), by the deadline (``flush_deadline``)
+  or by an explicit :meth:`drain` (``flush_drain``); hands one batch to
+  the executor and resolves every pending future when it lands.
+
+Batches therefore grow only while the executor is busy: a trickle is
+served one query at a time with no timer wait, and rising load packs
+more rows into each batch (adaptive batching, as in Clipper, Crankshaw
+et al., NSDI 2017).
 
 Results are delivered through per-query futures, so callers just
 ``await server.submit(q)``.  A result cache (optional) short-circuits
@@ -25,7 +38,9 @@ Two service-hygiene behaviors ride on the same state machine:
   future instead of occupying a second batch slot (counted in
   ``stats["coalesced"]`` and as ``result-cache:coalesced`` trace
   events).  A faulted leader propagates its typed exception to every
-  coalesced follower — never a stale or partial result.
+  coalesced follower — never a stale or partial result.  Leader and
+  followers all await the slot through :func:`asyncio.shield`, so a
+  cancelled caller (leader included) never cancels the others' answer.
 * **shutdown fail-fast** — after :meth:`close` the server drains what it
   accepted, then rejects new submits synchronously with a typed
   :class:`~repro.serve.errors.ServerClosed`, so a submit racing a
@@ -46,8 +61,226 @@ from repro.serve.service import MultisearchService
 __all__ = ["BatchingServer"]
 
 
-class BatchingServer:
+class FrontEnd:
+    """The flush state machine shared by both front ends.
+
+    Subclasses supply :meth:`_dispatch` — how one flushed batch runs —
+    and ``slots``, how many dispatched batches may be in flight before
+    arrivals accumulate.
+    """
+
+    def __init__(
+        self,
+        service: MultisearchService,
+        batch_size: int,
+        deadline_s: float,
+        cache: ResultCache | None,
+        slots: int = 1,
+    ):
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if deadline_s <= 0:
+            raise ValueError("deadline_s must be positive")
+        self.service = service
+        self.batch_size = int(batch_size)
+        self.deadline_s = float(deadline_s)
+        self.cache = cache
+        self.slots = int(slots)
+        #: (row, cache key or None, future) per pending query
+        self._pending: list[tuple[np.ndarray, tuple | None, asyncio.Future]] = []
+        self._soon: asyncio.Handle | None = None
+        self._timer: asyncio.TimerHandle | None = None
+        self._inflight: dict[tuple[str, bytes], asyncio.Future] = {}
+        self._running: set[asyncio.Future] = set()
+        self._closed = False
+        self.stats = {
+            "queries": 0,
+            "batches": 0,
+            "flush_size": 0,
+            "flush_idle": 0,
+            "flush_deadline": 0,
+            "flush_drain": 0,
+            "faulted_batches": 0,
+            "mesh_steps": 0.0,
+            "cache_hits": 0,
+            "coalesced": 0,
+        }
+
+    # -- submission ----------------------------------------------------------
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise ServerClosed(f"{type(self).__name__} is closed; submit rejected")
+
+    async def submit(self, query):
+        """Answer one query; resolves when its batch is served (or cached).
+
+        Raises :class:`ServerClosed` synchronously once the server has
+        been closed — a post-shutdown submit fails fast instead of
+        queueing onto a batch that will never flush.  Execution failures
+        (a faulted batch, pool rejections, retry exhaustion) surface as
+        typed exceptions on the returned future.
+        """
+        self._check_open()
+        row = self.service.canonical_queries(query)
+        if row.shape[0] != 1:
+            raise ValueError("submit() takes a single query; use submit_many()")
+        return await self._submit_row(row[0])
+
+    async def _submit_row(self, row: np.ndarray):
+        """Enqueue one already-canonical ``(query_width,)`` row.
+
+        The shared tail of :meth:`submit` and :meth:`submit_many`: rows
+        arriving here have passed through ``canonical_queries`` exactly
+        once, so the shape-ambiguous re-canonicalization of a bare row
+        (a length-``d`` 1-D row reads as ``d`` scalar queries on a
+        single-column service) can never happen.
+        """
+        self._check_open()
+        self.stats["queries"] += 1
+        key = None
+        if self.cache is not None:
+            key = query_cache_key(self.service.snapshot_id, row)
+            found, value = self.cache.get(key)
+            if found:
+                self.stats["cache_hits"] += 1
+                return value
+            leader = self._inflight.get(key)
+            if leader is not None and not leader.done():
+                # single-flight: identical query already pending — ride
+                # its future instead of burning a second batch slot
+                self.stats["coalesced"] += 1
+                note_coalesced()
+                return await asyncio.shield(leader)
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        if key is not None:
+            self._inflight[key] = future
+        self._pending.append((row, key, future))
+        self._schedule()
+        # shielded like a follower's: cancelling this caller must not
+        # cancel the slot its coalesced followers are waiting on
+        return await asyncio.shield(future)
+
+    async def submit_many(self, queries) -> list:
+        """Submit a batch of rows concurrently; exceptions propagate per query.
+
+        The batch is canonicalized **exactly once**; rows then take the
+        pre-canonical path (:meth:`_submit_row`) instead of being pushed
+        back through ``canonical_queries`` one by one.
+        """
+        self._check_open()
+        rows = self.service.canonical_queries(queries)
+        return list(
+            await asyncio.gather(*(self._submit_row(row) for row in rows))
+        )
+
+    async def drain(self):
+        """Flush pending queries now and wait for every dispatched batch."""
+        while self._pending or self._running:
+            if self._pending:
+                self._flush("drain")
+            if self._running:
+                await asyncio.gather(*self._running, return_exceptions=True)
+        await asyncio.sleep(0)
+
+    async def close(self):
+        """Drain what was accepted, then reject all further submits.
+
+        Idempotent.  Everything pending at the call resolves normally
+        (or exceptionally, if its flush faults); everything submitted
+        after raises :class:`ServerClosed` without creating a future.
+        """
+        self._closed = True
+        await self.drain()
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
+    @property
+    def pending(self) -> int:
+        return len(self._pending)
+
+    # -- the flush -----------------------------------------------------------
+
+    def _schedule(self) -> None:
+        """Arm the next flush for what is pending (idle -> accumulating)."""
+        if not self._pending:
+            return
+        if len(self._pending) >= self.batch_size:
+            self._flush("size")
+        elif len(self._running) < self.slots:
+            if self._soon is None:
+                self._soon = asyncio.get_running_loop().call_soon(self._flush_idle)
+        elif self._timer is None:
+            self._timer = asyncio.get_running_loop().call_later(
+                self.deadline_s, self._flush, "deadline"
+            )
+
+    def _flush_idle(self) -> None:
+        self._soon = None
+        if len(self._running) < self.slots:
+            self._flush("idle")
+        else:  # a size flush took the last slot this turn: wait for it
+            self._schedule()
+
+    def _landed(self, landing: asyncio.Future) -> None:
+        self._running.discard(landing)
+        self._schedule()
+
+    def _flush(self, reason: str) -> None:
+        for handle in (self._soon, self._timer):
+            if handle is not None:
+                handle.cancel()
+        self._soon = self._timer = None
+        if not self._pending:
+            return
+        batch, self._pending = self._pending, []
+        self.stats["batches"] += 1
+        self.stats[f"flush_{reason}"] += 1
+        rows = np.stack([row for row, _, _ in batch])
+        try:
+            landing = self._dispatch(batch, rows)
+        except Exception as exc:
+            self._fail(batch, exc)
+            return
+        if landing is not None:
+            self._running.add(landing)
+            landing.add_done_callback(self._landed)
+
+    def _dispatch(self, batch, rows: np.ndarray) -> asyncio.Future | None:
+        """Run or hand off one batch; return a future if it lands later.
+
+        Resolves ``batch``'s futures through :meth:`_deliver` or
+        :meth:`_fail`; an exception raised here fails the whole batch.
+        """
+        raise NotImplementedError
+
+    def _deliver(self, batch, results, steps) -> None:
+        self.stats["mesh_steps"] += float(steps)
+        for (_, key, future), result in zip(batch, results):
+            if key is not None:
+                self.cache.put(key, result)
+                self._inflight.pop(key, None)
+            if not future.done():
+                future.set_result(result)
+
+    def _fail(self, batch, exc: BaseException) -> None:
+        # a faulted batch resolves every future exceptionally and leaves
+        # the cache untouched — no corrupt answer escapes
+        self.stats["faulted_batches"] += 1
+        for _, key, future in batch:
+            self._inflight.pop(key, None)
+            if not future.done():
+                future.set_exception(exc)
+
+
+class BatchingServer(FrontEnd):
     """Accumulate single queries into batches for a :class:`MultisearchService`.
+
+    Each flush runs inline on a **fresh engine**, so the executor is
+    never busy when a query arrives: every non-full batch flushes on the
+    loop turn after its first query.
 
     Parameters
     ----------
@@ -56,8 +289,8 @@ class BatchingServer:
     batch_size:
         Flush as soon as this many queries are pending.
     deadline_s:
-        Flush at most this long after the first pending query arrived,
-        even if the batch is not full (latency bound for a trickle).
+        Upper bound on a query's wait while the executor is busy (see
+        the module docstring); must be positive.
     cache:
         Optional :class:`ResultCache`; hits bypass the mesh entirely.
     fault_plans:
@@ -88,172 +321,20 @@ class BatchingServer:
         engine_kwargs: dict | None = None,
         vm_witness: bool = False,
     ):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if deadline_s <= 0:
-            raise ValueError("deadline_s must be positive")
-        self.service = service
-        self.batch_size = int(batch_size)
-        self.deadline_s = float(deadline_s)
-        self.cache = cache
+        super().__init__(service, batch_size, deadline_s, cache)
         self.fault_plans = tuple(fault_plans) if fault_plans else ()
         self.engine_kwargs = dict(engine_kwargs or {})
         self.vm_witness = bool(vm_witness)
-        self._pending: list[tuple[np.ndarray, asyncio.Future]] = []
-        self._timer: asyncio.TimerHandle | None = None
-        self._inflight: dict[tuple[str, bytes], asyncio.Future] = {}
-        self._closed = False
-        self.stats = {
-            "queries": 0,
-            "batches": 0,
-            "flush_size": 0,
-            "flush_deadline": 0,
-            "flush_drain": 0,
-            "faulted_batches": 0,
-            "mesh_steps": 0.0,
-            "cache_hits": 0,
-            "coalesced": 0,
-            "vm_witness_steps": 0,
-        }
+        self.stats["vm_witness_steps"] = 0
 
-    # -- submission ----------------------------------------------------------
-
-    async def submit(self, query):
-        """Answer one query; resolves when its batch is served (or cached).
-
-        Raises :class:`ServerClosed` synchronously once the server has
-        been closed — a post-shutdown submit fails fast instead of
-        queueing onto a batch that will never flush.
-        """
-        if self._closed:
-            raise ServerClosed("BatchingServer is closed; submit rejected")
-        row = self.service.canonical_queries(query)
-        if row.shape[0] != 1:
-            raise ValueError("submit() takes a single query; use submit_many()")
-        return await self._submit_row(row[0])
-
-    async def _submit_row(self, row: np.ndarray):
-        """Enqueue one already-canonical ``(query_width,)`` row.
-
-        The shared tail of :meth:`submit` and :meth:`submit_many`: rows
-        arriving here have passed through ``canonical_queries`` exactly
-        once, so the shape-ambiguous re-canonicalization of a bare row
-        (a length-``d`` 1-D row reads as ``d`` scalar queries on a
-        single-column service) can never happen.
-        """
-        if self._closed:
-            raise ServerClosed("BatchingServer is closed; submit rejected")
-        self.stats["queries"] += 1
-        key = None
-        if self.cache is not None:
-            key = query_cache_key(self.service.snapshot_id, row)
-            found, value = self.cache.get(key)
-            if found:
-                self.stats["cache_hits"] += 1
-                return value
-            leader = self._inflight.get(key) if key is not None else None
-            if leader is not None and not leader.done():
-                # single-flight: identical query already pending — ride
-                # its future instead of burning a second batch slot
-                self.stats["coalesced"] += 1
-                note_coalesced()
-                return await asyncio.shield(leader)
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        if key is not None:
-            self._inflight[key] = future
-            future.add_done_callback(self._uninflight(key))
-        self._pending.append((row, future))
-        if len(self._pending) >= self.batch_size:
-            self._flush("size")
-        elif self._timer is None:
-            self._timer = loop.call_later(self.deadline_s, self._flush, "deadline")
-        return await future
-
-    def _uninflight(self, key):
-        def _done(future, _key=key):
-            if self._inflight.get(_key) is future:
-                self._inflight.pop(_key, None)
-
-        return _done
-
-    async def submit_many(self, queries) -> list:
-        """Submit a batch of rows concurrently; exceptions propagate per query.
-
-        The batch is canonicalized **exactly once**; rows then take the
-        pre-canonical path (:meth:`_submit_row`) instead of being pushed
-        back through ``canonical_queries`` one by one.
-        """
-        if self._closed:
-            raise ServerClosed("BatchingServer is closed; submit rejected")
-        rows = self.service.canonical_queries(queries)
-        return list(
-            await asyncio.gather(*(self._submit_row(row) for row in rows))
-        )
-
-    async def drain(self):
-        """Flush any pending queries immediately (shutdown / test barrier)."""
-        if self._pending:
-            self._flush("drain")
-        await asyncio.sleep(0)
-
-    async def close(self):
-        """Drain what was accepted, then reject all further submits.
-
-        Idempotent.  Everything pending at the call resolves normally
-        (or exceptionally, if its flush faults); everything submitted
-        after raises :class:`ServerClosed` without creating a future.
-        """
-        self._closed = True
-        await self.drain()
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def pending(self) -> int:
-        return len(self._pending)
-
-    # -- the flush -----------------------------------------------------------
-
-    def _flush(self, reason: str) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        if not self._pending:
-            return
-        batch, self._pending = self._pending, []
-        self.stats["batches"] += 1
-        self.stats[f"flush_{reason}"] += 1
-        rows = np.stack([row for row, _ in batch])
+    def _dispatch(self, batch, rows: np.ndarray) -> None:
         engine = self.service.make_engine(rows.shape[0], **self.engine_kwargs)
         injector = None
         if self.fault_plans:
             injector = FaultInjector(*self.fault_plans).install(engine)
-        try:
-            if self.vm_witness:
-                self._run_vm_witness(rows, injector)
-            results, steps = self.service.run_batch(rows, engine=engine)
-        except Exception as exc:
-            # a faulted batch resolves every future exceptionally and
-            # leaves the cache untouched — no corrupt answer escapes
-            self.stats["faulted_batches"] += 1
-            for _, future in batch:
-                if not future.done():
-                    future.set_exception(exc)
-            return
-        self.stats["mesh_steps"] += float(steps)
-        for (row, future), result in zip(batch, results):
-            if self.cache is not None:
-                self.cache.put(
-                    query_cache_key(self.service.snapshot_id, row), result
-                )
-            if not future.done():
-                future.set_result(result)
+        if self.vm_witness:
+            self._run_vm_witness(rows, injector)
+        self._deliver(batch, *self.service.run_batch(rows, engine=engine))
 
     def _run_vm_witness(self, rows: np.ndarray, injector) -> None:
         """Shearsort the batch's query ranks on a paranoid cycle-accurate VM.

@@ -1,9 +1,14 @@
 """Supervised serving front-end: the batcher, backed by a worker pool.
 
-:class:`SupervisedServer` keeps :class:`~repro.serve.batcher.BatchingServer`'s
-accumulate-and-flush contract — per-query futures, cache short-circuit,
-single-flight dedup, typed shutdown — but hands each flushed batch to a
+:class:`SupervisedServer` runs the same flush state machine as
+:class:`~repro.serve.batcher.BatchingServer` — idle → accumulating →
+flush, per-query futures, cache short-circuit, single-flight dedup,
+typed shutdown — but hands each flushed batch to a
 :class:`~repro.serve.pool.WorkerPool` instead of running it in-process.
+The pool's ``n_workers`` are the executor's slots: while one is free, a
+pending query flushes on the next loop turn; while all are busy, queries
+accumulate until a batch lands (or ``deadline_s`` passes).
+
 The mesh work therefore executes in worker *processes* that can crash,
 hang, stall, or corrupt their replies without taking the event loop (or
 any other query) down: the pool retries on healthy workers, restarts the
@@ -22,17 +27,19 @@ like the in-process batcher's faulted-flush path.
 from __future__ import annotations
 
 import asyncio
+from functools import partial
 
 import numpy as np
 
-from repro.serve.cache import ResultCache, note_coalesced, query_cache_key
-from repro.serve.errors import ServerClosed, ServingError
+from repro.serve.batcher import FrontEnd
+from repro.serve.cache import ResultCache
+from repro.serve.errors import ServerClosed
 from repro.serve.pool import WorkerPool
 
 __all__ = ["SupervisedServer"]
 
 
-class SupervisedServer:
+class SupervisedServer(FrontEnd):
     """Accumulate single queries into batches answered by a worker pool.
 
     Parameters
@@ -57,102 +64,32 @@ class SupervisedServer:
         deadline_s: float = 0.01,
         cache: ResultCache | None = None,
     ):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if deadline_s <= 0:
-            raise ValueError("deadline_s must be positive")
         from repro.serve.service import restore_service
         from repro.serve.snapshot import read_snapshot
 
-        self.pool = pool
-        self.service = restore_service(
+        service = restore_service(
             read_snapshot(pool.snapshot_path, expected_id=pool.snapshot_id),
             **pool.service_kwargs,
         )
-        self.batch_size = int(batch_size)
-        self.deadline_s = float(deadline_s)
-        self.cache = cache
-        self._pending: list[tuple[np.ndarray, asyncio.Future]] = []
-        self._timer: asyncio.TimerHandle | None = None
-        self._inflight: dict[tuple[str, bytes], asyncio.Future] = {}
-        self._batch_futures: set[asyncio.Future] = set()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._closed = False
-        self.stats = {
-            "queries": 0,
-            "batches": 0,
-            "flush_size": 0,
-            "flush_deadline": 0,
-            "flush_drain": 0,
-            "faulted_batches": 0,
-            "mesh_steps": 0.0,
-            "cache_hits": 0,
-            "coalesced": 0,
-        }
+        super().__init__(service, batch_size, deadline_s, cache, slots=pool.n_workers)
+        self.pool = pool
 
-    # -- submission ----------------------------------------------------------
+    def _dispatch(self, batch, rows: np.ndarray) -> asyncio.Future:
+        # admission control / breaker rejection raises here: typed,
+        # synchronous, before any work — every future in the batch learns why
+        landing = asyncio.wrap_future(self.pool.submit_batch(rows))
+        landing.add_done_callback(partial(self._on_batch_done, batch))
+        return landing
 
-    async def submit(self, query):
-        """Answer one query; resolves when its batch is served (or cached).
-
-        Raises :class:`ServerClosed` synchronously once closed.  Pool
-        rejections (:class:`Overloaded`, :class:`WorkerUnavailable`) and
-        retry exhaustion (:class:`BatchFailed`) surface as typed
-        exceptions on the returned future.
-        """
-        if self._closed:
-            raise ServerClosed("SupervisedServer is closed; submit rejected")
-        row = self.service.canonical_queries(query)
-        if row.shape[0] != 1:
-            raise ValueError("submit() takes a single query; use submit_many()")
-        row = row[0]
-        self.stats["queries"] += 1
-        key = None
-        if self.cache is not None:
-            key = query_cache_key(self.pool.snapshot_id, row)
-            found, value = self.cache.get(key)
-            if found:
-                self.stats["cache_hits"] += 1
-                return value
-            leader = self._inflight.get(key)
-            if leader is not None and not leader.done():
-                self.stats["coalesced"] += 1
-                note_coalesced()
-                return await asyncio.shield(leader)
-        loop = asyncio.get_running_loop()
-        self._loop = loop
-        future: asyncio.Future = loop.create_future()
-        if key is not None:
-            self._inflight[key] = future
-            future.add_done_callback(self._uninflight(key))
-        self._pending.append((row, future))
-        if len(self._pending) >= self.batch_size:
-            self._flush("size")
-        elif self._timer is None:
-            self._timer = loop.call_later(self.deadline_s, self._flush, "deadline")
-        return await future
-
-    def _uninflight(self, key):
-        def _done(future, _key=key):
-            if self._inflight.get(_key) is future:
-                self._inflight.pop(_key, None)
-
-        return _done
-
-    async def submit_many(self, queries) -> list:
-        """Submit a batch of rows concurrently; exceptions propagate per query."""
-        rows = self.service.canonical_queries(queries)
-        return await asyncio.gather(
-            *(self.submit(row) for row in rows), return_exceptions=False
-        )
-
-    async def drain(self):
-        """Flush pending queries and wait for their pool batches to land."""
-        if self._pending:
-            self._flush("drain")
-        while self._batch_futures:
-            await asyncio.gather(*list(self._batch_futures), return_exceptions=True)
-        await asyncio.sleep(0)
+    def _on_batch_done(self, batch, landing: asyncio.Future) -> None:
+        if landing.cancelled():
+            self._fail(batch, ServerClosed("batch cancelled"))
+        elif landing.exception() is not None:
+            # retries exhausted / pool closed / all workers quarantined:
+            # typed exception out, cache untouched
+            self._fail(batch, landing.exception())
+        else:
+            self._deliver(batch, *landing.result())
 
     async def close(self, close_pool: bool = False):
         """Drain accepted work, then reject all further submits (typed).
@@ -161,64 +98,6 @@ class SupervisedServer:
         down too (its own close resolves any stragglers with
         :class:`ServerClosed` — nothing is ever silently dropped).
         """
-        self._closed = True
-        await self.drain()
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        await super().close()
         if close_pool:
             await asyncio.get_running_loop().run_in_executor(None, self.pool.close)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def pending(self) -> int:
-        return len(self._pending)
-
-    # -- the flush -----------------------------------------------------------
-
-    def _flush(self, reason: str) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        if not self._pending:
-            return
-        batch, self._pending = self._pending, []
-        self.stats["batches"] += 1
-        self.stats[f"flush_{reason}"] += 1
-        rows = np.stack([row for row, _ in batch])
-        try:
-            pool_future = self.pool.submit_batch(rows)
-        except ServingError as exc:
-            # admission control / breaker rejection: typed, synchronous,
-            # before any work — every future in the batch learns why
-            self.stats["faulted_batches"] += 1
-            for _, future in batch:
-                if not future.done():
-                    future.set_exception(exc)
-            return
-        afut = asyncio.wrap_future(pool_future, loop=self._loop)
-        self._batch_futures.add(afut)
-        afut.add_done_callback(lambda f, b=batch: self._on_batch_done(b, f))
-
-    def _on_batch_done(self, batch, afut: asyncio.Future) -> None:
-        self._batch_futures.discard(afut)
-        exc = afut.exception() if not afut.cancelled() else None
-        if afut.cancelled() or exc is not None:
-            # retries exhausted / pool closed / all workers quarantined:
-            # typed exception out, cache untouched
-            self.stats["faulted_batches"] += 1
-            err = exc if exc is not None else ServerClosed("batch cancelled")
-            for _, future in batch:
-                if not future.done():
-                    future.set_exception(err)
-            return
-        results, steps = afut.result()
-        self.stats["mesh_steps"] += float(steps)
-        for (row, future), result in zip(batch, results):
-            if self.cache is not None:
-                self.cache.put(query_cache_key(self.pool.snapshot_id, row), result)
-            if not future.done():
-                future.set_result(result)

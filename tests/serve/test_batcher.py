@@ -7,7 +7,12 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.serve import BatchingServer, ResultCache, drain_cache_counters
+from repro.serve import (
+    BatchingServer,
+    ResultCache,
+    drain_cache_counters,
+    query_cache_key,
+)
 
 
 def _packed(results, kind):
@@ -88,19 +93,42 @@ class TestFlushStateMachine:
         assert server.stats["flush_deadline"] == 0
         assert server.pending == 0
 
-    def test_deadline_flush(self, pointloc_env):
-        # batch larger than the load: only the deadline can flush it
-        results, server = asyncio.run(
-            _serve(
-                pointloc_env["service"],
-                pointloc_env["queries"][:6],
-                batch_size=1000,
-                deadline_s=0.002,
+    def test_lone_submit_flushes_on_next_loop_turn(self, pointloc_env):
+        # the in-process executor is never busy, so a lone query does not
+        # wait out the deadline: it flushes on the loop turn after it
+        async def run():
+            loop = asyncio.get_running_loop()
+            server = BatchingServer(
+                pointloc_env["service"], batch_size=1000, deadline_s=60.0
             )
+            t0 = loop.time()
+            task = asyncio.ensure_future(server.submit(pointloc_env["queries"][0]))
+            await asyncio.sleep(0)  # the submit enqueues and arms the flush
+            assert server.pending == 1
+            await asyncio.sleep(0)  # the next turn flushes it
+            assert server.pending == 0
+            result = await asyncio.wait_for(task, timeout=5.0)
+            return result, server, loop.time() - t0
+
+        result, server, waited = asyncio.run(run())
+        direct, _ = pointloc_env["service"].run_batch(pointloc_env["queries"][:1])
+        assert np.array_equal(result, direct[0])
+        assert waited < 5.0
+        assert server.stats["flush_idle"] == server.stats["batches"] == 1
+        assert server.stats["flush_deadline"] == 0
+
+    def test_submit_many_rides_one_batch(self, pointloc_env):
+        # every row of a submit_many is due in the same loop turn, so
+        # they all ride the one idle flush that turn arms
+        queries = pointloc_env["queries"][:6]
+        results, server = asyncio.run(
+            _serve(pointloc_env["service"], queries, batch_size=1000, deadline_s=60.0)
         )
-        assert len(results) == 6
-        assert server.stats["flush_deadline"] >= 1
-        assert server.stats["flush_size"] == 0
+        direct, steps = pointloc_env["service"].run_batch(queries)
+        assert _equal(_packed(results, "pointloc"), _packed(direct, "pointloc"), "pointloc")
+        assert server.stats["batches"] == server.stats["flush_idle"] == 1
+        assert server.stats["flush_size"] == server.stats["flush_deadline"] == 0
+        assert server.stats["mesh_steps"] == steps
 
     def test_drain_flush(self, pointloc_env):
         async def run():
@@ -168,8 +196,6 @@ class TestCache:
 
     def test_keys_pinned_to_snapshot_id(self, pointloc_env, interval_env):
         # same query bytes against different snapshots must not collide
-        from repro.serve import query_cache_key
-
         q = np.array([0.5, 0.5])
         k1 = query_cache_key(pointloc_env["snapshot"].snapshot_id, q)
         k2 = query_cache_key(interval_env["snapshot"].snapshot_id, q)
@@ -340,6 +366,31 @@ class TestSingleFlight:
         assert all(isinstance(r, InvariantViolation) for r in settled)
         assert server.stats["coalesced"] == 2
         assert len(cache) == 0
+
+    def test_cancelled_leader_does_not_cancel_followers(self, pointloc_env):
+        """Cancelling the caller that owns a batch slot leaves its coalesced
+        followers' answer intact, and the answer is still cached."""
+        q = pointloc_env["queries"][2]
+        direct, _ = pointloc_env["service"].run_batch(q[None, :])
+        cache = ResultCache(64)
+
+        async def run():
+            server = BatchingServer(
+                pointloc_env["service"], batch_size=8, deadline_s=60.0, cache=cache
+            )
+            leader = asyncio.ensure_future(server.submit(q))
+            follower = asyncio.ensure_future(server.submit(q))
+            await asyncio.sleep(0)  # both enqueue; the follower coalesces
+            assert server.stats["coalesced"] == 1
+            leader.cancel()
+            return leader, await follower, server
+
+        leader, result, server = asyncio.run(run())
+        assert leader.cancelled()
+        assert np.array_equal(result, direct[0])
+        assert server.stats["batches"] == 1
+        found, value = cache.get(query_cache_key(pointloc_env["snapshot"].snapshot_id, q))
+        assert found and np.array_equal(value, direct[0])
 
     def test_distinct_queries_do_not_coalesce(self, pointloc_env):
         async def run():

@@ -265,6 +265,89 @@ class TestSingleFlight:
         assert server.stats["batches"] == 1
         assert server.stats["mesh_steps"] > 0
 
+    def test_cancelled_leader_does_not_cancel_followers(self, pointloc_env):
+        """Cancelling the leader's caller while its batch is on the pool
+        leaves the coalesced follower's answer intact and cached."""
+        q = pointloc_env["queries"][2]
+        direct, _ = pointloc_env["service"].run_batch(q[None, :])
+        cache = ResultCache(64)
+
+        async def run():
+            with _fast_pool(pointloc_env["path"]) as pool:
+                server = SupervisedServer(
+                    pool, batch_size=8, deadline_s=60.0, cache=cache
+                )
+                leader = asyncio.ensure_future(server.submit(q))
+                follower = asyncio.ensure_future(server.submit(q))
+                await asyncio.sleep(0)  # both enqueue; the follower coalesces
+                assert server.stats["coalesced"] == 1
+                leader.cancel()
+                result = await asyncio.wait_for(follower, timeout=60)
+                await server.close()
+                return leader, result, server
+
+        leader, result, server = asyncio.run(run())
+        assert leader.cancelled()
+        assert np.array_equal(result, direct[0])
+        assert server.stats["batches"] == 1
+        found, value = cache.get(query_cache_key(pointloc_env["snapshot"].snapshot_id, q))
+        assert found and np.array_equal(value, direct[0])
+
+
+class TestFlushWhenFree:
+    """A free worker takes a batch at once; a busy one lets queries pile up."""
+
+    @staticmethod
+    async def _busy_worker_run(pool, queries, deadline_s, settle_s):
+        server = SupervisedServer(pool, batch_size=64, deadline_s=deadline_s)
+        first = asyncio.ensure_future(server.submit(queries[0]))
+        await asyncio.sleep(0.05)  # out on the only worker, which stalls
+        assert server.stats["flush_idle"] == 1 and server.pending == 0
+        rest = [asyncio.ensure_future(server.submit(q)) for q in queries[1:]]
+        await asyncio.sleep(0.05)
+        # every slot busy: the new queries accumulate, no second batch yet
+        assert server.pending == len(queries) - 1
+        assert server.stats["batches"] == 1
+        await asyncio.sleep(settle_s)
+        settled_pending = server.pending
+        results = await asyncio.wait_for(asyncio.gather(first, *rest), timeout=60)
+        await server.close()
+        return results, server, settled_pending
+
+    def test_accumulated_queries_go_out_when_the_batch_lands(self, pointloc_env):
+        queries = pointloc_env["queries"][:4]
+        direct, _ = pointloc_env["service"].run_batch(queries)
+        plan = FaultPlan(seed=1, kind="worker_slow", rate=1.0, max_faults=1)
+        with _fast_pool(
+            pointloc_env["path"], workers=1, fault_plans=[plan], slow_s=0.5
+        ) as pool:
+            results, server, _ = asyncio.run(
+                self._busy_worker_run(pool, queries, deadline_s=60.0, settle_s=0.0)
+            )
+            assert pool.stats["batches"] == 2
+        assert all(np.array_equal(r, d) for r, d in zip(results, direct))
+        # the three accumulated queries rode one batch, flushed when the
+        # worker came free (never by the 60 s deadline)
+        assert server.stats["batches"] == server.stats["flush_idle"] == 2
+        assert server.stats["flush_deadline"] == 0
+
+    def test_deadline_bounds_the_wait_on_a_busy_worker(self, pointloc_env):
+        queries = pointloc_env["queries"][:4]
+        direct, _ = pointloc_env["service"].run_batch(queries)
+        plan = FaultPlan(seed=1, kind="worker_slow", rate=1.0, max_faults=1)
+        with _fast_pool(
+            pointloc_env["path"], workers=1, fault_plans=[plan], slow_s=2.0
+        ) as pool:
+            results, server, settled_pending = asyncio.run(
+                self._busy_worker_run(pool, queries, deadline_s=0.2, settle_s=0.4)
+            )
+        assert all(np.array_equal(r, d) for r, d in zip(results, direct))
+        # the worker was still stalled when the deadline handed the three
+        # accumulated queries to the pool as one batch
+        assert settled_pending == 0
+        assert server.stats["batches"] == 2
+        assert server.stats["flush_idle"] == server.stats["flush_deadline"] == 1
+
 
 class TestTraceEvents:
     def test_supervision_counters_reach_ambient_span(self, pointloc_env):
