@@ -3,7 +3,10 @@ multisearch.
 
 Sweeps the polyhedron size; all answers verified against the brute-force
 oracle.  Success: query-phase mesh steps scale like sqrt(n) (the DAG
-multisearch bound), answers 100% correct, improving-walk rate small.
+multisearch bound), answers 100% correct.  ``improved_walks`` counts the
+tangent searches whose host-side check walked at least one step; on this
+workload they are exactly the two sides of each intersecting line, each
+walking to the ``max_walk + 1`` cap before the hit is declared.
 """
 
 import numpy as np

@@ -11,8 +11,9 @@ read:
   wall-clock and mesh-step deltas, per-label profile deltas when both
   documents carry profiles, and the same regression verdict as the
   runner's ``--compare``: the exit status is non-zero exactly when
-  ``runner.compare(NEW, OLD)`` reports a fast-path wall regression above
-  the tolerance (default ``REGRESSION_TOLERANCE``);
+  ``runner.compare(NEW, OLD)`` reports a changed mesh-step count or a
+  fast-path wall regression above the tolerance (default
+  ``REGRESSION_TOLERANCE``);
 * ``python -m repro.bench.report --diff TRACE_OLD.json TRACE_NEW.json``
   — when both files are ``TRACE_*`` span-tree sidecars (they carry a
   ``spanTrees`` key), the diff is *structural*: per-span-path net step
@@ -132,10 +133,15 @@ def render_doc(doc: dict) -> str:
         absent = [k for k, v in versions.items() if v is None]
         if absent:
             ver_txt += "; absent: " + ", ".join(absent)
-        backend_txt = prov.get("backend", "?")
-        if prov.get("backend_native") is False:
-            backend_txt += f" (fallback: {prov.get('backend_fallback_reason')})"
-        lines.append(f"  environment: backend={backend_txt}  {ver_txt}")
+        # documents written before the kernel backends were removed also
+        # record which backend ran them
+        backend_txt = ""
+        if "backend" in prov:
+            backend_txt = f"backend={prov['backend']}"
+            if prov.get("backend_native") is False:
+                backend_txt += f" (fallback: {prov.get('backend_fallback_reason')})"
+            backend_txt += "  "
+        lines.append(f"  environment: {backend_txt}{ver_txt}")
         if prov.get("cpu"):
             lines.append(f"  cpu: {prov['cpu']} ({prov.get('platform', '?')})")
     errored = [p for p in doc["points"] if "error" in p]
@@ -307,7 +313,9 @@ def render_diff(old: dict, new: dict, tolerance: float) -> tuple[str, list[str]]
         lines.append("REGRESSIONS:")
         lines.extend(f"  {f}" for f in failures)
     else:
-        lines.append(f"no fast-path wall regression > {tolerance:.0%}")
+        lines.append(
+            f"no mesh-step change and no fast-path wall regression > {tolerance:.0%}"
+        )
     return "\n".join(lines), failures
 
 

@@ -155,20 +155,6 @@ REGISTRY: dict[str, BenchSpec] = {
         _pts(pipeline=["dk3d"], n=[32, 128, 512, 2048])
         + _pts(pipeline=["kirkpatrick"], n=[64, 256, 1024, 4096]),
     ),
-    # E12 reruns E1/E2/E11 pipelines under every registered kernel backend
-    # (alphabetical, so each group's points ascend); non-native backends
-    # measure their numpy fallback — provenance records which is which
-    "e12_backends": BenchSpec(
-        "bench_e12_backends", "sweep_run",
-        _pts(pipeline=["constrained"],
-             backend=["array_api", "cffi", "numba", "numpy"], size=[8, 10, 12])
-        + _pts(pipeline=["construct"],
-               backend=["array_api", "cffi", "numba", "numpy"],
-               size=[64, 256, 1024])
-        + _pts(pipeline=["hierdag"],
-               backend=["array_api", "cffi", "numba", "numpy"], size=[8, 10, 12]),
-        setup="sweep_setup",
-    ),
     # E13 fixes the structure and the query load; the sweep varies how the
     # batching front-end packs the load (throughput vs batch size)
     "e13_serving": BenchSpec(
@@ -230,28 +216,13 @@ def provenance() -> dict:
     """Environment identity stamped into every bench document.
 
     A ``wall_s_min`` column is meaningless without knowing *what* ran it:
-    which kernel backend the engine resolved (native or fallback), which
-    interpreter/library versions, and which CPU.  ``--compare`` baselines
-    from a different environment still compare, but the mismatch is now
-    visible in the JSON instead of silently attributed to the code.
+    which interpreter/library versions and which CPU.  ``--compare``
+    baselines from a different environment still compare, but the
+    mismatch is visible in the JSON instead of silently attributed to
+    the code.
     """
-    from repro.mesh.backend import resolve_backend
-
-    backend = resolve_backend(None)
-    versions: dict[str, str | None] = {
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-    }
-    for lib in ("numba", "cffi"):
-        try:
-            versions[lib] = importlib.import_module(lib).__version__
-        except Exception:  # ImportError, or a broken install — record absence
-            versions[lib] = None
     return {
-        "backend": backend.name,
-        "backend_native": backend.native,
-        "backend_fallback_reason": backend.fallback_reason,
-        "versions": versions,
+        "versions": {"python": sys.version.split()[0], "numpy": np.__version__},
         "platform": sys.platform,
         "cpu": _cpu_model(),
     }
@@ -784,11 +755,18 @@ def run_bench(
     return doc
 
 
-def compare(doc: dict, baseline: dict, tolerance: float = REGRESSION_TOLERANCE) -> list[str]:
-    """Fast-path wall-clock regressions of ``doc`` vs ``baseline`` (>tolerance).
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-    Errored points — in either document — surface as explicit failures:
-    a point that crashed or timed out must never read as a silent pass.
+
+def compare(doc: dict, baseline: dict, tolerance: float = REGRESSION_TOLERANCE) -> list[str]:
+    """Regressions of ``doc`` vs ``baseline``, one message per failure.
+
+    Mesh steps are exact: a point whose numeric fast-path ``mesh_steps``
+    differs from the baseline's fails whatever its wall clock.  The
+    fast-path ``wall_s_min`` fails beyond ``tolerance``.  Errored points
+    — in either document — surface as explicit failures: a point that
+    crashed or timed out must never read as a silent pass.
     """
     failures: list[str] = []
     base_by_params = {_params_key(p["params"]): p for p in baseline["points"]}
@@ -809,6 +787,13 @@ def compare(doc: dict, baseline: dict, tolerance: float = REGRESSION_TOLERANCE) 
                 f"({error_kind_of(base)} — {base['error']}); no comparison possible"
             )
             continue
+        old_steps = base["fast"].get("mesh_steps")
+        new_steps = point["fast"].get("mesh_steps")
+        if _is_number(old_steps) and _is_number(new_steps) and old_steps != new_steps:
+            failures.append(
+                f"{doc['bench']} {point['params']}: mesh steps {new_steps:g} "
+                f"vs baseline {old_steps:g} (steps are exact)"
+            )
         old = base["fast"]["wall_s_min"]
         new = point["fast"]["wall_s_min"]
         if old > 0 and new > old * (1 + tolerance):
@@ -901,8 +886,8 @@ def main(argv: list[str] | None = None) -> int:
         "--compare", type=pathlib.Path, default=None, metavar="BASELINE",
         help="baseline BENCH_<name>.json file (or a directory of them); "
         # argparse %-formats help strings, so the percent sign is doubled
-        f"exit 1 on a >{REGRESSION_TOLERANCE * 100:.0f}%% fast-path wall-clock "
-        "regression",
+        "exit 1 on a changed mesh-step count or a "
+        f">{REGRESSION_TOLERANCE * 100:.0f}%% fast-path wall-clock regression",
     )
     parser.add_argument("--tolerance", type=float, default=REGRESSION_TOLERANCE)
     args = parser.parse_args(argv)

@@ -77,12 +77,9 @@ class Construction:
         n: int,
         engine: MeshEngine | None = None,
         paranoid: bool | None = None,
-        backend=None,
     ) -> None:
         if engine is None:
-            engine = MeshEngine.for_problem(
-                max(int(n), 1), paranoid=paranoid, backend=backend
-            )
+            engine = MeshEngine.for_problem(max(int(n), 1), paranoid=paranoid)
         self.engine = engine
         self.clock = engine.clock
 

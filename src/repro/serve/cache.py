@@ -9,8 +9,8 @@ Hit/miss counters follow the argsort-memo idiom
 class-level totals drained per bench point by
 :func:`drain_cache_counters`, and zero-step trace events
 (``result-cache:hit`` / ``result-cache:miss``) on the ambient span so
-profiles can attribute a fast batch to caching rather than the kernel
-backend.
+profiles can attribute a fast batch to caching rather than to the
+search.
 """
 
 from __future__ import annotations

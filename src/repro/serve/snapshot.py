@@ -11,8 +11,8 @@ loadable with ``allow_pickle=False``).  The header records:
 * ``meta`` — the scalar parameters the structure's successor function
   needs (tree height, DAG levels, ``mu``, ...), so restore is a factory
   call over the arrays with **no construction re-run**;
-* ``provenance`` — the environment that built the structure (backend,
-  library versions, CPU), mirroring the bench documents;
+* ``provenance`` — the environment that built the structure (library
+  versions, platform, CPU), mirroring the bench documents;
 * ``snapshot_id`` — a sha256 over ``kind`` plus every array's name,
   dtype, shape and bytes.  The id is content-derived, so it doubles as
   the cache-key component that pins answers to the exact arrays they

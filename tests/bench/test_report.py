@@ -93,9 +93,14 @@ class TestDiff:
 
     def test_tolerance_forwarded(self, tmp_path):
         old = _write(tmp_path, "old.json", BASE)
-        new = _write(tmp_path, "new.json", REGRESSED)
-        # 5x regression passes under an absurdly loose tolerance
+        wall_only = _doc("demo", [({"n": 1}, 0.050, 100.0), ({"n": 2}, 0.020, 200.0)])
+        new = _write(tmp_path, "new.json", wall_only)
+        # 5x wall regression passes under an absurdly loose tolerance
         assert report.main(["--diff", old, new, "--tolerance", "10.0"]) == 0
+        # REGRESSED also changes n=1's steps (100 -> 120): exact, so no
+        # tolerance forgives it
+        new = _write(tmp_path, "new.json", REGRESSED)
+        assert report.main(["--diff", old, new, "--tolerance", "10.0"]) == 1
 
     def test_per_label_deltas_rendered(self, capsys, tmp_path):
         new_doc = _doc(

@@ -63,6 +63,41 @@ class TestSegmentedScan:
         with pytest.raises(ValueError):
             engine8.root.segmented_scan(np.ones(64), np.zeros(64), op="mul")
 
+    @pytest.mark.parametrize(
+        "vals, segs, max_signs, min_signs",
+        [
+            # 0.0 == -0.0 but their bits differ: ties resolve by stable
+            # rank, so max returns the later tied value and min the earlier
+            ([0.0, -0.0, -0.0, 0.0], [0, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 0]),
+            ([-0.0, 0.0, 0.0, -0.0], [0, 0, 0, 0], [1, 0, 0, 1], [1, 1, 1, 1]),
+            ([-0.0, 0.0, 0.0, -0.0], [0, 0, 1, 1], [1, 0, 0, 1], [1, 1, 0, 0]),
+        ],
+    )
+    def test_signed_zero_ties(self, engine8, vals, segs, max_signs, min_signs):
+        vals, segs = np.array(vals), np.array(segs)
+        mx = engine8.root.segmented_scan(vals, segs, op="max")
+        mn = engine8.root.segmented_scan(vals, segs, op="min")
+        assert np.signbit(mx).tolist() == [bool(b) for b in max_signs]
+        assert np.signbit(mn).tolist() == [bool(b) for b in min_signs]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @pytest.mark.parametrize("op", ["add", "min", "max"])
+    @pytest.mark.parametrize("inclusive", [True, False])
+    def test_empty_input_keeps_dtype(self, engine8, dtype, op, inclusive):
+        out = engine8.root.segmented_scan(
+            np.empty(0, dtype=dtype), np.empty(0, dtype=np.int64),
+            op=op, inclusive=inclusive,
+        )
+        assert out.dtype == dtype and out.shape == (0,)
+
+    @pytest.mark.parametrize("op, ident", [("min", np.inf), ("max", -np.inf)])
+    def test_float_exclusive_boundary_identity_is_infinite(self, engine8, op, ident):
+        vals = np.array([3.0, 1.0, 2.0, 5.0, 4.0])
+        segs = np.array([0, 0, 0, 1, 1])
+        out = engine8.root.segmented_scan(vals, segs, op=op, inclusive=False)
+        mid = 1.0 if op == "min" else 3.0
+        assert out.tolist() == [ident, 3.0, mid, ident, 5.0]
+
     @given(
         seed=st.integers(0, 10_000),
         n_segments=st.integers(1, 10),

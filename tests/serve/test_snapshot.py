@@ -39,7 +39,7 @@ class TestRoundTrip:
         # restore must be able to report what environment built the
         # structure, mirroring the bench documents' provenance block
         prov = read_snapshot(all_envs[kind]["path"]).provenance
-        assert prov and prov["backend"]
+        assert prov and prov["platform"]
         assert "numpy" in prov["versions"]
 
     def test_id_is_content_derived(self, tmp_path):
