@@ -5,14 +5,14 @@ bench documents; this CLI turns them back into things a reviewer can
 read:
 
 * ``python -m repro.bench.report BENCH_e1_hierdag.json`` — per-point
-  wall/steps/speedup table plus, when the run was collected with
+  wall/steps table plus, when the run was collected with
   ``--profile``, the per-label mesh-step breakdown;
 * ``python -m repro.bench.report --diff OLD.json NEW.json`` — per-point
   wall-clock and mesh-step deltas, per-label profile deltas when both
   documents carry profiles, and the same regression verdict as the
   runner's ``--compare``: the exit status is non-zero exactly when
   ``runner.compare(NEW, OLD)`` reports a changed mesh-step count or a
-  fast-path wall regression above the tolerance (default
+  wall regression above the tolerance (default
   ``REGRESSION_TOLERANCE``);
 * ``python -m repro.bench.report --diff TRACE_OLD.json TRACE_NEW.json``
   — when both files are ``TRACE_*`` span-tree sidecars (they carry a
@@ -22,7 +22,9 @@ read:
   step regression above the tolerance).
 
 Missing or malformed input files exit with status 2 (distinct from the
-regression exit 1), so CI can tell "worse" from "broken".
+regression exit 1), so CI can tell "worse" from "broken".  Bench
+documents of either schema render and diff (see
+:func:`repro.bench.runner.point_result`).
 """
 
 from __future__ import annotations
@@ -32,7 +34,12 @@ import json
 import pathlib
 import sys
 
-from repro.bench.runner import REGRESSION_TOLERANCE, compare, error_kind_of
+from repro.bench.runner import (
+    REGRESSION_TOLERANCE,
+    compare,
+    error_kind_of,
+    point_result,
+)
 from repro.mesh.profile import CostProfile
 from repro.mesh.trace import Span
 
@@ -152,17 +159,12 @@ def render_doc(doc: dict) -> str:
                 f"{point.get('attempts', '?')} attempt(s): {point['error']}"
             )
             continue
-        fast = point["fast"]
-        slow = point["slow"]
-        steps = fast.get("mesh_steps")
+        result = point_result(point)
+        steps = result.get("mesh_steps")
         steps_txt = "-" if steps is None else f"{steps:.0f}"
-        speedup = point.get("speedup")
-        speedup_txt = "-" if speedup is None else f"{speedup:.2f}x"
         lines.append(
-            f"  [{_params_txt(point)}] fast={fast['wall_s_min'] * 1e3:.2f}ms "
-            f"slow={slow['wall_s_min'] * 1e3:.2f}ms "
-            f"speedup={speedup_txt} steps={steps_txt} "
-            f"rss={point.get('peak_rss_kb', 0) / 1024:.0f}MB"
+            f"  [{_params_txt(point)}] wall={result['wall_s_min'] * 1e3:.2f}ms "
+            f"steps={steps_txt} rss={point.get('peak_rss_kb', 0) / 1024:.0f}MB"
         )
         for warning in point.get("warnings", ()):
             lines.append(f"    WARNING {warning}")
@@ -277,13 +279,14 @@ def render_diff(old: dict, new: dict, tolerance: float) -> tuple[str, list[str]]
                 f"({error_kind_of(base)} — {base['error']}); no comparison"
             )
             continue
-        ow, nw = base["fast"]["wall_s_min"], point["fast"]["wall_s_min"]
-        os_, ns = base["fast"].get("mesh_steps"), point["fast"].get("mesh_steps")
+        old_res, new_res = point_result(base), point_result(point)
+        ow, nw = old_res["wall_s_min"], new_res["wall_s_min"]
+        os_, ns = old_res.get("mesh_steps"), new_res.get("mesh_steps")
         steps_txt = "steps=-"
         if os_ is not None and ns is not None:
             steps_txt = f"steps {os_:.0f} -> {ns:.0f} ({_fmt_delta(os_, ns)})"
         lines.append(
-            f"  [{_params_txt(point)}] fast wall {ow * 1e3:.2f}ms -> "
+            f"  [{_params_txt(point)}] wall {ow * 1e3:.2f}ms -> "
             f"{nw * 1e3:.2f}ms ({_fmt_delta(ow, nw)})  {steps_txt}"
         )
     dropped = [
@@ -314,7 +317,7 @@ def render_diff(old: dict, new: dict, tolerance: float) -> tuple[str, list[str]]
         lines.extend(f"  {f}" for f in failures)
     else:
         lines.append(
-            f"no mesh-step change and no fast-path wall regression > {tolerance:.0%}"
+            f"no mesh-step change and no wall regression > {tolerance:.0%}"
         )
     return "\n".join(lines), failures
 

@@ -7,11 +7,9 @@ machine-readable, parallel alternative:
 
 * the :data:`REGISTRY` names each bench's entry point and sweep points;
 * every point runs in its own spawned worker process (fresh process per
-  point, so ``getrusage`` peak RSS is per-point), once with the engine
-  fast path enabled and once with it disabled;
-* per point it records min-of-repeats wall time for both engine modes,
-  the mesh-step count (the paper's cost measure — asserted identical
-  between modes), peak RSS, and the fast/slow speedup;
+  point, so ``getrusage`` peak RSS is per-point);
+* per point it records min-of-repeats wall time, the mesh-step count
+  (the paper's cost measure) and peak RSS;
 * the sweep is *crash-proof*: a worker that raises, segfaults, is
   OOM-killed, or exceeds ``--timeout`` produces a point record with
   ``{"error": ..., "traceback": ...}`` instead of killing the sweep;
@@ -21,9 +19,17 @@ machine-readable, parallel alternative:
   atomically after every point), and ``--resume`` skips points that
   checkpoint already completed successfully — errored points rerun;
 * results land in ``BENCH_<name>.json`` at the repo root, and
-  ``--compare`` re-runs a sweep and fails on >10% wall-clock regression
-  against a previously committed JSON.  Errored points always surface as
-  failures (exit code 1), never as a silent pass.
+  ``--compare`` re-runs a sweep and fails on a changed mesh-step count
+  or a >10% wall-clock regression against a previously committed JSON.
+  Errored points always surface as failures (exit code 1), never as a
+  silent pass.
+
+Document schema 2 (current): each point is ``{params, wall_s_min,
+repeats, mesh_steps, peak_rss_kb, ...}``.  Schema-1 documents, written
+while the engine still had two host paths, nest the first two measures
+in per-mode ``fast``/``slow`` dicts; :func:`point_result` reads either,
+taking schema 1's ``fast`` column (the default path then), so committed
+documents diff and compare unchanged.
 
 Usage::
 
@@ -63,6 +69,7 @@ __all__ = [
     "REGISTRY",
     "BenchSpec",
     "error_kind_of",
+    "point_result",
     "provenance",
     "run_bench",
     "run_point",
@@ -71,9 +78,16 @@ __all__ = [
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
 BENCH_DIR = REPO_ROOT / "benchmarks"
-SCHEMA_VERSION = 1
-#: --compare fails when fast-path wall time exceeds baseline by this factor
+SCHEMA_VERSION = 2
+#: --compare fails when wall time exceeds baseline by this factor
 REGRESSION_TOLERANCE = 0.10
+
+
+def point_result(point: dict) -> dict:
+    """A successful point's measures (``wall_s_min``, ``mesh_steps``,
+    ``repeats``): the record itself in schema 2, its ``fast`` column in
+    schema 1."""
+    return point.get("fast", point)
 
 
 @dataclass(frozen=True)
@@ -289,27 +303,15 @@ def run_point(
 ) -> dict:
     """Measure one sweep point (called in a worker process).
 
-    Runs the point under both engine modes (``REPRO_FAST_PATH=1`` and
-    ``0``) and returns the point's JSON record.  Because the pool recycles
+    Returns the point's schema-2 JSON record.  Because the pool recycles
     the process after each task, ``ru_maxrss`` is this point's peak RSS.
 
-    Host caches (buffer pools, argsort memos) left over from whatever ran
-    earlier in this process are dropped on entry, so a point's
-    ``peak_rss_kb`` and memo counters are its own — this matters when
-    points share a process (pytest, ``run_point`` called in a loop), not
-    just in the one-process-per-point pool.
-
-    The caller's ``REPRO_FAST_PATH`` / ``REPRO_PROFILE`` / ``REPRO_TRACE``
-    are saved on entry and restored on exit (they used to be popped, which
-    clobbered any value the caller had exported).  The optional profiled
-    and traced passes run pinned to ``REPRO_FAST_PATH=1`` — they profile
-    the mode whose numbers headline the record, not whatever mode the
-    process happened to default to.
+    The caller's ``REPRO_PROFILE`` / ``REPRO_TRACE`` are saved on entry
+    and restored on exit, so the optional profiled and traced passes
+    never clobber a value the caller exported.
     """
-    from repro.mesh.records import clear_host_caches, drain_memo_counters
-
-    clear_host_caches()
-    drain_memo_counters()
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     spec, fn = _bench_callable(bench)
     if spec.setup is not None:
         module = importlib.import_module(spec.module)
@@ -318,63 +320,29 @@ def run_point(
     else:
         call = lambda: fn(**point)  # noqa: E731
     record: dict = {"params": dict(point)}
-    modes = (("fast", "1"), ("slow", "0"))
-    best = {mode: float("inf") for mode, _ in modes}
-    results: dict = {mode: None for mode, _ in modes}
-    saved_env = {
-        name: os.environ.get(name)
-        for name in ("REPRO_FAST_PATH", "REPRO_PROFILE", "REPRO_TRACE")
-    }
+    saved_env = {name: os.environ.get(name) for name in ("REPRO_PROFILE", "REPRO_TRACE")}
     try:
-        for mode, flag in modes:
-            os.environ["REPRO_FAST_PATH"] = flag
-            for _ in range(warmup):
-                call()
-        # interleave the modes' timed repetitions so scheduler noise (other
-        # sweep points time-slicing the same cores) biases neither mode
+        for _ in range(warmup):
+            call()
+        best = float("inf")
         for _ in range(repeats):
-            for mode, flag in modes:
-                os.environ["REPRO_FAST_PATH"] = flag
-                t0 = time.perf_counter()
-                results[mode] = call()
-                best[mode] = min(best[mode], time.perf_counter() - t0)
-        steps_seen: dict[str, float | None] = {}
-        warnings: list[str] = []
-        for mode, _ in modes:
-            steps = _extract_steps(results[mode]) if spec.has_steps else None
-            steps_seen[mode] = steps
-            if spec.has_steps and steps is None:
-                # distinguish "extractor found nothing" from a genuine zero:
-                # steps stays null and the record says why
-                warnings.append(
-                    f"{mode}: no mesh-step count found in "
-                    f"{spec.module}.{spec.entry} result; recording steps: null"
-                )
-        for mode, _ in modes:
-            record[mode] = {
-                "wall_s_min": best[mode], "repeats": repeats, "mesh_steps": steps_seen[mode]
-            }
-        if steps_seen["fast"] is not None and steps_seen["slow"] is not None:
-            record["mesh_steps_equal"] = steps_seen["fast"] == steps_seen["slow"]
-        if best["fast"] > 0.0:
-            record["speedup"] = best["slow"] / best["fast"]
-        else:
-            # a 0.0 fast wall (clock granularity on a trivial point) used
-            # to raise ZeroDivisionError and lose the whole record
-            record["speedup"] = None
-            warnings.append(
-                "fast wall_s_min is 0.0 (below timer resolution); "
-                "recording speedup: null"
-            )
-        if warnings:
-            record["warnings"] = warnings
-        os.environ["REPRO_FAST_PATH"] = "1"  # pin the extra passes' mode
+            t0 = time.perf_counter()
+            result = call()
+            best = min(best, time.perf_counter() - t0)
+        steps = _extract_steps(result) if spec.has_steps else None
+        record.update(wall_s_min=best, repeats=repeats, mesh_steps=steps)
+        if spec.has_steps and steps is None:
+            # distinguish "extractor found nothing" from a genuine zero:
+            # steps stays null and the record says why
+            record["warnings"] = [
+                f"no mesh-step count found in {spec.module}.{spec.entry} "
+                "result; recording steps: null"
+            ]
         if profile:
             from repro.mesh.clock import drain_profiled_clocks
             from repro.mesh.profile import CostProfile, profile as summarize
 
             drain_profiled_clocks()
-            drain_memo_counters()  # scope memo counters to the profiled pass
             os.environ["REPRO_PROFILE"] = "1"
             try:
                 call()
@@ -383,7 +351,6 @@ def run_point(
             merged = CostProfile().merge(
                 *(summarize(clock.history) for clock in drain_profiled_clocks())
             )
-            merged.memo = drain_memo_counters()
             record["profile"] = merged.to_dict()
         if trace:
             from repro.mesh.trace import chrome_doc, drain_traced_tracers
@@ -530,17 +497,17 @@ def _write_checkpoint(path: pathlib.Path, config: dict, done: dict) -> None:
         "points": [done[i] for i in sorted(done)],
     }
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(doc, indent=2) + "\n")
+    tmp.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     os.replace(tmp, path)
 
 
 def _load_checkpoint(path: pathlib.Path | None, config: dict) -> dict[str, dict]:
     """Successfully completed records from a prior partial run, by params key.
 
-    Only records carrying real measurements (both ``fast`` and ``slow``
-    result dicts) are resumed; errored records — and any malformed record
-    missing its results, e.g. from a checkpoint truncated mid-write — are
-    dropped so they rerun (with the full ``--retries`` budget).  A
+    Only records carrying a real measurement (a numeric ``wall_s_min``,
+    read through :func:`point_result`) are resumed; errored records — and
+    any malformed record missing its results, e.g. from a checkpoint
+    truncated mid-write — are dropped so they rerun (with the full ``--retries`` budget).  A
     checkpoint whose recorded config differs from this run's is ignored
     with a warning — its numbers were measured under different settings.
     """
@@ -562,8 +529,8 @@ def _load_checkpoint(path: pathlib.Path | None, config: dict) -> dict[str, dict]
         _params_key(r["params"]): r
         for r in doc.get("points", [])
         if "error" not in r
-        and isinstance(r.get("fast"), dict)
-        and isinstance(r.get("slow"), dict)
+        and isinstance(point_result(r), dict)
+        and _is_number(point_result(r).get("wall_s_min"))
     }
 
 
@@ -762,16 +729,18 @@ def _is_number(value) -> bool:
 def compare(doc: dict, baseline: dict, tolerance: float = REGRESSION_TOLERANCE) -> list[str]:
     """Regressions of ``doc`` vs ``baseline``, one message per failure.
 
-    Mesh steps are exact: a point whose numeric fast-path ``mesh_steps``
-    differs from the baseline's fails whatever its wall clock.  The
-    fast-path ``wall_s_min`` fails beyond ``tolerance``.  Errored points
+    Mesh steps are exact: a point whose numeric ``mesh_steps`` differs
+    from the baseline's fails whatever its wall clock.  ``wall_s_min``
+    fails beyond ``tolerance``.  Either document may be schema 1 or 2
+    (see :func:`point_result`).  Errored points
     — in either document — surface as explicit failures: a point that
     crashed or timed out must never read as a silent pass.
     """
     failures: list[str] = []
     base_by_params = {_params_key(p["params"]): p for p in baseline["points"]}
     for point in doc["points"]:
-        key = _params_key(point["params"])
+        params = point["params"]
+        key = _params_key(params)
         if "error" in point:
             failures.append(
                 f"{doc['bench']} {point['params']}: "
@@ -787,18 +756,19 @@ def compare(doc: dict, baseline: dict, tolerance: float = REGRESSION_TOLERANCE) 
                 f"({error_kind_of(base)} — {base['error']}); no comparison possible"
             )
             continue
-        old_steps = base["fast"].get("mesh_steps")
-        new_steps = point["fast"].get("mesh_steps")
+        base, point = point_result(base), point_result(point)
+        old_steps = base.get("mesh_steps")
+        new_steps = point.get("mesh_steps")
         if _is_number(old_steps) and _is_number(new_steps) and old_steps != new_steps:
             failures.append(
-                f"{doc['bench']} {point['params']}: mesh steps {new_steps:g} "
+                f"{doc['bench']} {params}: mesh steps {new_steps:g} "
                 f"vs baseline {old_steps:g} (steps are exact)"
             )
-        old = base["fast"]["wall_s_min"]
-        new = point["fast"]["wall_s_min"]
+        old = base["wall_s_min"]
+        new = point["wall_s_min"]
         if old > 0 and new > old * (1 + tolerance):
             failures.append(
-                f"{doc['bench']} {point['params']}: fast wall {new * 1e3:.2f}ms "
+                f"{doc['bench']} {params}: wall {new * 1e3:.2f}ms "
                 f"vs baseline {old * 1e3:.2f}ms (+{(new / old - 1):.0%} > {tolerance:.0%})"
             )
     return failures
@@ -814,21 +784,28 @@ def _render_bench(doc: dict) -> str:
                 f"{point.get('attempts', '?')} attempt(s): {point['error']}"
             )
             continue
-        steps = point["fast"]["mesh_steps"]
+        result = point_result(point)
+        steps = result.get("mesh_steps")
         steps_txt = "-" if steps is None else f"{steps:.0f}"
-        eq = point.get("mesh_steps_equal")
-        eq_txt = "" if eq is None else ("" if eq else "  STEPS MISMATCH")
-        speedup = point.get("speedup")
-        speedup_txt = "-" if speedup is None else f"{speedup:.2f}x"
         lines.append(
-            f"  [{params}] fast={point['fast']['wall_s_min'] * 1e3:.2f}ms "
-            f"slow={point['slow']['wall_s_min'] * 1e3:.2f}ms "
-            f"speedup={speedup_txt} steps={steps_txt} "
-            f"rss={point['peak_rss_kb'] / 1024:.0f}MB{eq_txt}"
+            f"  [{params}] wall={result['wall_s_min'] * 1e3:.2f}ms "
+            f"steps={steps_txt} rss={point['peak_rss_kb'] / 1024:.0f}MB"
         )
         for warning in point.get("warnings", ()):
             lines.append(f"    WARNING {warning}")
     return "\n".join(lines)
+
+
+def _at_least(lo: int):
+    """argparse ``type``: an int no smaller than ``lo``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    return parse
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -839,8 +816,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--all", action="store_true", help="run every registered bench")
     parser.add_argument("--list", action="store_true", help="list registered benches")
     parser.add_argument("--jobs", type=int, default=max(1, (os.cpu_count() or 2) - 1))
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--warmup", type=int, default=1)
+    parser.add_argument("--repeats", type=_at_least(1), default=5)
+    parser.add_argument("--warmup", type=_at_least(0), default=1)
     parser.add_argument(
         "--smoke", action="store_true",
         help="smallest sweep point only, one repeat (tier-2 sanity check)",
@@ -887,7 +864,7 @@ def main(argv: list[str] | None = None) -> int:
         help="baseline BENCH_<name>.json file (or a directory of them); "
         # argparse %-formats help strings, so the percent sign is doubled
         "exit 1 on a changed mesh-step count or a "
-        f">{REGRESSION_TOLERANCE * 100:.0f}%% fast-path wall-clock regression",
+        f">{REGRESSION_TOLERANCE * 100:.0f}%% wall-clock regression",
     )
     parser.add_argument("--tolerance", type=float, default=REGRESSION_TOLERANCE)
     args = parser.parse_args(argv)
@@ -937,11 +914,6 @@ def main(argv: list[str] | None = None) -> int:
                 )
                 print(f"  wrote {tpath}", flush=True)
         print(_render_bench(doc), flush=True)
-        for point in doc["points"]:
-            if point.get("mesh_steps_equal") is False:
-                failures.append(
-                    f"{bench} {point['params']}: fast/slow mesh-step counts differ"
-                )
         if args.compare is not None:
             path = args.compare
             if path.is_dir():
@@ -954,7 +926,7 @@ def main(argv: list[str] | None = None) -> int:
         if not args.no_write and args.compare is None:
             args.out_dir.mkdir(parents=True, exist_ok=True)
             out = args.out_dir / f"BENCH_{bench}.json"
-            out.write_text(json.dumps(doc, indent=2) + "\n")
+            out.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
             print(f"  wrote {out}", flush=True)
         if checkpoint is not None and checkpoint.exists():
             if bench_errors:

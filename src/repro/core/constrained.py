@@ -39,10 +39,9 @@ from repro.core.model import STOP, QuerySet, SearchStructure
 from repro.core.splitters import Splitting
 from repro.mesh.engine import MeshEngine, Region
 from repro.mesh.faults import paranoid_boundary
-from repro.mesh.records import fused_view, should_fuse
+from repro.mesh.records import packed_vertices
 from repro.mesh.topology import block_spec
 from repro.mesh.trace import traced
-from repro.util.mathx import ceil_div
 
 __all__ = ["constrained_multisearch", "ConstrainedStats"]
 
@@ -67,21 +66,13 @@ def _grid_g(engine: MeshEngine, n: int, delta: float) -> int:
     return max(1, engine.shape.rows // sub_side)
 
 
-def _delta_grid(engine: MeshEngine, n: int, delta: float) -> tuple[list[Region], int]:
-    """Physical delta-submesh grid, fully materialized."""
-    g = _grid_g(engine, n, delta)
-    regions = engine.root.partition(g, g)
-    return regions, g
-
-
 def _grid_block(engine: MeshEngine, g: int, index: int) -> Region:
     """Block ``index`` (row-major) of the ``g x g`` grid, and nothing else.
 
-    The fast path uses this in place of :func:`_delta_grid`: the procedure
-    only ever touches block 0 (for the common submesh side) and the
-    heaviest block (for the capacity spot-check), so materializing all
-    ``g^2`` region objects per call is pure overhead.  ``block_spec``
-    guarantees the same cuts as ``partition``.
+    The procedure only ever touches block 0 (for the common submesh side)
+    and the heaviest block (for the capacity spot-check), so it builds
+    those two instead of all ``g^2`` region objects.  ``block_spec``
+    guarantees the same cuts as ``Region.partition``.
     """
     spec = block_spec(engine.root.spec, g, g, index // g, index % g)
     return Region(engine, spec)
@@ -129,8 +120,6 @@ def _constrained_multisearch(
         rounds = max(1, math.ceil(math.log2(max(n, 2))))
     stats.rounds = rounds
 
-    fast = engine.fast_path
-
     # Step 1: mark queries whose current vertex is in some G_i.  The comp
     # label rides with the vertex record (Section 4 storage convention), so
     # this is one RAR of the label by current-vertex id.
@@ -153,10 +142,7 @@ def _constrained_multisearch(
             label="cm:gamma",
         )
         cap = max(1, int(math.ceil(float(n) ** delta)))
-        if fast:  # -(-c // cap) is ceil_div, applied to the whole count vector
-            gamma = -(-counts.astype(np.int64) // cap)
-        else:
-            gamma = np.array([ceil_div(int(c), cap) for c in counts], dtype=np.int64)
+        gamma = -(-counts.astype(np.int64) // cap)  # ceil(count / cap)
 
     # Step 3: nothing to do?
     total_copies = int(gamma.sum())
@@ -169,17 +155,9 @@ def _constrained_multisearch(
     # copies is a constant number of global sort/route operations
     # (total copied data = sum Gamma_i * |G_i| = O(n)).
     with traced(engine.clock, "cm:distribute"):
-        if fast:
-            # geometry only — the procedure touches block 0 (common submesh
-            # side) and the heaviest block (capacity check); skip the other
-            # g^2 - 2 region objects.
-            g = _grid_g(engine, n, delta)
-            n_phys = g * g
-            first_block = _grid_block(engine, g, 0)
-        else:
-            regions, g = _delta_grid(engine, n, delta)
-            n_phys = len(regions)
-            first_block = regions[0]
+        g = _grid_g(engine, n, delta)
+        n_phys = g * g
+        first_block = _grid_block(engine, g, 0)
         component_of_copy = np.repeat(np.arange(k), gamma)
         copy_base = np.concatenate([[0], np.cumsum(gamma)])  # component -> first copy id
         phys_of_copy = np.arange(total_copies) % n_phys
@@ -197,8 +175,7 @@ def _constrained_multisearch(
         heavy_records = int(
             splitting.sizes[component_of_copy[phys_of_copy == heavy]].sum()
         ) if total_copies else 0
-        heavy_region = _grid_block(engine, g, heavy) if fast else regions[heavy]
-        heavy_region.check_capacity(
+        _grid_block(engine, g, heavy).check_capacity(
             heavy_records, per_proc=engine.capacity, what="copied subgraph records"
         )
 
@@ -229,54 +206,44 @@ def _constrained_multisearch(
     # Data movement is executed as one vectorized batch per round; the
     # cost is that of the most-loaded physical submesh: its virtual copies
     # run sequentially, each round costing one RAR + one local step on a
-    # submesh of side regions[0].side.
+    # submesh of side first_block.side.
     sub_side = first_block.side
     mc = stats.max_copies_per_submesh
     round_constant = engine.clock.cost.route * mc
     round_extra = engine.clock.cost.local * mc
     steps_in_cm = np.zeros(qs.m, dtype=np.int64)
     with traced(engine.clock, "cm:rounds"):
-        if fast and not qs.record_trace and should_fuse(structure):
-            # Index-based round loop over a fused vertex-record view: the live
-            # set shrinks monotonically, so the loop owns compact per-live
-            # arrays (current/key/state/step-count) and touches the full-width
-            # query set only when a query drops out — per-round work is one
-            # packed-row fancy-index plus compressions of the shrinking live
-            # arrays, with successor inputs as column views of the rows.
-            fv = fused_view(structure)
-            vblk, pc, pw, pdt = fv.span("payload")
-            _, ac, aw, _ = fv.span("adjacency")
-            _, lc, _, _ = fv.span("level")
-            li = np.flatnonzero(mk)
-            comp_li = comp_of_cur[li]
-            cur_li = qs.current[li]
-            key_li = qs.key[li]
-            state_li = qs.state[li]
-            steps_li = np.zeros(li.size, dtype=np.int64)
-            for _ in range(rounds):
-                if not li.size:
-                    break
-                engine.charge_phase(sub_side, round_constant, "cm:round", extra=round_extra)
-                vrow = vblk[cur_li]
-                nxt, new_state = structure.successor(
-                    cur_li,
-                    vrow[:, pc : pc + pw].view(pdt),
-                    vrow[:, ac : ac + aw],
-                    vrow[:, lc],
-                    key_li,
-                    state_li,
-                )
-                # next vertex stays in the same subgraph copy?
-                # np.maximum == np.clip(nxt, 0, None) without the iinfo lookup
-                stays = (nxt != STOP) & (comp_table[np.maximum(nxt, 0)] == comp_li)
-                stats.advanced_total += int(stays.sum())
-                if stays.all():
-                    cur_li = nxt
-                    state_li = new_state
-                    steps_li += 1
-                    continue
-                # queries that would leave stay at their last vertex and drop
-                # out: flush their pre-round position/state and step counts
+        # The live set shrinks monotonically, so the loop owns compact
+        # per-live arrays (current/key/state/step-count) and touches the
+        # full-width query set only when a query drops out (or, with
+        # record_trace, to keep qs.current live for each round's visit
+        # log).  Per-round work is one packed-row fancy-index plus
+        # compressions of the shrinking live arrays.
+        vertices = packed_vertices(structure)
+        li = np.flatnonzero(mk)
+        comp_li = comp_of_cur[li]
+        cur_li = qs.current[li]
+        key_li = qs.key[li]
+        state_li = qs.state[li]
+        steps_li = np.zeros(li.size, dtype=np.int64)
+        for _ in range(rounds):
+            if not li.size:
+                break
+            engine.charge_phase(sub_side, round_constant, "cm:round", extra=round_extra)
+            nxt, new_state = structure.successor(
+                cur_li, *vertices.gather(cur_li), key_li, state_li
+            )
+            # next vertex stays in the same subgraph copy?
+            # np.maximum == np.clip(nxt, 0, None) without the iinfo lookup
+            stays = (nxt != STOP) & (comp_table[np.maximum(nxt, 0)] == comp_li)
+            stats.advanced_total += int(stays.sum())
+            if stays.all():
+                cur_li = nxt
+                state_li = new_state
+                steps_li += 1
+            else:
+                # queries that would leave stay at their last vertex and
+                # drop out: flush their pre-round position/state and steps
                 out = ~stays
                 drop = li[out]
                 qs.current[drop] = cur_li[out]
@@ -290,49 +257,21 @@ def _constrained_multisearch(
                 cur_li = nxt[stays]
                 state_li = np.ascontiguousarray(new_state[stays])
                 steps_li = steps_li[stays] + 1
-            if li.size:  # still-live queries flush once at round exhaustion
+            if qs.record_trace:
                 qs.current[li] = cur_li
-                qs.state[li] = state_li
-                qs.steps[li] += steps_li
-                steps_in_cm[li] = steps_li
-        else:
-            live = mk.copy()
-            for _ in range(rounds):
-                if not live.any():
-                    break
-                engine.charge_phase(sub_side, round_constant, "cm:round", extra=round_extra)
-                cur_live = qs.current[live]
-                nxt, new_state = structure.successor(
-                    cur_live,
-                    structure.payload[cur_live],
-                    structure.adjacency[cur_live],
-                    structure.level[cur_live],
-                    qs.key[live],
-                    qs.state[live],
-                )
-                # next vertex stays in the same subgraph copy?
-                stays = (nxt != STOP) & (comp_table[np.clip(nxt, 0, None)] == comp_of_cur[live])
-                li = np.flatnonzero(live)
-                adv = li[stays]
-                qs.current[adv] = nxt[stays]
-                qs.state[adv] = new_state[stays]
-                qs.steps[adv] += 1
-                steps_in_cm[adv] += 1
-                stats.advanced_total += int(stays.sum())
-                # unmark queries that would leave (they stay at their last vertex)
-                live[li[~stays]] = False
                 qs.log_visit()
+        if li.size:  # still-live queries flush once at round exhaustion
+            qs.current[li] = cur_li
+            qs.state[li] = state_li
+            qs.steps[li] += steps_li
+            steps_in_cm[li] = steps_li
 
     # Step 7: discard copies; route the queries back to their home slots.
     with traced(engine.clock, "cm:return"):
         engine.charge_phase(root.side, engine.clock.cost.route, "cm:return-route")
-        if fast:
-            # histogram of small non-negative ints: bincount + nonzero yields
-            # the same {value: count} dict (ascending) as np.unique, in O(n).
-            counts_hist = np.bincount(steps_in_cm[mk]) if mk.any() else np.array([], dtype=np.int64)
-            nz = np.flatnonzero(counts_hist)
-            stats.steps_histogram = {int(v): int(counts_hist[v]) for v in nz}
-        else:
-            vals, cnts = np.unique(steps_in_cm[mk], return_counts=True) if mk.any() else ([], [])
-            stats.steps_histogram = {int(v): int(c) for v, c in zip(vals, cnts)}
+        # histogram of small non-negative ints: bincount + nonzero yields
+        # the {value: count} dict in ascending order, in O(n)
+        counts_hist = np.bincount(steps_in_cm[mk]) if mk.any() else np.array([], dtype=np.int64)
+        nz = np.flatnonzero(counts_hist)
+        stats.steps_histogram = {int(v): int(counts_hist[v]) for v in nz}
     return stats

@@ -46,7 +46,7 @@ from repro.core.bands import Band, BandDecomposition, compute_bands
 from repro.core.model import STOP, MultisearchResult, QuerySet, SearchStructure
 from repro.mesh.engine import MeshEngine
 from repro.mesh.faults import paranoid_boundary
-from repro.mesh.records import fused_view, should_fuse
+from repro.mesh.records import packed_vertices
 from repro.mesh.trace import traced
 from repro.util.mathx import iterated_log
 
@@ -133,9 +133,9 @@ def _cached_plan(
     structure's level histogram and the parameters).
 
     Cached on the structure object, guarded by the identity of its level
-    array; replacing ``structure.level`` invalidates the entry.  Used by
-    the fast path so repeated multisearches over one structure stop
-    re-deriving the same band grids.
+    array; replacing ``structure.level`` invalidates the entry, so
+    repeated multisearches over one structure stop re-deriving the same
+    band grids.
     """
     key = (mesh_side, mu, c)
     cached = getattr(structure, "_repro_plan", None)
@@ -173,62 +173,31 @@ def _unit_level_steps(structure: SearchStructure) -> bool:
     return ok
 
 
-def _advance_level(structure: SearchStructure, qs: QuerySet, level: int) -> int:
-    """Advance every active query currently at ``level`` by one step."""
-    act = qs.current != STOP
-    if not act.any():
-        return 0
-    cur = qs.current
-    at = act & (structure.level[np.clip(cur, 0, None)] == level) & (cur >= 0)
-    idx = np.flatnonzero(at)
-    if idx.size == 0:
-        qs.log_visit()
-        return 0
-    cs = cur[idx]
-    nxt, new_state = structure.successor(
-        cs,
-        structure.payload[cs],
-        structure.adjacency[cs],
-        structure.level[cs],
-        qs.key[idx],
-        qs.state[idx],
-    )
-    qs.current[idx] = nxt
-    qs.state[idx] = new_state
-    qs.steps[idx] += 1
-    qs.log_visit()
-    return int(idx.size)
-
-
-class _FastAdvancer:
-    """Host-fast equivalent of :func:`_advance_level` for one multisearch run.
+class _Advancer:
+    """Advances one multisearch's queries level by level.
 
     Instead of re-deriving "which queries sit at this level" from scratch
     every level (a clip + gather + three comparisons over all ``m``
     queries), it carries each query's current level in an array that the
     advance itself keeps up to date, and gathers the selected queries'
-    vertex records straight out of the structure's packed
-    :func:`fused_view` block — one row fancy-index per advance.
+    vertex records straight out of the structure's
+    :func:`packed_vertices` block — one row fancy-index per advance.
 
     The query side is packed the same way: an *owned* int64 block
     ``[current, steps, key-bits, state-bits]`` (floats bit-cast) feeds
     each advance with a single row gather and is flushed back into the
     :class:`QuerySet` by :meth:`flush` — required after the last advance.
     Successor inputs are column *views* of the gathered rows (the
-    Section 2 contract already makes them read-only to successors), so
-    selection set, successor inputs and query-state updates are
-    element-for-element those of :func:`_advance_level` and outputs are
-    byte-identical.  With ``record_trace`` on, ``qs.current`` must stay
-    live at every visit, so the advancer operates on ``qs`` directly.
+    Section 2 contract already makes them read-only to successors).
+    With ``record_trace`` on, ``qs.current`` must stay live at every
+    visit, so the advancer operates on ``qs`` directly and logs a visit
+    after every level that has an active query.
     """
 
     def __init__(self, structure: SearchStructure, qs: QuerySet) -> None:
         self.structure = structure
         self.qs = qs
-        fv = fused_view(structure)
-        self.vblk, self._pc, self._pw, self._pdt = fv.span("payload")
-        _, self._ac, self._aw, _ = fv.span("adjacency")
-        _, self._lc, _, _ = fv.span("level")
+        self.vertices = packed_vertices(structure)
         levels = np.full(qs.m, -1, dtype=np.int64)
         at = qs.current >= 0  # active and placed (STOP is the only negative)
         levels[at] = structure.level[qs.current[at]]
@@ -261,7 +230,16 @@ class _FastAdvancer:
             .reshape(qs.state.shape)
         )
 
+    def _next_levels(self, nxt: np.ndarray, vlevel: np.ndarray) -> np.ndarray:
+        if self._unit:  # new level is old + 1 (or -1 on STOP): no gather
+            return np.where(nxt >= 0, vlevel + 1, np.int64(-1))
+        # negative ids (STOP == -1) wrap to a garbage level, then fixed
+        lv = self.structure.level[nxt]
+        lv[nxt < 0] = -1
+        return lv
+
     def advance(self, level: int) -> int:
+        """Advance every active query currently at ``level`` by one step."""
         if not self._owned:
             return self._advance_traced(level)
         sel = np.flatnonzero(self.levels == level)
@@ -270,10 +248,7 @@ class _FastAdvancer:
         full = sel.size == self.levels.shape[0]
         qrow = self.qblk if full else self.qblk[sel]
         cs = qrow[:, 0]
-        vrow = self.vblk[cs]
-        payload = vrow[:, self._pc : self._pc + self._pw].view(self._pdt)
-        adjacency = vrow[:, self._ac : self._ac + self._aw]
-        vlevel = vrow[:, self._lc]
+        payload, adjacency, vlevel = self.vertices.gather(cs)
         if self._key_1d:
             key = qrow[:, self._kc].view(np.float64)
         else:
@@ -282,12 +257,7 @@ class _FastAdvancer:
         nxt, new_state = self.structure.successor(
             cs, payload, adjacency, vlevel, key, st
         )
-        if self._unit:  # new level is old + 1 (or -1 on STOP): no gather
-            lv = np.where(nxt >= 0, vlevel + 1, np.int64(-1))
-        else:
-            # negative ids (STOP == -1) wrap to a garbage level, then fixed
-            lv = self.structure.level[nxt]
-            lv[nxt < 0] = -1
+        lv = self._next_levels(nxt, vlevel)
         if full:  # sel is arange(m): write whole columns, rebind levels
             self.qblk[:, 0] = nxt
             self.qblk[:, 1] += 1
@@ -314,30 +284,20 @@ class _FastAdvancer:
         qs = self.qs
         sel = np.flatnonzero(self.levels == level)
         if sel.size == 0:
-            if qs.active.any():  # mirror _advance_level's log/no-log split
+            if qs.active.any():  # a level with live queries logs a visit
                 qs.log_visit()
             return 0
         cs = qs.current[sel]
-        vrow = self.vblk[cs]
+        payload, adjacency, vlevel = self.vertices.gather(cs)
         st = qs.state[sel]
         nxt, new_state = self.structure.successor(
-            cs,
-            vrow[:, self._pc : self._pc + self._pw].view(self._pdt),
-            vrow[:, self._ac : self._ac + self._aw],
-            vrow[:, self._lc],
-            qs.key[sel],
-            st,
+            cs, payload, adjacency, vlevel, qs.key[sel], st
         )
         qs.current[sel] = nxt
         if new_state is not st:  # writing the gathered state back is a no-op
             qs.state[sel] = new_state
         qs.steps[sel] += 1
-        if self._unit:
-            lv = np.where(nxt >= 0, vrow[:, self._lc] + 1, np.int64(-1))
-        else:
-            lv = self.structure.level[nxt]
-            lv[nxt < 0] = -1
-        self.levels[sel] = lv
+        self.levels[sel] = self._next_levels(nxt, vlevel)
         qs.log_visit()
         return int(sel.size)
 
@@ -348,7 +308,7 @@ def lemma1_band_steps(
     qs: QuerySet,
     plan: BandPlan,
     label: str = "hierdag",
-    advancer: "_FastAdvancer | None" = None,
+    advancer: _Advancer | None = None,
 ) -> dict[str, float]:
     """Lemma 1: solve the multisearch for one band on its submeshes.
 
@@ -360,11 +320,9 @@ def lemma1_band_steps(
     clock = engine.clock
     cost = clock.cost
     local_advancer = None
-    if advancer is None and engine.fast_path and should_fuse(structure):
-        advancer = local_advancer = _FastAdvancer(structure, qs)
-    step = advancer.advance if advancer is not None else (
-        lambda lvl: _advance_level(structure, qs, lvl)
-    )
+    if advancer is None:
+        advancer = local_advancer = _Advancer(structure, qs)
+    step = advancer.advance
     detail = {"phase1": 0.0, "phase2": 0.0, "dup_b1": 0.0}
     band = plan.band
     b1 = band.b1_levels
@@ -408,24 +366,19 @@ def hierdag_multisearch(
     clock = engine.clock
     cost = clock.cost
     if plan is None:
-        if engine.fast_path:
-            plan = _cached_plan(structure, engine.shape.rows, mu, c)
-        else:
-            plan = plan_hierdag(structure, engine.shape.rows, mu, c)
+        plan = _cached_plan(structure, engine.shape.rows, mu, c)
     deco = plan.decomposition
     start_time = clock.current
     detail: dict[str, float] = {}
-    advancer = (
-        _FastAdvancer(structure, qs)
-        if engine.fast_path and should_fuse(structure)
-        else None
-    )
 
     with traced(clock, "hierdag"):
         # paranoid: the Lemma 1 proofs assume well-formed inputs; check them
         # once at entry (adversarial pointers/keys/levels are caught here,
         # before any primitive can crash on them)
         paranoid_boundary(engine, "hierdag:entry", structure=structure, qs=qs)
+        # built after the entry check: it reads every query's level, which
+        # an out-of-range query pointer would turn into a bare IndexError
+        advancer = _Advancer(structure, qs)
         # Steps 1-2: labelling and band distribution.  Step 1 is t local
         # passes; Step 2 per band i is a constant number of standard ops per
         # B_{i+1}-submesh (distribute B_i among label-i processors, replicate
@@ -466,15 +419,11 @@ def hierdag_multisearch(
                 bstar += engine.charge_phase(
                     plan.mesh_side, cost.route, "hierdag:bstar", extra=cost.local
                 )
-                if advancer is not None:
-                    advancer.advance(lvl)
-                else:
-                    _advance_level(structure, qs, lvl)
+                advancer.advance(lvl)
                 multisteps += 1
         detail["bstar"] = bstar
 
-        if advancer is not None:
-            advancer.flush()
+        advancer.flush()
         paranoid_boundary(engine, "hierdag:exit", structure=structure, qs=qs)
     return MultisearchResult(
         queries=qs,

@@ -34,7 +34,6 @@ points where the paper's proofs claim it.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Iterator, Sequence
 
@@ -43,22 +42,9 @@ import numpy as np
 from repro.mesh import kernels
 from repro.mesh.clock import CostModel, StepClock
 from repro.mesh.faults import invariant, paranoid_default
-from repro.mesh.records import ArgsortMemo, BufferPool, RecordSet
 from repro.mesh.topology import MeshShape, RegionSpec
 
-__all__ = ["MeshEngine", "Region", "CapacityError", "fast_path_default"]
-
-
-def fast_path_default() -> bool:
-    """Process-wide default for :class:`MeshEngine`'s ``fast_path`` flag.
-
-    Controlled by the ``REPRO_FAST_PATH`` environment variable (unset or
-    ``1``/``true``/``on`` = enabled).  The fast path changes host wall
-    time only — outputs and step-clock charges are byte-identical, which
-    the equivalence suite asserts.
-    """
-    val = os.environ.get("REPRO_FAST_PATH", "1").strip().lower()
-    return val not in ("0", "false", "off", "no", "")
+__all__ = ["MeshEngine", "Region", "CapacityError"]
 
 
 class CapacityError(RuntimeError):
@@ -100,7 +86,6 @@ class MeshEngine:
         shape: int | MeshShape,
         cost_model: CostModel | None = None,
         capacity: int = 16,
-        fast_path: bool | None = None,
         paranoid: bool | None = None,
     ) -> None:
         if isinstance(shape, int):
@@ -112,9 +97,6 @@ class MeshEngine:
         #: finite; algorithms that would need more records per processor
         #: than this anywhere fail loudly.
         self.capacity = capacity
-        #: host-side fast path: fused record blocks, argsort memoization,
-        #: buffer reuse.  Byte-identical outputs and charges either way.
-        self.fast_path = fast_path_default() if fast_path is None else bool(fast_path)
         #: paranoid mode: invariant assertions at every primitive boundary
         #: (post-sort sortedness, route scatter integrity, transfer batch
         #: integrity) raising :class:`repro.mesh.faults.InvariantViolation`.
@@ -125,8 +107,6 @@ class MeshEngine:
         #: paranoid checks, so injected faults are caught at the earliest
         #: boundary a validator covers.
         self.faults = None
-        self.argsort_memo = ArgsortMemo()
-        self.pool = BufferPool()
         self.root = Region(self, RegionSpec(0, 0, shape.rows, shape.cols))
         self._branch_region: RegionSpec | None = None
 
@@ -135,14 +115,12 @@ class MeshEngine:
         cls,
         n: int,
         capacity: int = 16,
-        fast_path: bool | None = None,
         paranoid: bool | None = None,
     ) -> "MeshEngine":
         """Smallest square engine whose mesh holds an ``n``-record problem."""
         return cls(
             MeshShape.for_size(n).side,
             capacity=capacity,
-            fast_path=fast_path,
             paranoid=paranoid,
         )
 
@@ -432,34 +410,11 @@ class Region:
 
     # -- primitives ----------------------------------------------------------
 
-    def _note_memo(self, memo: ArgsortMemo, hits_before: int) -> None:
-        """Annotate the active trace span with the memo's hit/miss."""
-        tracer = self.engine.clock.tracer
-        if tracer is not None:
-            hit = memo.hits > hits_before
-            tracer.on_event("argsort-memo:hit" if hit else "argsort-memo:miss")
-
-    def _stable_order(self, keys: np.ndarray) -> np.ndarray:
-        """Stable argsort, memoized under ``fast_path``.
-
-        The memo's guard is a value-equality check, so a hit replays the
-        exact permutation a fresh argsort would compute (the stable
-        permutation is unique); memoized orders are returned read-only to
-        keep later hits honest.
-        """
-        if self.engine.fast_path:
-            memo = self.engine.argsort_memo
-            before = memo.hits
-            order = memo.order_for(np.asarray(keys))
-            self._note_memo(memo, before)
-            return order
-        return np.argsort(np.asarray(keys), kind="stable")
-
     def argsort(self, keys: np.ndarray, label: str = "sort") -> np.ndarray:
         """Stable sort permutation of the records by key (cost: optimal sort)."""
         n = self._check_records(keys)
         self._charge(self.engine.clock.cost.sort, label, volume=n)
-        order = self._stable_order(keys)
+        order = np.argsort(np.asarray(keys), kind="stable")
         if self.engine.faults is not None:
             order = self.engine.faults.on_sort_order(order, label)
         if self.engine.paranoid and np.asarray(keys).ndim == 1:
@@ -473,7 +428,7 @@ class Region:
         """Sort records by key; returns ``(sorted_keys, *permuted_arrays)``."""
         n = self._check_records(keys, *arrays)
         self._charge(self.engine.clock.cost.sort, label, volume=n)
-        order = self._stable_order(keys)
+        order = np.argsort(np.asarray(keys), kind="stable")
         out = [np.asarray(keys)[order]]
         out.extend(np.asarray(a)[order] for a in arrays)
         if self.engine.faults is not None:
@@ -481,26 +436,6 @@ class Region:
         if self.engine.paranoid:
             self._paranoid_sorted(out[0], label)
         return tuple(out)
-
-    def sort_records(self, rs: RecordSet, key: str, label: str = "sort") -> RecordSet:
-        """Fused :meth:`sort_by`: sort a whole :class:`RecordSet` by one of
-        its fields with a single fancy-index per dtype block."""
-        n = self._check_records(*rs.arrays())
-        self._charge(self.engine.clock.cost.sort, label, volume=n)
-        memo = self.engine.argsort_memo if self.engine.fast_path else None
-        before = memo.hits if memo is not None else 0
-        order = rs.argsort(key, memo=memo)
-        if memo is not None:
-            self._note_memo(memo, before)
-        sorted_rs = rs.permute(order)
-        if self.engine.faults is not None:
-            keys_view = np.asarray(sorted_rs.field(key))
-            perturbed = self.engine.faults.on_sort_keys(keys_view, label)
-            if perturbed is not keys_view:
-                sorted_rs.set_field(key, perturbed)
-        if self.engine.paranoid:
-            self._paranoid_sorted(np.asarray(sorted_rs.field(key)), label)
-        return sorted_rs
 
     def route(
         self,
@@ -534,41 +469,6 @@ class Region:
             self._paranoid_routed(outs, arrays, targets, live, label)
         return tuple(outs)
 
-    def route_records(
-        self,
-        dest: np.ndarray,
-        rs: RecordSet,
-        size: int | None = None,
-        fill: float = 0,
-        label: str = "route",
-    ) -> RecordSet:
-        """Fused :meth:`route`: one scatter per dtype block of ``rs``."""
-        dest = np.asarray(dest, dtype=np.int64)
-        n = self._check_records(dest, *rs.arrays())
-        out_size = self.size if size is None else size
-        if out_size > self.size * self.engine.capacity:
-            raise CapacityError(f"route output {out_size} exceeds region capacity")
-        live = dest >= 0
-        targets = dest[live]
-        _check_route_targets(targets, out_size)
-        self._charge(self.engine.clock.cost.route, label, volume=n)
-        routed = rs.scatter(dest, out_size, fill=fill)
-        if self.engine.faults is not None:
-            self.engine.faults.on_route_payload(
-                [np.asarray(routed.field(name)) for name in routed.names],
-                targets,
-                label,
-            )
-        if self.engine.paranoid:
-            self._paranoid_routed(
-                [np.asarray(routed.field(name)) for name in routed.names],
-                [np.asarray(rs.field(name)) for name in rs.names],
-                targets,
-                live,
-                label,
-            )
-        return routed
-
     def rar(
         self,
         addresses: np.ndarray,
@@ -596,23 +496,6 @@ class Region:
                 raise ValueError("rar address out of range")
             outs.append(kernels.take(t, addresses, fill=fill))
         return tuple(outs)
-
-    def rar_records(
-        self,
-        addresses: np.ndarray,
-        table: RecordSet,
-        fill: float = 0,
-        label: str = "rar",
-    ) -> RecordSet:
-        """Fused :meth:`rar`: one gather per dtype block of ``table``."""
-        addresses = np.asarray(addresses, dtype=np.int64)
-        n = self._check_records(addresses)
-        self._check_records(*table.arrays())
-        self._charge(self.engine.clock.cost.route, label, volume=n)
-        live = addresses >= 0
-        if live.any() and int(addresses[live].max()) >= table.n:
-            raise ValueError("rar address out of range")
-        return table.take(addresses, fill=fill)
 
     def raw(
         self,
@@ -642,8 +525,7 @@ class Region:
             idx = addresses[live]
             vals = values[live]
             if (
-                self.engine.fast_path
-                and vals.ndim == 1
+                vals.ndim == 1
                 and vals.dtype.kind in "iu"
                 and (
                     vals.size == 0
@@ -666,10 +548,7 @@ class Region:
             init = kernels.identity(values.dtype, combine)
             out = np.full(size, init, dtype=values.dtype)
             kernels.REDUCERS[combine].at(out, addresses[live], values[live])
-            if self.engine.fast_path:  # loop-local scratch: pooled, not returned
-                written = self.engine.pool.full(size, bool, False)
-            else:
-                written = np.zeros(size, dtype=bool)
+            written = np.zeros(size, dtype=bool)
             written[addresses[live]] = True
             out[~written] = fill
         return out
@@ -756,13 +635,3 @@ class Region:
         self._charge(self.engine.clock.cost.compress, label, volume=n)
         count = int(mask.sum())
         return (count, *(np.asarray(a)[mask] for a in arrays))
-
-    def compress_records(
-        self, mask: np.ndarray, rs: RecordSet, label: str = "compress"
-    ) -> tuple[int, RecordSet]:
-        """Fused :meth:`compress`: one masked pack per dtype block."""
-        mask = np.asarray(mask, dtype=bool)
-        n = self._check_records(mask, *rs.arrays())
-        self._charge(self.engine.clock.cost.compress, label, volume=n)
-        packed = rs.select(mask)
-        return packed.n, packed

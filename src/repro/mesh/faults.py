@@ -62,7 +62,7 @@ __all__ = [
 
 #: fault kinds injected at engine primitive boundaries
 FAULT_KINDS = (
-    "perturb_sort_key",      # break post-sort ordering (sort_by/sort_records/argsort)
+    "perturb_sort_key",      # break post-sort ordering (sort_by/argsort)
     "corrupt_route_payload",  # scramble one routed record's payload
     "drop_transfer",          # truncate a transfer's record batch
 )
@@ -109,8 +109,8 @@ def paranoid_default() -> bool:
     """Process-wide default for :class:`MeshEngine`'s ``paranoid`` flag.
 
     Controlled by ``REPRO_PARANOID`` (unset/``0``/``false``/``off`` =
-    disabled).  Unlike ``REPRO_FAST_PATH`` the default is **off**:
-    paranoid mode trades host time for per-boundary invariant checks.
+    disabled).  The default is **off**: paranoid mode trades host time
+    for per-boundary invariant checks.
     """
     val = os.environ.get("REPRO_PARANOID", "0").strip().lower()
     return val not in ("0", "false", "off", "no", "")

@@ -3,10 +3,10 @@
 The step clock charges the paper's mesh costs; these functions only move
 the arrays underneath.  The one-line kernels (stable argsort, gathers,
 masked packs, reductions, ufunc accumulates, combining writes) are plain
-numpy calls at their call sites in :mod:`repro.mesh.engine` and
-:mod:`repro.mesh.records`.  What remains here is the handful with a rule
-of their own: gathers and scatters with a ``-1 -> fill`` convention, the
-min/max identities, and the segmented scan.
+numpy calls at their call sites in :mod:`repro.mesh.engine`.  What
+remains here is the handful with a rule of their own: gathers and
+scatters with a ``-1 -> fill`` convention, the min/max identities, and
+the segmented scan.
 """
 
 from __future__ import annotations

@@ -20,16 +20,10 @@ __all__ = ["CostProfile", "profile", "profiled"]
 
 @dataclass
 class CostProfile:
-    """Aggregated charges per label.
-
-    ``memo`` carries host-cache counters (argsort-memo hits/misses) that
-    ride along with the step breakdown — they cost zero mesh steps but
-    explain fast-path wall time, so the bench runner attaches them here.
-    """
+    """Aggregated charges per label."""
 
     by_label: dict[str, float] = field(default_factory=dict)
     calls: dict[str, int] = field(default_factory=dict)
-    memo: dict[str, int] = field(default_factory=dict)
 
     @property
     def total(self) -> float:
@@ -57,9 +51,6 @@ class CostProfile:
                 f"  {label:<24} {cost:>12.0f}  ({share:6.1%},"
                 f" {self.calls.get(label, 0)} charges)"
             )
-        if self.memo:
-            counters = ", ".join(f"{k}={v}" for k, v in sorted(self.memo.items()))
-            lines.append(f"  argsort memo: {counters}")
         return "\n".join(lines)
 
     def merge(self, *others: "CostProfile") -> "CostProfile":
@@ -68,33 +59,25 @@ class CostProfile:
         The parallel bench runner profiles each sweep point in its own
         worker process and merges the pieces into one per-bench breakdown.
         """
-        out = CostProfile(
-            by_label=dict(self.by_label),
-            calls=dict(self.calls),
-            memo=dict(self.memo),
-        )
+        out = CostProfile(by_label=dict(self.by_label), calls=dict(self.calls))
         for other in others:
             for label, cost in other.by_label.items():
                 out.by_label[label] = out.by_label.get(label, 0.0) + cost
             for label, count in other.calls.items():
                 out.calls[label] = out.calls.get(label, 0) + count
-            for key, count in other.memo.items():
-                out.memo[key] = out.memo.get(key, 0) + count
         return out
 
     def to_dict(self) -> dict:
         """JSON-ready form (inverse of :meth:`from_dict`)."""
-        doc = {"by_label": dict(self.by_label), "calls": dict(self.calls)}
-        if self.memo:
-            doc["memo"] = dict(self.memo)
-        return doc
+        return {"by_label": dict(self.by_label), "calls": dict(self.calls)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "CostProfile":
+        """Inverse of :meth:`to_dict`; other keys (the ``memo`` counters
+        older bench documents carry) are ignored."""
         return cls(
             by_label={str(k): float(v) for k, v in data.get("by_label", {}).items()},
             calls={str(k): int(v) for k, v in data.get("calls", {}).items()},
-            memo={str(k): int(v) for k, v in data.get("memo", {}).items()},
         )
 
 

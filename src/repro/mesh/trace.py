@@ -128,7 +128,7 @@ class Span:
     #: this accumulates ``max - sum`` (<= 0) so totals match the clock.
     fold: float = 0.0
     counters: dict[str, PrimCounter] = field(default_factory=dict)
-    #: zero-step host-side annotations (e.g. ``argsort-memo:hit``) — event
+    #: zero-step host-side annotations (e.g. ``result-cache:hit``) — event
     #: name -> occurrence count while this span was innermost
     events: dict[str, int] = field(default_factory=dict)
     children: list["Span"] = field(default_factory=list)
@@ -246,10 +246,10 @@ class Tracer:
     def on_event(self, name: str, count: int = 1) -> None:
         """Record a zero-step host-side event on the innermost open span.
 
-        Engine internals use this for annotations that explain wall time
-        without touching the step accounting — e.g. ``argsort-memo:hit``
-        vs ``argsort-memo:miss``, which attribute a fast sort to
-        memoization rather than to the sort kernel.
+        Host-side caches use this for annotations that explain wall time
+        without touching the step accounting — e.g. ``result-cache:hit``
+        vs ``result-cache:miss``, which attribute a fast batch to the
+        serving layer's cache rather than to the search.
         """
         node = self._stack[-1]
         node.events[name] = node.events.get(name, 0) + count
@@ -442,8 +442,8 @@ def emit_event(name: str, count: int = 1, clock=None) -> None:
 
     Resolution mirrors :func:`traced`: the clock's attached tracer first,
     then the ambient tracer.  A no-op when tracing is off, so host-side
-    caches (the serving layer's result cache, like the engine's argsort
-    memo) can annotate hits and misses unconditionally.
+    caches (the serving layer's result cache) can annotate hits and
+    misses unconditionally.
     """
     tracer = getattr(clock, "tracer", None) if clock is not None else None
     if tracer is None:

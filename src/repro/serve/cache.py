@@ -4,10 +4,9 @@ Keyed on ``(snapshot_id, query bytes)`` — the snapshot id pins the exact
 structure arrays the answer was computed against, so a cache can safely
 outlive a restart as long as it is re-keyed against the same snapshot.
 
-Hit/miss counters follow the argsort-memo idiom
-(:mod:`repro.mesh.records`): per-instance counts plus process-wide
-class-level totals drained per bench point by
-:func:`drain_cache_counters`, and zero-step trace events
+Hit/miss counters are per-instance counts plus process-wide class-level
+totals drained per bench point by :func:`drain_cache_counters`, and
+zero-step trace events
 (``result-cache:hit`` / ``result-cache:miss``) on the ambient span so
 profiles can attribute a fast batch to caching rather than to the
 search.

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from repro.bench.runner import BENCH_DIR, REGISTRY, REPO_ROOT
+from repro.bench.runner import BENCH_DIR, REGISTRY, REPO_ROOT, point_result
 
 BLOB = REPO_ROOT / "BENCH_e15_sharded.json"
 
@@ -23,7 +23,8 @@ def points():
     assert doc["bench"] == "e15_sharded"
     for p in doc["points"]:
         assert "error" not in p, p
-        assert p["mesh_steps_equal"] is True
+        # schema-1 blobs also record that both engine modes agreed
+        assert p.get("mesh_steps_equal") is not False
     return doc["points"]
 
 
@@ -39,7 +40,7 @@ def run_once():
 
 def _by_params(points):
     return {
-        (p["params"]["bandwidth"], p["params"]["k_chip"]): p["fast"]["mesh_steps"]
+        (p["params"]["bandwidth"], p["params"]["k_chip"]): point_result(p)["mesh_steps"]
         for p in points
     }
 
@@ -53,7 +54,7 @@ def test_steps_reproduce_exactly(points, run_once):
     # deterministic cost model: any drift is a real accounting change
     # and must come with a regenerated blob
     for p in points:
-        assert run_once(**p["params"]) == p["fast"]["mesh_steps"], p["params"]
+        assert run_once(**p["params"]) == point_result(p)["mesh_steps"], p["params"]
 
 
 def test_crossover_recorded(points):

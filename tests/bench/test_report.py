@@ -5,26 +5,31 @@ import json
 import pytest
 
 from repro.bench import report
-from repro.bench.runner import compare
+from repro.bench.runner import compare, point_result
 
 
-def _doc(bench, points, profile=None):
+def _point(params, wall, steps, schema):
+    measures = {"wall_s_min": wall, "repeats": 3, "mesh_steps": steps}
+    if schema == 2:
+        return {"params": dict(params), **measures, "peak_rss_kb": 4096}
+    # schema 1: one measure dict per engine mode, the fast one headlining
+    return {
+        "params": dict(params),
+        "fast": measures,
+        "slow": dict(measures, wall_s_min=wall * 2),
+        "mesh_steps_equal": True,
+        "speedup": 2.0,
+        "peak_rss_kb": 4096,
+    }
+
+
+def _doc(bench, points, profile=None, schema=2):
     doc = {
-        "schema": 1,
+        "schema": schema,
         "bench": bench,
         "created": "2026-01-01T00:00:00Z",
         "repeats": 3,
-        "points": [
-            {
-                "params": dict(params),
-                "fast": {"wall_s_min": fast, "repeats": 3, "mesh_steps": steps},
-                "slow": {"wall_s_min": fast * 2, "repeats": 3, "mesh_steps": steps},
-                "mesh_steps_equal": True,
-                "speedup": 2.0,
-                "peak_rss_kb": 4096,
-            }
-            for params, fast, steps in points
-        ],
+        "points": [_point(*pt, schema=schema) for pt in points],
     }
     if profile is not None:
         doc["profile"] = profile
@@ -73,7 +78,19 @@ class TestDiff:
         new = _write(tmp_path, "new.json", SAME)
         assert report.main(["--diff", old, new]) == 0
         out = capsys.readouterr().out
-        assert "no fast-path wall regression" in out
+        assert "no mesh-step change and no wall regression" in out
+
+    def test_schema1_baseline_diffs_against_schema2(self, capsys, tmp_path):
+        legacy = _doc(
+            "demo", [({"n": 1}, 0.010, 100.0), ({"n": 2}, 0.020, 200.0)], schema=1
+        )
+        old = _write(tmp_path, "old.json", legacy)
+        assert report.main([old]) == 0
+        assert "wall=10.00ms steps=100" in capsys.readouterr().out
+        assert report.main(["--diff", old, _write(tmp_path, "new.json", SAME)]) == 0
+        assert "wall 10.00ms -> 10.10ms" in capsys.readouterr().out
+        new = _write(tmp_path, "new.json", REGRESSED)
+        assert report.main(["--diff", old, new]) == 1
 
     def test_regression_exits_nonzero(self, capsys, tmp_path):
         old = _write(tmp_path, "old.json", BASE)
@@ -147,6 +164,7 @@ class TestDiff:
             "BENCH_e1_hierdag.json",
             "BENCH_e2_constrained.json",
             "BENCH_e11_construct.json",
+            "BENCH_e13_serving.json",
             "BENCH_e15_sharded.json",
         ):
             path = REPO_ROOT / name
@@ -166,9 +184,10 @@ class TestDiff:
         spans: dict[str, list[int]] = {}
         for p in doc["points"]:
             assert "error" not in p
-            assert p["mesh_steps_equal"] is True
+            # schema-1 blobs also record that both engine modes agreed
+            assert p.get("mesh_steps_equal") is not False
             n = p["params"]["n"]
-            steps = p["fast"]["mesh_steps"]
+            steps = point_result(p)["mesh_steps"]
             assert steps > 0
             ratios.setdefault(p["params"]["pipeline"], []).append(
                 steps / math.sqrt(n)

@@ -108,7 +108,7 @@ class TestCheckpointResume:
 
         A checkpoint truncated mid-write (crash between the params line
         and the measurements) yields such records; skipping them would
-        hand compare/report a point with no ``fast``/``slow`` dicts.
+        hand compare/report a point with no measurements.
         """
         _selftest_points(monkeypatch, ["ok"])
         config = {"bench": "selftest", "repeats": 1, "warmup": 0,
@@ -124,7 +124,7 @@ class TestCheckpointResume:
             checkpoint=ckpt, resume=True,
         )
         (point,) = doc["points"]
-        assert isinstance(point["fast"], dict) and isinstance(point["slow"], dict)
+        assert point["wall_s_min"] > 0
 
     def test_config_mismatch_ignores_checkpoint(self, monkeypatch, tmp_path):
         _selftest_points(monkeypatch, ["ok"])
@@ -173,12 +173,12 @@ class TestStepsNullWarning:
             runner, "_extract_steps", lambda result: None
         )
         record = run_point("selftest", {"mode": "ok"}, repeats=1, warmup=0)
-        assert record["fast"]["mesh_steps"] is None
+        assert record["mesh_steps"] is None
         assert any("steps: null" in w for w in record["warnings"])
 
     def test_no_warning_when_steps_found(self):
         record = run_point("selftest", {"mode": "ok"}, repeats=1, warmup=0)
-        assert record["fast"]["mesh_steps"] == 1.0
+        assert record["mesh_steps"] == 1.0
         assert "warnings" not in record
 
 
@@ -191,9 +191,9 @@ class TestErrorAwareCompareAndReport:
     }
     OK_POINT = {
         "params": {"n": 2},
-        "fast": {"wall_s_min": 1.0, "mesh_steps": 5.0, "repeats": 1},
-        "slow": {"wall_s_min": 2.0, "mesh_steps": 5.0, "repeats": 1},
-        "speedup": 2.0,
+        "wall_s_min": 1.0,
+        "mesh_steps": 5.0,
+        "repeats": 1,
         "peak_rss_kb": 1024,
     }
 
@@ -219,7 +219,7 @@ class TestErrorAwareCompareAndReport:
         text = runner._render_bench(doc)
         # pre-error_kind record: the kind is inferred from the message
         assert "ERROR(timeout) after 1 attempt(s): timed out" in text
-        assert "speedup=2.00x" in text
+        assert "wall=1000.00ms steps=5" in text
 
     def test_report_render_doc_shows_error(self):
         doc = {

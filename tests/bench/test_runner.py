@@ -1,5 +1,7 @@
 """Unit tests for the parallel benchmark runner (repro.bench.runner)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.bench.runner import (
     _pts,
     compare,
     main,
+    point_result,
     provenance,
     run_point,
 )
@@ -91,14 +94,15 @@ class TestExtractSteps:
         assert _extract_steps({"sort": 2.0, "note": "hi"}) is None
 
 
-def _doc(wall_by_params):
-    return {
-        "bench": "demo",
-        "points": [
-            {"params": dict(p), "fast": {"wall_s_min": w}}
-            for p, w in wall_by_params
-        ],
-    }
+def _doc(wall_by_params, schema=2):
+    """A bench document; schema 1 nests the measures in a ``fast`` dict."""
+
+    def point(p, w):
+        if schema == 1:
+            return {"params": dict(p), "fast": {"wall_s_min": w}}
+        return {"params": dict(p), "wall_s_min": w}
+
+    return {"bench": "demo", "points": [point(p, w) for p, w in wall_by_params]}
 
 
 class TestCompare:
@@ -121,8 +125,19 @@ class TestCompare:
     @staticmethod
     def _with_steps(doc, *steps):
         for point, s in zip(doc["points"], steps):
-            point["fast"]["mesh_steps"] = s
+            point_result(point)["mesh_steps"] = s
         return doc
+
+    def test_schema1_baseline_against_schema2_run(self):
+        # committed BENCH_*.json files predate schema 2; their fast column
+        # is the baseline for a one-mode run
+        base = self._with_steps(_doc([({"n": 1}, 1.0), ({"n": 2}, 1.0)], schema=1), 7, 8)
+        doc = self._with_steps(_doc([({"n": 1}, 1.05), ({"n": 2}, 1.5)]), 7, 9)
+        failures = compare(doc, base, tolerance=0.10)
+        assert len(failures) == 2
+        assert "mesh steps 9 vs baseline 8" in failures[0]
+        assert "wall 1500.00ms vs baseline 1000.00ms" in failures[1]
+        assert compare(base, base, tolerance=0.10) == []
 
     def test_changed_steps_fail_at_equal_wall(self):
         base = self._with_steps(_doc([({"n": 1}, 1.0), ({"n": 2}, 2.0)]), 100, 200)
@@ -155,14 +170,15 @@ class TestRunPoint:
     def test_record_schema_in_process(self):
         # the smallest E10 point is cheap enough to measure inline
         record = run_point("e10_vm", {"side": 8}, repeats=1, warmup=0)
+        assert set(record) == {
+            "params", "wall_s_min", "repeats", "mesh_steps", "peak_rss_kb"
+        }
         assert record["params"] == {"side": 8}
-        for mode in ("fast", "slow"):
-            assert record[mode]["wall_s_min"] > 0
-            assert record[mode]["repeats"] == 1
-            assert record[mode]["mesh_steps"] > 0
-        assert record["mesh_steps_equal"] is True
-        assert record["speedup"] > 0
+        assert record["wall_s_min"] > 0
+        assert record["repeats"] == 1
+        assert record["mesh_steps"] > 0
         assert record["peak_rss_kb"] > 0
+        assert point_result(record) is record
 
     def test_trace_record(self):
         record = run_point(
@@ -178,7 +194,7 @@ class TestRunPoint:
         assert "hierdag" in names and "hierdag:bstar" in names
         # summed span charges match the bench's reported mesh steps: the
         # traced pass re-runs the same deterministic schedule
-        assert record["trace_steps"] == record["fast"]["mesh_steps"]
+        assert record["trace_steps"] == record["mesh_steps"]
         assert "hierdag" in record["trace_tree"]
         # spanTrees ride in the sidecar for report --diff
         assert record["trace"]["spanTrees"]
@@ -201,31 +217,7 @@ class TestRunPoint:
         )
         assert record["profile"]["by_label"]
         assert sum(record["profile"]["by_label"].values()) > 0
-        # memo counters from the profiled pass ride in the profile dict
-        memo = record["profile"].get("memo", {})
-        assert set(memo) <= {"hits", "misses"}
-
-    def test_clears_host_caches_between_points(self):
-        # regression: pooled buffers and memo entries from one sweep point
-        # must not bleed into the next point's RSS/counters when points
-        # share a process
-        from repro.mesh.engine import MeshEngine
-        from repro.mesh.records import drain_memo_counters
-
-        engine = MeshEngine(8, fast_path=True)
-        keys = np.arange(64, dtype=np.int64)[::-1].copy()
-        engine.root.argsort(keys)
-        engine.root.argsort(keys)
-        engine.pool.full((64,), np.int64)
-        assert engine.argsort_memo._slots  # memo holds a stashed order
-        assert engine.pool._buffers  # pool holds a cached buffer
-        assert drain_memo_counters()["hits"] >= 1
-        engine.root.argsort(keys)  # repopulate the counters
-        run_point("selftest", {"mode": "ok"}, repeats=1, warmup=0)
-        assert not engine.argsort_memo._slots
-        assert not engine.pool._buffers
-        # counters were drained on entry, so the point owns what follows
-        assert drain_memo_counters() == {"hits": 0, "misses": 0}
+        assert set(record["profile"]) == {"by_label", "calls"}
 
 
 class TestProvenance:
@@ -288,14 +280,14 @@ class TestMain:
 
 
 def _probe_callable(monkeypatch, seen, result=1.0):
-    """Swap the bench entry point for a closure that records the env mode."""
+    """Swap the bench entry point for a closure that records the env flags."""
     import os
 
     spec = runner.BenchSpec("probe", "probe", ({},))
 
     def fake(bench):
         def fn(**kwargs):
-            seen.append(os.environ.get("REPRO_FAST_PATH"))
+            seen.append((os.environ.get("REPRO_PROFILE"), os.environ.get("REPRO_TRACE")))
             return result
 
         return spec, fn
@@ -304,21 +296,17 @@ def _probe_callable(monkeypatch, seen, result=1.0):
 
 
 class TestRunPointEnvHygiene:
-    # regression: run_point used to pop REPRO_FAST_PATH/PROFILE/TRACE on
-    # exit, clobbering whatever the caller had exported — and the optional
-    # profiled/traced passes ran *after* the pop, under the process-default
-    # mode instead of the fast path whose numbers headline the record
+    # regression: run_point used to pop REPRO_PROFILE/TRACE on exit,
+    # clobbering whatever the caller had exported
 
-    VARS = ("REPRO_FAST_PATH", "REPRO_PROFILE", "REPRO_TRACE")
+    VARS = ("REPRO_PROFILE", "REPRO_TRACE")
 
     def test_restores_caller_values(self, monkeypatch):
         import os
 
-        monkeypatch.setenv("REPRO_FAST_PATH", "0")
         monkeypatch.setenv("REPRO_PROFILE", "1")
         monkeypatch.setenv("REPRO_TRACE", "1")
         run_point("selftest", {"mode": "ok"}, repeats=1, warmup=0)
-        assert os.environ["REPRO_FAST_PATH"] == "0"
         assert os.environ["REPRO_PROFILE"] == "1"
         assert os.environ["REPRO_TRACE"] == "1"
 
@@ -331,17 +319,14 @@ class TestRunPointEnvHygiene:
         for name in self.VARS:
             assert name not in os.environ
 
-    def test_extra_passes_pinned_to_fast_mode(self, monkeypatch):
-        import os
-
+    def test_extra_passes_see_only_their_flag(self, monkeypatch):
         seen: list = []
         _probe_callable(monkeypatch, seen)
-        monkeypatch.setenv("REPRO_FAST_PATH", "0")
-        record = run_point("probe", {}, repeats=1, warmup=0, profile=True, trace=True)
-        # timed passes interleave fast/slow; both extra passes run fast
-        assert seen == ["1", "0", "1", "1"]
-        assert os.environ["REPRO_FAST_PATH"] == "0"
-        assert record["speedup"] is not None
+        for name in self.VARS:
+            monkeypatch.delenv(name, raising=False)
+        run_point("probe", {}, repeats=1, warmup=1, profile=True, trace=True)
+        # warmup, timed pass, profiled pass, traced pass
+        assert seen == [(None, None), (None, None), ("1", None), (None, "1")]
 
     def test_restores_env_when_entry_raises(self, monkeypatch):
         import os
@@ -355,46 +340,47 @@ class TestRunPointEnvHygiene:
             return spec, fn
 
         monkeypatch.setattr(runner, "_bench_callable", fake)
-        monkeypatch.setenv("REPRO_FAST_PATH", "0")
+        monkeypatch.setenv("REPRO_TRACE", "0")
         with pytest.raises(RuntimeError):
-            run_point("probe", {}, repeats=1, warmup=0)
-        assert os.environ["REPRO_FAST_PATH"] == "0"
+            run_point("probe", {}, repeats=1, warmup=0, trace=True)
+        assert os.environ["REPRO_TRACE"] == "0"
 
 
-class TestZeroWallSpeedup:
-    # regression: a fast wall of exactly 0.0 (timer granularity on a
-    # trivial point) raised ZeroDivisionError and lost the whole record
+class TestRepeatsValidation:
+    # regression: --repeats 0 left wall_s_min at infinity, which json.dumps
+    # wrote as the non-JSON token Infinity, and the run exited 0
 
-    def test_null_speedup_with_warning(self, monkeypatch):
-        seen: list = []
-        _probe_callable(monkeypatch, seen)
-        monkeypatch.setattr(runner.time, "perf_counter", lambda: 0.0)
-        record = run_point("probe", {}, repeats=1, warmup=0)
-        assert record["speedup"] is None
-        assert any("speedup: null" in w for w in record["warnings"])
+    @pytest.mark.parametrize(
+        "flags", [["--repeats", "0"], ["--repeats", "-3"], ["--warmup", "-1"]]
+    )
+    def test_cli_rejects(self, flags, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--jobs", "1", "--out-dir", str(tmp_path), *flags])
+        assert exc.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
-    def test_renderers_tolerate_null_speedup(self, monkeypatch):
-        from repro.bench.report import render_doc
+    def test_run_point_rejects_zero_repeats(self):
+        with pytest.raises(ValueError, match="repeats"):
+            run_point("selftest", {"mode": "ok"}, repeats=0, warmup=0)
 
-        seen: list = []
-        _probe_callable(monkeypatch, seen)
-        monkeypatch.setattr(runner.time, "perf_counter", lambda: 0.0)
-        record = run_point("probe", {}, repeats=1, warmup=0)
-        doc = {
-            "bench": "probe",
-            "wall_s_total": 0.0,
-            "points": [record],
-            "repeats": 1,
-        }
-        assert "speedup=-" in runner._render_bench(doc)
-        assert "speedup=-" in render_doc(doc)
+    def test_documents_are_strict_json(self, tmp_path):
+        with pytest.raises(ValueError):
+            runner._write_checkpoint(
+                tmp_path / "ck.json", {}, {0: {"params": {}, "wall_s_min": float("inf")}}
+            )
+        assert main(
+            ["selftest", "--jobs", "1", "--repeats", "1", "--warmup", "0",
+             "--out-dir", str(tmp_path)]
+        ) == 0
 
-    def test_compare_tolerates_null_speedup(self):
-        # compare() gates on wall time only; a null-speedup point with a
-        # healthy wall must neither crash nor fail the gate
-        doc = _doc([({"n": 1}, 1.0)])
-        doc["points"][0]["speedup"] = None
-        assert compare(doc, _doc([({"n": 1}, 1.0)]), tolerance=0.10) == []
+        def reject(token):
+            raise AssertionError(f"non-JSON token {token}")
+
+        doc = json.loads(
+            (tmp_path / "BENCH_selftest.json").read_text(), parse_constant=reject
+        )
+        assert doc["schema"] == 2
 
 
 class TestParamsKey:
@@ -413,14 +399,11 @@ class TestParamsKey:
         assert runner._params_key({"b": True}) != runner._params_key({"b": 1})
         assert runner._params_key({"s": "4096"}) != runner._params_key({"n": 4096})
 
-    def test_checkpoint_resume_across_numeric_spelling(self, tmp_path):
+    @pytest.mark.parametrize("schema", [1, 2])
+    def test_checkpoint_resume_across_numeric_spelling(self, tmp_path, schema):
         path = tmp_path / "ck.partial.json"
         config = {"repeats": 1}
-        record = {
-            "params": {"n": 4096.0},
-            "fast": {"wall_s_min": 1.0},
-            "slow": {"wall_s_min": 2.0},
-        }
+        record = _doc([({"n": 4096.0}, 1.0)], schema=schema)["points"][0]
         runner._write_checkpoint(path, config, {0: record})
         done = runner._load_checkpoint(path, config)
         assert runner._params_key({"n": 4096}) in done

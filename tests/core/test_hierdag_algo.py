@@ -153,3 +153,22 @@ class TestLemma1:
             * (4 * np.log2(max(bp.band.n_levels, 2)) + 8)
         )
         assert elapsed <= bound
+
+
+class TestParanoidEntry:
+    """The entry check must see a wild query pointer before anything reads
+    through it, whether or not the structure was searched before."""
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_wild_pointer_raises_invariant(self, warm):
+        from repro.mesh.faults import InvariantViolation
+
+        dag, st, keys = dag_setup(2, 8, m=64)
+        if warm:  # a prior search leaves per-structure caches behind
+            eng = MeshEngine.for_problem(max(dag.size, keys.size))
+            hierdag_multisearch(eng, st, QuerySet.start(keys, 0), mu=2.0, c=2)
+        eng = MeshEngine.for_problem(max(dag.size, keys.size), paranoid=True)
+        qs = QuerySet.start(keys, 0)
+        qs.current[5] = st.n_vertices + 17  # what corrupt_query_pointer writes
+        with pytest.raises(InvariantViolation, match="hierdag:entry"):
+            hierdag_multisearch(eng, st, qs, mu=2.0, c=2)

@@ -3,13 +3,12 @@
 Each counted primitive of :class:`~repro.mesh.engine.Region` runs a numpy
 host kernel underneath — inline at the call site or from
 :mod:`repro.mesh.kernels`.  This suite feeds those primitives every
-dtype and block shape :class:`~repro.mesh.records.RecordSet` produces
-(1-D and 2-D int64, float64, bool), plus the inputs where a kernel's rule
-shows: empty arrays, tied keys (including ``-0.0`` vs ``0.0`` and
-all-equal runs), float infinities, int64 values that wrap the
-accumulator, and a max-capacity batch.  Each output is compared bit for
-bit with an element-at-a-time Python loop that spells the rule out, in
-both engine modes (``fast_path`` on and off).
+record dtype and shape the algorithms use (1-D and 2-D int64, float64,
+bool), plus the inputs where a kernel's rule shows: empty arrays, tied
+keys (including ``-0.0`` vs ``0.0`` and all-equal runs), float
+infinities, int64 values that wrap the accumulator, and a max-capacity
+batch.  Each output is compared bit for bit with an element-at-a-time
+Python loop that spells the rule out.
 """
 
 import math
@@ -25,7 +24,6 @@ from repro.mesh.engine import MeshEngine
 #: batch on an 8x8 mesh, the engine's max-capacity shape
 MAX_CAPACITY = 16 * 8 * 8
 
-MODES = (True, False)
 OPS = ("add", "min", "max")
 
 
@@ -72,8 +70,8 @@ def _rng_for(tag):
     return np.random.default_rng(zlib.crc32(tag.encode()))
 
 
-def _roots():
-    return [MeshEngine(8, fast_path=fast_path).root for fast_path in MODES]
+def _root():
+    return MeshEngine(8).root
 
 
 def assert_bits(got, want, context=""):
@@ -150,11 +148,11 @@ def test_stable_sort(tag, values):
     keys = values.tolist()
     want = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.int64)
     payload = np.arange(values.shape[0], dtype=np.int64)
-    for root in _roots():
-        assert_bits(root.argsort(values), want, f"argsort[{tag}]")
-        sorted_keys, moved = root.sort_by(values, payload)
-        assert_bits(moved, want, f"sort_by[{tag}]")
-        assert_bits(sorted_keys, values[want], f"sort_by keys[{tag}]")
+    root = _root()
+    assert_bits(root.argsort(values), want, f"argsort[{tag}]")
+    sorted_keys, moved = root.sort_by(values, payload)
+    assert_bits(moved, want, f"sort_by[{tag}]")
+    assert_bits(sorted_keys, values[want], f"sort_by keys[{tag}]")
 
 
 @pytest.mark.parametrize("tag,values", ALL)
@@ -168,8 +166,8 @@ def test_take(tag, values):
         if a >= 0:
             want[i] = values[a]
     assert_bits(kernels.take(values, idx, fill=0), want, f"take[{tag}]")
-    for root in _roots():
-        assert_bits(root.rar(idx, values)[0], want, f"rar[{tag}]")
+    root = _root()
+    assert_bits(root.rar(idx, values)[0], want, f"rar[{tag}]")
 
 
 @pytest.mark.parametrize("tag,values", ALL)
@@ -184,22 +182,22 @@ def test_scatter(tag, values):
         if d >= 0:
             want[d] = values[i]
     assert_bits(kernels.scatter(values, dest, size, fill=0), want, f"scatter[{tag}]")
-    for root in _roots():
-        assert_bits(root.route(dest, values, size=size)[0], want, f"route[{tag}]")
+    root = _root()
+    assert_bits(root.route(dest, values, size=size)[0], want, f"route[{tag}]")
 
 
 @pytest.mark.parametrize("tag,values", ALL)
 def test_compress(tag, values):
     n = values.shape[0]
+    root = _root()
     for mask in (_rng_for(tag).random(n) < 0.5, np.ones(n, bool), np.zeros(n, bool)):
         want = np.empty((0,) + values.shape[1:], dtype=values.dtype)
         for i in range(n):
             if mask[i]:
                 want = np.concatenate([want, values[i : i + 1]])
-        for root in _roots():
-            count, packed = root.compress(mask, values)
-            assert count == want.shape[0]
-            assert_bits(packed, want, f"compress[{tag}]")
+        count, packed = root.compress(mask, values)
+        assert count == want.shape[0]
+        assert_bits(packed, want, f"compress[{tag}]")
 
 
 @pytest.mark.parametrize("op", OPS)
@@ -216,9 +214,9 @@ def test_combining_write(tag, values, op):
             start = fill if op == "add" else _identity(values.dtype, op)
             slots[a] = _combine(op, start if slots[a] is None else slots[a], v, values.dtype)
     want = np.array([fill if s is None else s for s in slots], dtype=values.dtype)
-    for root in _roots():
-        got = root.raw(idx, values, size, combine=op, fill=fill)
-        assert_bits(got, want, f"raw[{op}][{tag}] fast_path={root.engine.fast_path}")
+    root = _root()
+    got = root.raw(idx, values, size, combine=op, fill=fill)
+    assert_bits(got, want, f"raw[{op}][{tag}]")
 
 
 @pytest.mark.parametrize("op", OPS)
@@ -229,10 +227,10 @@ def test_scan(tag, values, op):
         inc.append(_combine(op, inc[-1], v, values.dtype) if inc else v)
     want_inc = np.array(inc, dtype=values.dtype)
     want_exc = np.array([_identity(values.dtype, op)] + inc[:-1], dtype=values.dtype)
-    for root in _roots():
-        assert_bits(root.scan(values, op=op), want_inc, f"scan[{op}][{tag}]")
-        got = root.scan(values, op=op, inclusive=False)
-        assert_bits(got, want_exc[: values.shape[0]], f"exclusive scan[{op}][{tag}]")
+    root = _root()
+    assert_bits(root.scan(values, op=op), want_inc, f"scan[{op}][{tag}]")
+    got = root.scan(values, op=op, inclusive=False)
+    assert_bits(got, want_exc[: values.shape[0]], f"exclusive scan[{op}][{tag}]")
 
 
 @pytest.mark.parametrize("op", OPS)
@@ -241,11 +239,11 @@ def test_segmented_scan(tag, values, op):
     n = values.shape[0]
     segments = np.sort(_rng_for(tag).integers(0, max(n // 4, 1), n))
     want_inc, want_exc = _segmented(values, segments, op)
-    for root in _roots():
-        got = root.segmented_scan(values, segments, op=op)
-        assert_bits(got, want_inc, f"segscan[{op}][{tag}]")
-        got = root.segmented_scan(values, segments, op=op, inclusive=False)
-        assert_bits(got, want_exc, f"exclusive segscan[{op}][{tag}]")
+    root = _root()
+    got = root.segmented_scan(values, segments, op=op)
+    assert_bits(got, want_inc, f"segscan[{op}][{tag}]")
+    got = root.segmented_scan(values, segments, op=op, inclusive=False)
+    assert_bits(got, want_exc, f"exclusive segscan[{op}][{tag}]")
 
 
 @pytest.mark.parametrize("op", OPS)
@@ -259,12 +257,12 @@ def test_reduce(tag, values, op):
         want = _wrap64(sum(py))
     else:  # numpy sums floats pairwise; the exact sum bounds the rounding
         want = math.fsum(py) if np.isfinite(values).all() else math.nan
-    for root in _roots():
-        got = root.reduce(values, op=op)
-        assert got.dtype == values.dtype
-        if inexact and math.isnan(want):
-            assert math.isnan(got)
-        elif inexact:
-            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
-        else:
-            assert got == want
+    root = _root()
+    got = root.reduce(values, op=op)
+    assert got.dtype == values.dtype
+    if inexact and math.isnan(want):
+        assert math.isnan(got)
+    elif inexact:
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
+    else:
+        assert got == want

@@ -42,41 +42,15 @@ class TestProfile:
         assert "2 charges" in text and "0 charges" in text
 
 
-class TestMemoCounters:
-    def test_memo_round_trip_and_render(self):
-        prof = CostProfile(
-            by_label={"sort": 4.0}, calls={"sort": 1}, memo={"hits": 3, "misses": 2}
-        )
-        back = CostProfile.from_dict(prof.to_dict())
-        assert back.memo == {"hits": 3, "misses": 2}
-        assert "argsort memo: hits=3, misses=2" in back.render()
-
-    def test_memo_absent_stays_out_of_dict_and_render(self):
-        prof = profile([("sort", 1.0)])
-        assert "memo" not in prof.to_dict()
-        assert "argsort memo" not in prof.render()
-
-    def test_merge_sums_memo(self):
-        a = CostProfile(memo={"hits": 1, "misses": 4})
-        b = CostProfile(memo={"hits": 2})
-        merged = a.merge(b)
-        assert merged.memo == {"hits": 3, "misses": 4}
-        # merge must not mutate its inputs
-        assert a.memo == {"hits": 1, "misses": 4}
-
-    def test_engine_memo_feeds_counters(self):
-        from repro.mesh.records import drain_memo_counters
-
-        drain_memo_counters()
-        engine = MeshEngine(4, fast_path=True)
-        keys = np.array([3, 1, 2, 1], dtype=np.int64)
-        engine.root.argsort(keys)
-        engine.root.argsort(keys)  # second call hits the memo
-        counters = drain_memo_counters()
-        assert counters["misses"] >= 1
-        assert counters["hits"] >= 1
-        # drained: the process-wide totals reset
-        assert drain_memo_counters() == {"hits": 0, "misses": 0}
+class TestLegacyMemoKey:
+    def test_from_dict_ignores_old_memo_counters(self):
+        # bench documents written while the engine kept an argsort memo
+        # carry its hit/miss counters next to the step breakdown
+        doc = {"by_label": {"sort": 4.0}, "calls": {"sort": 1}, "memo": {"hits": 3}}
+        back = CostProfile.from_dict(doc)
+        assert back == CostProfile(by_label={"sort": 4.0}, calls={"sort": 1})
+        assert "memo" not in back.to_dict()
+        assert "memo" not in back.render()
 
 
 class TestRoundTrips:

@@ -289,7 +289,7 @@ class TestEndToEndE1:
     summed span step-charges equal the StepClock total (exact for any
     driver — parallel folds are applied to the spans themselves)."""
 
-    def _run(self, fast_path: bool):
+    def _run(self):
         from repro.core.hierdag import hierdag_multisearch
         from repro.core.model import QuerySet
         from repro.graphs.adapters import hierdag_search_structure
@@ -297,20 +297,19 @@ class TestEndToEndE1:
 
         dag, keys = build_mu_ary_search_dag(2, 10, seed=0)
         st = hierdag_search_structure(dag)
-        eng = MeshEngine.for_problem(dag.size, fast_path=fast_path)
+        eng = MeshEngine.for_problem(dag.size)
         tracer = Tracer(clock=eng.clock)
         qs = QuerySet.start(keys[:128].astype(np.float64), 0)
         res = hierdag_multisearch(eng, st, qs, mu=2.0, c=2)
         return eng, tracer, res
 
-    @pytest.mark.parametrize("fast_path", [False, True])
-    def test_span_steps_equal_clock_total(self, fast_path):
-        eng, tracer, res = self._run(fast_path)
+    def test_span_steps_equal_clock_total(self):
+        eng, tracer, res = self._run()
         assert tracer.total_steps == eng.clock.time
         assert res.mesh_steps == pytest.approx(eng.clock.time)
 
     def test_phase_spans_present_and_chrome_valid(self):
-        eng, tracer, _ = self._run(True)
+        eng, tracer, _ = self._run()
         names = {e["name"] for e in tracer.to_chrome()["traceEvents"]}
         assert "hierdag" in names
         assert "hierdag:setup" in names and "hierdag:bstar" in names
@@ -318,7 +317,7 @@ class TestEndToEndE1:
         json.dumps(tracer.to_chrome())  # serializable end to end
 
     def test_span_tree_structure(self):
-        eng, tracer, _ = self._run(True)
+        eng, tracer, _ = self._run()
         hierdag = tracer.root.children[0]
         assert hierdag.name == "hierdag"
         child_names = [c.name for c in hierdag.children]
