@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.pointloc import final_vertices
 from repro.core.hierdag import hierdag_multisearch
 from repro.core.model import QuerySet
 from repro.geometry.dk3d import DKHierarchy, dk_query_mu, dk_tangent_structure
@@ -142,14 +141,13 @@ def line_queries_on_structure(
     sides = np.concatenate([np.ones(m), -np.ones(m)])
     if engine is None:
         engine = MeshEngine(MeshShape.for_size(max(structure.size, 2 * m)).side)
-    qs = QuerySet.start(all_keys, 0, state_width=1, record_trace=True)
+    qs = QuerySet.start(all_keys, 0, state_width=1)
     qs.state[:, 0] = sides
     t0 = engine.clock.current
     with traced(engine.clock, "linepoly:search"):
-        hierdag_multisearch(engine, structure, qs, mu=mu, c=c)
+        finals = hierdag_multisearch(engine, structure, qs, mu=mu, c=c).final
     mesh_steps = engine.clock.current - t0
 
-    finals = final_vertices(qs)
     cand = original[finals]  # point ids of candidate tangent vertices
 
     intersects = np.zeros(m, dtype=bool)

@@ -56,7 +56,7 @@ def final_vertices(qs: QuerySet) -> np.ndarray:
     return np.where(live.any(axis=1), trace[np.arange(trace.shape[0]), last], -1)
 
 
-def _final_triangles(qs: QuerySet, structure) -> np.ndarray:
+def _final_triangles(finals: np.ndarray, structure) -> np.ndarray:
     """Map final DAG vertices back to base-triangulation triangle indices.
 
     The DAG lays its nodes out contiguously per level (coarsest first),
@@ -68,7 +68,6 @@ def _final_triangles(qs: QuerySet, structure) -> np.ndarray:
     level = np.asarray(structure.level)
     h = int(level.max(initial=0))
     start_h = int(np.searchsorted(level, h))
-    finals = final_vertices(qs)
     ok = (finals >= 0) & (level[np.clip(finals, 0, None)] == h)
     return np.where(ok, finals - start_h, -1)
 
@@ -92,17 +91,21 @@ def locate_on_structure(
         engine = MeshEngine(
             MeshShape.for_size(max(structure.size, queries.shape[0])).side
         )
-    qs = QuerySet.start(queries, 0, record_trace=True)
+    if method not in ("hierdag", "baseline"):
+        raise ValueError(f"unknown method {method!r}")
+    # Algorithm 1 reports each query's final vertex itself; the baseline
+    # leaves it in the visit log
+    qs = QuerySet.start(queries, 0, record_trace=method == "baseline")
     t0 = engine.clock.current
     with traced(engine.clock, "pointloc:search"):
         if method == "hierdag":
-            hierdag_multisearch(engine, structure, qs, mu=mu, c=c)
-        elif method == "baseline":
-            synchronous_multisearch(engine, structure, qs)
+            finals = hierdag_multisearch(engine, structure, qs, mu=mu, c=c).final
         else:
-            raise ValueError(f"unknown method {method!r}")
+            synchronous_multisearch(engine, structure, qs)
     with traced(engine.clock, "pointloc:finalize"):
-        triangle = _final_triangles(qs, structure)
+        if method == "baseline":
+            finals = final_vertices(qs)
+        triangle = _final_triangles(finals, structure)
     return triangle, engine.clock.current - t0
 
 
@@ -181,12 +184,12 @@ def locate_faces_mesh(
         engine = MeshEngine(
             MeshShape.for_size(max(structure.size, queries.shape[0])).side
         )
-    qs = QuerySet.start(queries, 0, record_trace=True)
+    qs = QuerySet.start(queries, 0)
     t0 = engine.clock.current
     with traced(engine.clock, "pointloc:search"):
-        hierdag_multisearch(engine, structure, qs, mu=mu, c=c)
+        finals = hierdag_multisearch(engine, structure, qs, mu=mu, c=c).final
     with traced(engine.clock, "pointloc:finalize"):
-        triangle = _final_triangles(qs, structure)
+        triangle = _final_triangles(finals, structure)
         # triangle -> face: O(1) local work per query (the map rides with
         # the triangle record on a real mesh)
         engine.root.charge_local(1, label="pointloc:face-map")

@@ -192,6 +192,10 @@ class _Advancer:
     With ``record_trace`` on, ``qs.current`` must stay live at every
     visit, so the advancer operates on ``qs`` directly and logs a visit
     after every level that has an active query.
+
+    In both modes every advance also records the vertex each advanced
+    query left, so :meth:`final` knows where a search stopped without a
+    visit log: callers that only need the final vertex run untraced.
     """
 
     def __init__(self, structure: SearchStructure, qs: QuerySet) -> None:
@@ -202,6 +206,8 @@ class _Advancer:
         at = qs.current >= 0  # active and placed (STOP is the only negative)
         levels[at] = structure.level[qs.current[at]]
         self.levels = levels
+        #: the vertex each query last advanced from (STOP before its first)
+        self.prev = np.full(qs.m, STOP, dtype=np.int64)
         self._unit = _unit_level_steps(structure)
         self._owned = not qs.record_trace
         if self._owned:
@@ -229,6 +235,13 @@ class _Advancer:
             .view(np.float64)
             .reshape(qs.state.shape)
         )
+
+    def final(self) -> np.ndarray:
+        """Each query's final vertex: the last vertex its search visited,
+        ``-1`` if none — the last non-STOP entry of its visit log, which
+        need not exist.  Valid after :meth:`flush`."""
+        cur = self.qs.current
+        return np.where(cur != STOP, cur, self.prev)
 
     def _next_levels(self, nxt: np.ndarray, vlevel: np.ndarray) -> np.ndarray:
         if self._unit:  # new level is old + 1 (or -1 on STOP): no gather
@@ -259,6 +272,7 @@ class _Advancer:
         )
         lv = self._next_levels(nxt, vlevel)
         if full:  # sel is arange(m): write whole columns, rebind levels
+            self.prev[:] = cs  # before cs, a view of column 0, is overwritten
             self.qblk[:, 0] = nxt
             self.qblk[:, 1] += 1
             if new_state is not st:
@@ -269,6 +283,7 @@ class _Advancer:
                 )
             self.levels = lv
         else:
+            self.prev[sel] = cs
             self.qblk[sel, 0] = nxt
             self.qblk[sel, 1] = qrow[:, 1] + 1
             if new_state is not st:
@@ -293,6 +308,7 @@ class _Advancer:
         nxt, new_state = self.structure.successor(
             cs, payload, adjacency, vlevel, qs.key[sel], st
         )
+        self.prev[sel] = cs
         qs.current[sel] = nxt
         if new_state is not st:  # writing the gathered state back is a no-op
             qs.state[sel] = new_state
@@ -361,7 +377,8 @@ def hierdag_multisearch(
 
     Mutates ``qs`` (all queries run until their successor STOPs or the
     bottom level is passed) and charges the engine clock.  Returns a
-    :class:`MultisearchResult` whose ``detail`` records per-stage charges.
+    :class:`MultisearchResult` whose ``detail`` records per-stage charges
+    and whose ``final`` holds each query's final vertex.
     """
     clock = engine.clock
     cost = clock.cost
@@ -430,4 +447,5 @@ def hierdag_multisearch(
         mesh_steps=clock.current - start_time,
         multisteps=multisteps,
         detail=detail,
+        final=advancer.final(),
     )

@@ -210,12 +210,18 @@ class QuerySet:
 
 @dataclass
 class MultisearchResult:
-    """Outcome of a mesh multisearch run."""
+    """Outcome of a mesh multisearch run.
+
+    ``final`` is each query's final vertex (the last vertex its search
+    visited, ``-1`` if none) when the algorithm tracks it — Algorithm 1
+    does, with or without ``record_trace`` — else ``None``.
+    """
 
     queries: QuerySet
     mesh_steps: float
     multisteps: int
     detail: dict[str, float] = field(default_factory=dict)
+    final: np.ndarray | None = None
 
 
 class GraphStore:

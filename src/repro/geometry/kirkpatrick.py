@@ -46,6 +46,7 @@ __all__ = [
     "build_kirkpatrick",
     "kirkpatrick_structure",
     "kirkpatrick_successor",
+    "in_child_triangles",
     "kirkpatrick_snapshot_arrays",
     "kirkpatrick_from_snapshot",
 ]
@@ -423,28 +424,67 @@ def kirkpatrick_successor(h: int):
     A factory rather than a closure inside :func:`kirkpatrick_structure`
     so a snapshot-restored structure (:mod:`repro.serve.snapshot`) can be
     rewired from its flat arrays alone, without re-running construction.
+    A query whose point lies in no child (outside the bounding triangle,
+    or not finite) stops where it is.
     """
 
     def successor(vid, vpayload, vadjacency, vlevel, qkey, qstate):
-        m = vid.shape[0]
-        nxt = np.full(m, STOP, dtype=np.int64)
         internal = vlevel < h
+        q = np.asarray(qkey)
+        if internal.all():  # a level-synchronous advance: the usual case
+            return _descend(q, vadjacency, vpayload), qstate
+        nxt = np.full(vid.shape[0], STOP, dtype=np.int64)
         if internal.any():
-            q = np.asarray(qkey)[internal]  # (mi, 2)
-            adj = vadjacency[internal]
-            pl = vpayload[internal]
-            # every child slot at once; the first containing one wins
-            tri = pl[:, 6:].reshape(q.shape[0], MAX_CHILDREN, 3, 2)
-            ok = (adj >= 0) & point_in_triangle(
-                q[:, None], tri[:, :, 0], tri[:, :, 1], tri[:, :, 2]
-            )
-            first = np.argmax(ok, axis=1)
-            nxt[internal] = np.where(
-                ok.any(axis=1), adj[np.arange(adj.shape[0]), first], STOP
+            nxt[internal] = _descend(
+                q[internal], vadjacency[internal], vpayload[internal]
             )
         return nxt, qstate
 
     return successor
+
+
+def _descend(q: np.ndarray, adj: np.ndarray, pl: np.ndarray) -> np.ndarray:
+    """The first child triangle of each node that contains its point."""
+    m = q.shape[0]
+    ok = in_child_triangles(q, pl[:, 6:].reshape(m, 3 * MAX_CHILDREN, 2))
+    ok &= adj >= 0
+    first = ok.argmax(axis=1)
+    return np.where(ok.any(axis=1), adj[np.arange(m), first], STOP)
+
+
+#: each corner's successor a -> b -> c -> a within its triangle, as a flat
+#: index over the 3 * MAX_CHILDREN corners of a payload row
+_NEXT_CORNER = (
+    np.arange(3 * MAX_CHILDREN).reshape(MAX_CHILDREN, 3)[:, [1, 2, 0]].ravel()
+)
+#: boundary tolerance of the child test, ``point_in_triangle``'s default
+_EPS = 1e-12
+
+
+def in_child_triangles(q: np.ndarray, corners: np.ndarray) -> np.ndarray:
+    """Which child triangles contain each point, boundary included.
+
+    ``q`` is ``(m, 2)``; ``corners`` is ``(m, 3 * MAX_CHILDREN, 2)``, row
+    ``i``'s triangle ``j`` being ``corners[i, 3j : 3j + 3]``.  Returns the
+    ``(m, MAX_CHILDREN)`` mask.  All ``3 * MAX_CHILDREN`` orientations of
+    a row are one broadcast: with ``d = corner - q``, the orientation of
+    ``(q, a, b)`` is ``dx_a * dy_b - dy_a * dx_b``, the same floating-point
+    operations in the same order as :func:`orient2d`, so for finite input
+    the mask equals :func:`point_in_triangle` element-wise.  A triangle
+    contains ``q`` when its three orientations are all ``>= -1e-12`` or
+    all ``<= 1e-12``; a NaN orientation fails both, so a non-finite point
+    lies in no triangle.
+    """
+    d = corners - q[:, None, :]
+    dx, dy = d[..., 0], d[..., 1]
+    o = (dx * dy[:, _NEXT_CORNER] - dy * dx[:, _NEXT_CORNER]).reshape(
+        q.shape[0], MAX_CHILDREN, 3
+    )
+    ge, le = o >= -_EPS, o <= _EPS
+    # all over the last axis, unrolled (a short-axis reduction is slow)
+    return (ge[..., 0] & ge[..., 1] & ge[..., 2]) | (
+        le[..., 0] & le[..., 1] & le[..., 2]
+    )
 
 
 def kirkpatrick_snapshot_arrays(

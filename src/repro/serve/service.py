@@ -189,8 +189,8 @@ class LinePolyService(MultisearchService):
 class IntervalCountService(MultisearchService):
     """Interval intersection counting on restored rank trees (Section 6).
 
-    Query row: ``[a, b]``.  Result: int64 count of stored intervals
-    intersecting ``[a, b]``.
+    Query row: ``[a, b]`` with finite ``a <= b``.  Result: int64 count of
+    stored intervals intersecting ``[a, b]``.
     """
 
     kind = "interval"
@@ -203,6 +203,24 @@ class IntervalCountService(MultisearchService):
         (self.st_l, self.st_r, self.sp_l, self.sp_r) = interval_count_from_snapshot(
             snapshot.arrays, snapshot.meta
         )
+
+    def canonical_queries(self, queries) -> np.ndarray:
+        """As the base, refusing rows the count is not defined for.
+
+        The count is two rank searches, ``#{l <= b} - #{r < a}``, which
+        equals ``#{l <= b, r >= a}`` only for an interval: a row with
+        ``a > b`` or a non-finite endpoint would get a wrong (even
+        negative) count, so it raises :class:`ValueError` instead.
+        """
+        q = super().canonical_queries(queries)
+        bad = ~(np.isfinite(q).all(axis=1) & (q[:, 0] <= q[:, 1]))
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise ValueError(
+                f"interval query {i} must be finite [a, b] with a <= b; "
+                f"got {q[i].tolist()}"
+            )
+        return q
 
     def mesh_size(self, m: int) -> int:
         return max(self.st_l.size, self.st_r.size, m)

@@ -1,11 +1,13 @@
-"""Golden digests of the E1/E2 multisearch paths.
+"""Golden digests of the E1/E2 multisearch paths and the served apps.
 
-Each digest covers a finished query set (``current``, ``state``,
-``steps``, every ``trace`` snapshot) and the engine clock's total
-charge.  The values were recorded once and must never change: how the
-host executes a primitive is free to change, what it computes and
-charges is not.  Every case runs twice on one structure, so the second
-run exercises whatever the engine caches on a structure after first use.
+Each multisearch digest covers a finished query set (``current``,
+``state``, ``steps``, every ``trace`` snapshot) and the engine clock's
+total charge; each app digest covers the answers and the mesh steps of
+:func:`locate_on_structure` and :func:`line_queries_on_structure`.  The
+values were recorded once and must never change: how the host executes
+a primitive is free to change, what it computes and charges is not.
+Every case runs twice on one structure, so the second run exercises
+whatever the engine caches on a structure after first use.
 """
 
 import hashlib
@@ -18,12 +20,15 @@ from repro.apps.interval_search import (
     count_on_structures,
     setup_interval_search,
 )
+from repro.apps.linepoly import line_polyhedron_queries
 from repro.apps.pointloc import locate_on_structure
+from repro.bench.workloads import random_lines, sphere_points
 from repro.core.alpha import alpha_multisearch
 from repro.core.constrained import constrained_multisearch
 from repro.core.hierdag import hierdag_multisearch
 from repro.core.model import QuerySet
 from repro.core.splitters import splitting_from_labels
+from repro.geometry.dk3d import build_dk_hierarchy
 from repro.geometry.kirkpatrick import build_kirkpatrick, kirkpatrick_structure
 from repro.graphs.adapters import (
     hierdag_search_structure,
@@ -128,6 +133,25 @@ E2_PINS = {
 TRACED_CM_PIN = "9d75f960baa8ee1b:fd3bf6ba:0x1.d8f0000000000p+13"
 TRACED_HIERDAG_PIN = "3d3230a196355010:74a69e23:0x1.c600000000000p+11"
 
+POINTLOC_KINDS = ("random", "vertex", "edge", "outside")
+POINTLOC_M = (1, 3, 64)
+# (answers digest, mesh steps) per (row kind, m)
+POINTLOC_PINS = {
+    ("random", 1): ("483deb0e76f45725", "0x1.1b68000000000p+14"),
+    ("random", 3): ("efe6e239af857bd4", "0x1.1b68000000000p+14"),
+    ("random", 64): ("6ecd48d947b09ba8", "0x1.1b68000000000p+14"),
+    ("vertex", 1): ("cc151cea205a8433", "0x1.1b68000000000p+14"),
+    ("vertex", 3): ("86fd69398cc74a39", "0x1.1b68000000000p+14"),
+    ("vertex", 64): ("76bb9e6763f185dd", "0x1.1b68000000000p+14"),
+    ("edge", 1): ("076b8f5c80d4733a", "0x1.1b68000000000p+14"),
+    ("edge", 3): ("1d2f465f7e4d2769", "0x1.1b68000000000p+14"),
+    ("edge", 64): ("477618cf6abb83b2", "0x1.1b68000000000p+14"),
+    ("outside", 1): ("12a3ae445661ce5d", "0x1.1b68000000000p+14"),
+    ("outside", 3): ("44a5f7891570e563", "0x1.1b68000000000p+14"),
+    ("outside", 64): ("9f56cda75fefeab9", "0x1.1b68000000000p+14"),
+}
+LINEPOLY_PIN = "f368714e9a7c844a:0x1.50d0000000000p+12:56"
+
 
 def e1_digests(height, seed, m):
     """Untraced then traced digests, each run twice on one structure."""
@@ -229,6 +253,60 @@ def traced_hierdag_digests():
             + f":{float(steps).hex()}"
         )
     return out
+
+
+@pytest.fixture(scope="module")
+def pointloc_case():
+    """A 1024-site Kirkpatrick DAG (the serving benchmark's size) and
+    64 rows of each kind: uniform, on a site, on a base-edge midpoint,
+    and outside the bounding triangle."""
+    rng = np.random.default_rng(11)
+    sites = rng.random((1024, 2))
+    hier = build_kirkpatrick(sites, seed=0)
+    structure, mu = kirkpatrick_structure(hier)
+    tris = hier.base_triangles[rng.permutation(hier.base_triangles.shape[0])[:64]]
+    a, b = hier.points[tris[:, 0]], hier.points[tris[:, 1]]
+    far = rng.uniform(-1.0, 1.0, (64, 2))
+    rows = {
+        "random": rng.random((64, 2)),
+        "vertex": sites[rng.permutation(1024)[:64]],
+        "edge": (a + b) / 2,
+        "outside": 1e3 * far / np.abs(far).max(axis=1, keepdims=True),
+    }
+    return structure, mu, rows
+
+
+def pointloc_digests(case, kind, m):
+    """Answers and steps of ``m`` rows of one kind, twice on one structure."""
+    structure, mu, rows = case
+    out = []
+    for _ in range(2):
+        tri, steps = locate_on_structure(structure, mu, rows[kind][:m])
+        tri_digest = hashlib.sha256(tri.tobytes()).hexdigest()[:16]
+        out.append((tri_digest, float(steps).hex()))
+    return out
+
+
+def linepoly_digest():
+    """Every output of one E6 point (n=128, m=256 lines)."""
+    hier = build_dk_hierarchy(sphere_points(128, seed=128), seed=1)
+    p0, d = random_lines(256, seed=2)
+    run = line_polyhedron_queries(hier, p0, d)
+    h = hashlib.sha256()
+    for arr in (run.intersects, run.tangent_left, run.tangent_right, run.planes):
+        h.update(str(arr.dtype).encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return f"{h.hexdigest()[:16]}:{float(run.mesh_steps).hex()}:{run.improved}"
+
+
+@pytest.mark.parametrize("m", POINTLOC_M)
+@pytest.mark.parametrize("kind", POINTLOC_KINDS)
+def test_pointloc_pinned(pointloc_case, kind, m):
+    assert pointloc_digests(pointloc_case, kind, m) == [POINTLOC_PINS[kind, m]] * 2
+
+
+def test_linepoly_pinned():
+    assert linepoly_digest() == LINEPOLY_PIN
 
 
 @pytest.mark.parametrize("height,seed,m", E1_GRID)

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.apps.pointloc import final_vertices
 from repro.core.baseline import synchronous_multisearch
 from repro.core.hierdag import hierdag_multisearch, lemma1_band_steps, plan_hierdag
-from repro.core.model import QuerySet, run_reference
+from repro.core.model import STOP, QuerySet, run_reference
+from repro.geometry.kirkpatrick import build_kirkpatrick, kirkpatrick_structure
 from repro.graphs.adapters import hierdag_search_structure
 from repro.graphs.hierarchical import build_mu_ary_search_dag
 from repro.mesh.engine import MeshEngine
@@ -67,6 +69,45 @@ class TestCorrectness:
         res = hierdag_multisearch(eng, st, qs, mu=2.0)
         assert qs.paths() == ref.paths()
         assert len(res.detail) >= 2
+
+
+class TestFinalVertex:
+    """``MultisearchResult.final`` is the last vertex of each query's visit
+    log, and the same whether or not the log is kept."""
+
+    @staticmethod
+    def check(st, keys, starts, mu, size):
+        finals = []
+        for record_trace in (True, False):
+            eng = MeshEngine.for_problem(size)
+            qs = QuerySet.start(keys, starts, record_trace=record_trace)
+            finals.append(hierdag_multisearch(eng, st, qs, mu=mu, c=2).final)
+            if record_trace:
+                want = final_vertices(qs)
+        assert finals[0].dtype == finals[1].dtype == np.int64
+        assert finals[0].tolist() == finals[1].tolist() == want.tolist()
+        return want
+
+    @pytest.mark.parametrize("height", [4, 5, 6, 7])
+    @pytest.mark.parametrize("m", [16, 57, 96])
+    def test_e1_grid(self, height, m):
+        dag, leaf_keys = build_mu_ary_search_dag(2, height, seed=1)
+        st = hierdag_search_structure(dag)
+        keys = np.random.default_rng(m).uniform(leaf_keys[0], leaf_keys[-1], m)
+        # most start at the root, some mid-DAG, some already stopped
+        starts = np.zeros(m, dtype=np.int64)
+        starts[1::5] = dag.level_start[2]
+        starts[::7] = STOP
+        want = self.check(st, keys, starts, 2.0, max(dag.size, m))
+        assert (want[::7] == -1).all() and (want[1:] >= 0).any()
+
+    def test_kirkpatrick_dag(self):
+        rng = np.random.default_rng(3)
+        sites = rng.uniform(0, 1, (200, 2))
+        st, mu = kirkpatrick_structure(build_kirkpatrick(sites, seed=0))
+        keys = np.vstack([rng.uniform(0, 1, (40, 2)), sites[:10], [[1e6, 1e6]]])
+        want = self.check(st, keys, 0, mu, max(st.size, keys.shape[0]))
+        assert want[-1] == 0  # outside the bounding triangle: stops at the root
 
 
 class TestPlanning:

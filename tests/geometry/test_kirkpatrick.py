@@ -13,6 +13,7 @@ from repro.core.model import STOP, QuerySet, run_reference
 from repro.geometry.kirkpatrick import (
     MAX_CHILDREN,
     build_kirkpatrick,
+    in_child_triangles,
     kirkpatrick_snapshot_arrays,
     kirkpatrick_structure,
     kirkpatrick_successor,
@@ -148,7 +149,10 @@ class TestSmallInputs:
 
 
 def _reference_successor(h: int):
-    """The descent tested one child slot at a time (the reference)."""
+    """The descent tested one child slot at a time (the reference).
+
+    A point that is not finite lies in no child, so its query stops.
+    """
 
     def successor(vid, vpayload, vadjacency, vlevel, qkey, qstate):
         nxt = np.full(vid.shape[0], STOP, dtype=np.int64)
@@ -158,7 +162,7 @@ def _reference_successor(h: int):
         pl = vpayload[internal]
         mi = q.shape[0]
         chosen = np.full(mi, STOP, dtype=np.int64)
-        undecided = np.ones(mi, dtype=bool)
+        undecided = np.isfinite(q).all(axis=1)
         for slot in range(MAX_CHILDREN):
             cand = adj[:, slot]
             tri = pl[:, 6 + 6 * slot : 12 + 6 * slot].reshape(mi, 3, 2)
@@ -228,6 +232,64 @@ class TestSuccessor:
             vid, key = nxt[keep], key[keep]
         # and at random vertices of every level, mostly missing all children
         check(rng.integers(0, st_.n_vertices, q.shape[0]), q)
+
+
+class TestChildTriangleKernel:
+    """The one-broadcast kernel equals ``point_in_triangle`` element-wise."""
+
+    @staticmethod
+    def _rows(rng, n, integer):
+        """``n`` rows of MAX_CHILDREN triangles (either orientation, some
+        degenerate) and, per row, a point on triangle 0's vertex, its
+        edge midpoint, one ulp either side of that midpoint, or anywhere."""
+        if integer:  # exact midpoints: orientations hit 0 exactly
+            tri = rng.integers(-8, 9, (n, MAX_CHILDREN, 3, 2)).astype(np.float64)
+        else:
+            tri = rng.uniform(-1.0, 1.0, (n, MAX_CHILDREN, 3, 2))
+        tri[: n // 8, -1] = 0.0  # the zero padding of an unused slot
+        a, b = tri[:, 0, 0], tri[:, 0, 1]
+        mid = (a + b) / 2
+        kind = np.arange(n) % 5
+        q = np.select(
+            [kind[:, None] == k for k in range(4)],
+            [a, mid, np.nextafter(mid, np.inf), np.nextafter(mid, -np.inf)],
+            rng.uniform(-1.0, 1.0, (n, 2)),
+        )
+        return q, tri
+
+    @pytest.mark.parametrize("integer", [False, True], ids=["float", "grid"])
+    def test_matches_point_in_triangle(self, integer):
+        q, tri = self._rows(np.random.default_rng(7), 4000, integer)
+        got = in_child_triangles(q, tri.reshape(q.shape[0], 3 * MAX_CHILDREN, 2))
+        want = point_in_triangle(
+            q[:, None], tri[:, :, 0], tri[:, :, 1], tri[:, :, 2]
+        )
+        assert got.tolist() == want.tolist()
+        assert 0.05 < got.mean() < 0.95  # both outcomes well represented
+
+    def test_orientation_of_exactly_eps_is_on_the_edge(self):
+        # q = 0 and a corner 1e-12 off it: two orientations are exactly
+        # -eps (first row) or +eps (second row), the tie point_in_triangle
+        # puts inside
+        tri = np.zeros((2, MAX_CHILDREN, 3, 2))
+        tri[0, 0] = [[1e-12, 0.0], [0.0, -1.0], [1.0, 1.0]]
+        tri[1, 0] = [[1e-12, 0.0], [0.0, 1.0], [1.0, -1.0]]
+        q = np.zeros((2, 2))
+        got = in_child_triangles(q, tri.reshape(2, 3 * MAX_CHILDREN, 2))
+        want = point_in_triangle(
+            q[:, None], tri[:, :, 0], tri[:, :, 1], tri[:, :, 2]
+        )
+        assert got.tolist() == want.tolist()
+        assert got[:, 0].all()
+
+    def test_non_finite_point_in_no_triangle(self):
+        _, tri = self._rows(np.random.default_rng(8), 6, integer=False)
+        q = np.array(
+            [[np.nan, 0.0], [0.0, np.nan], [np.inf, 0.0], [0.0, -np.inf],
+             [np.inf, np.inf], [np.nan, np.nan]]
+        )
+        got = in_child_triangles(q, tri.reshape(6, 3 * MAX_CHILDREN, 2))
+        assert not got.any()
 
 
 def _reference_overlap(t1, t2, eps=1e-12):

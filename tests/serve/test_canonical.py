@@ -98,8 +98,9 @@ class TestNonFiniteCacheKeys:
         assert cache.counters()["misses"] == 1
 
     def test_nan_queries_serve_without_polluting_cache(self, pointloc_env):
-        """NaN rows still get (non-)answers, but the cache stays clean and
-        every stored key decodes to finite float64s."""
+        """Non-finite rows are answered ``-1`` (located in no triangle),
+        the cache stays clean and every stored key decodes to finite
+        float64s."""
         service = pointloc_env["service"]
         qs = np.array([[0.5, 0.5], [np.nan, 0.5], [0.25, np.inf], [0.75, 0.75]])
         cache = ResultCache(64)
@@ -114,6 +115,9 @@ class TestNonFiniteCacheKeys:
 
         results = asyncio.run(run())
         assert len(results) == 4
+        assert results[1] == results[2] == -1
+        direct, _ = service.run_batch(qs[[0, 3]])
+        assert [results[0], results[3]] == direct
         assert len(cache) == 2  # only the finite rows were cached
         for _sid, qbytes in cache.keys():
             decoded = np.frombuffer(qbytes, dtype=np.float64)

@@ -1,10 +1,13 @@
 """Restore fidelity: a snapshot-restored service answers exactly like a
 fresh build running the same queries directly."""
 
+import asyncio
+
 import numpy as np
 import pytest
 
 from repro.serve import (
+    BatchingServer,
     IntervalCountService,
     LinePolyService,
     PointLocationService,
@@ -109,3 +112,45 @@ class TestDispatchAndValidation:
         r3, _ = service.run_batch(as_list)
         assert np.array_equal(np.array(r1), np.array(r2))
         assert np.array_equal(np.array(r1), np.array(r3))
+
+
+class TestIntervalRowValidation:
+    """The count ``#{l <= b} - #{r < a}`` holds only for finite ``a <= b``:
+    any other row is refused, never answered with a wrong count."""
+
+    BAD = [[0.5, 0.4], [0.5, 0.49], [np.inf, 0.5], [0.2, np.inf], [np.nan, 0.5]]
+
+    @pytest.mark.parametrize(
+        "row", BAD, ids=["reversed", "reversed-close", "inf-a", "inf-b", "nan"]
+    )
+    def test_malformed_row_refused(self, interval_env, row):
+        service = interval_env["service"]
+        batch = np.vstack([interval_env["queries"][:3], [row]])
+        with pytest.raises(ValueError, match="a <= b"):
+            service.run_batch(batch)
+
+    def test_point_interval_matches_brute_force(self, interval_env):
+        from repro.intervals.interval_tree import brute_force_intersections
+
+        a = interval_env["lefts"][:5]
+        results, _ = interval_env["service"].run_batch(np.stack([a, a], axis=1))
+        for count, x in zip(results, a):
+            want = brute_force_intersections(
+                interval_env["lefts"], interval_env["rights"], x, x
+            ).size
+            assert count == want > 0
+
+    def test_bad_row_fails_only_its_caller(self, interval_env):
+        good = interval_env["queries"][:3]
+        server = BatchingServer(interval_env["service"], batch_size=4, deadline_s=0.005)
+
+        async def run():
+            tasks = [asyncio.ensure_future(server.submit(q)) for q in good]
+            tasks.append(asyncio.ensure_future(server.submit([0.5, 0.4])))
+            await server.drain()
+            return await asyncio.gather(*tasks, return_exceptions=True)
+
+        outcomes = asyncio.run(run())
+        assert isinstance(outcomes[-1], ValueError)
+        direct, _ = interval_env["service"].run_batch(good)
+        assert np.array_equal(np.array(outcomes[:-1]), np.array(direct))
