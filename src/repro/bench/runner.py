@@ -65,6 +65,8 @@ from multiprocessing.connection import wait as _conn_wait
 
 import numpy as np
 
+from repro.util.child import ensure_child_path
+
 __all__ = [
     "REGISTRY",
     "BenchSpec",
@@ -534,20 +536,6 @@ def _load_checkpoint(path: pathlib.Path | None, config: dict) -> dict[str, dict]
     }
 
 
-def _ensure_child_paths() -> None:
-    """Make ``repro`` and the bench modules importable in spawned workers.
-
-    Spawned children rebuild ``sys.path`` from the environment, so a parent
-    that found ``repro`` some other way (pytest conftest, editable install)
-    must pass the paths down explicitly.
-    """
-    parts = [str(REPO_ROOT / "src"), str(BENCH_DIR)]
-    for part in os.environ.get("PYTHONPATH", "").split(os.pathsep):
-        if part and part not in parts:
-            parts.append(part)
-    os.environ["PYTHONPATH"] = os.pathsep.join(parts)
-
-
 def run_bench(
     bench: str,
     jobs: int,
@@ -577,7 +565,7 @@ def run_bench(
     points = spec.points[:1] if smoke else spec.points
     if smoke:
         repeats, warmup = 1, 1
-    _ensure_child_paths()
+    ensure_child_path(BENCH_DIR)
     config = {
         "bench": bench, "repeats": repeats, "warmup": warmup,
         "smoke": smoke, "profile": profile, "trace": trace,

@@ -1,5 +1,5 @@
 """Sharded multi-chip mesh: chip-grid topology, hierarchical charging,
-and per-chiplet record stores (in-process or process-backed).
+and per-chiplet record stores (host-resident numpy columns).
 
 See DESIGN.md §9.  The single-chip degenerate case (``chip_rows ==
 chip_cols == 1``) is byte-identical — outputs *and* total charged steps
@@ -8,20 +8,13 @@ property suite's anchor (``tests/shard/``).
 """
 
 from repro.mesh.shard.engine import ShardedMeshEngine
-from repro.mesh.shard.records import (
-    InProcessShard,
-    ProcessShard,
-    ShardedRecordSet,
-    ShardStore,
-)
+from repro.mesh.shard.records import HostShard, ShardedRecordSet
 from repro.mesh.shard.topology import MultiChipMesh, XChipCost
 
 __all__ = [
     "MultiChipMesh",
     "XChipCost",
     "ShardedMeshEngine",
-    "ShardStore",
-    "InProcessShard",
-    "ProcessShard",
+    "HostShard",
     "ShardedRecordSet",
 ]

@@ -1,21 +1,13 @@
 """Sharded record storage: one store per chiplet, primitives decomposed.
 
 A :class:`ShardedRecordSet` partitions ``n`` records (named column
-arrays) across one :class:`ShardStore` per chiplet of a
+arrays) across one :class:`HostShard` per chiplet of a
 :class:`~repro.mesh.shard.topology.MultiChipMesh`, in contiguous
 row-index slices (chip ``0``'s shard holds the first cut, row-major chip
 order) — the sharded analogue of the flat engine's "record *i* lives on
-processor *i*" convention.
-
-Two store implementations sit behind the same interface:
-
-* :class:`InProcessShard` — plain per-shard numpy arrays (the default);
-* :class:`ProcessShard` — the same operations executed in a
-  spawn-context child process over a duplex pipe, so a sweep's record
-  storage can exceed one process's address space.  Dillabaugh's
-  external-memory path-traversal layouts (PAPERS.md) motivate keeping
-  each shard's columns blocked behind a narrow interface: the host only
-  ever sees whole-shard gets and per-shard orders, never random rows.
+processor *i*" convention.  A shard is plain per-shard numpy arrays in
+the host process: the sharded mesh is a cost model, and its charges do
+not depend on where a shard's columns live.
 
 Primitives decompose into **intra-chip phases** (every shard works
 concurrently — charged per chiplet under a ``clock.parallel()``
@@ -47,9 +39,6 @@ primitive faults.
 
 from __future__ import annotations
 
-import os
-import pathlib
-from multiprocessing import get_context
 from typing import Sequence
 
 import numpy as np
@@ -60,40 +49,9 @@ from repro.mesh.shard.topology import MultiChipMesh
 from repro.mesh.topology import _cuts
 from repro.mesh.trace import traced
 
-__all__ = ["ShardStore", "InProcessShard", "ProcessShard", "ShardedRecordSet"]
+__all__ = ["HostShard", "ShardedRecordSet"]
 
 _SCAN_OPS = {"add": np.add, "max": np.maximum, "min": np.minimum}
-
-
-class ShardStore:
-    """One shard's column storage: the narrow per-chiplet interface."""
-
-    def put(self, columns: dict[str, np.ndarray]) -> None:
-        raise NotImplementedError
-
-    def get(self, names: Sequence[str] | None = None) -> dict[str, np.ndarray]:
-        raise NotImplementedError
-
-    def count(self) -> int:
-        raise NotImplementedError
-
-    def names(self) -> tuple[str, ...]:
-        raise NotImplementedError
-
-    def stable_order(self, key: str) -> np.ndarray:
-        """Stable argsort of the shard's ``key`` column."""
-        raise NotImplementedError
-
-    def take(self, order: np.ndarray) -> None:
-        """Apply one permutation/selection to every column in place."""
-        raise NotImplementedError
-
-    def local_scan(self, key: str, op: str = "add") -> np.ndarray:
-        """Inclusive scan of the shard's ``key`` column."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        pass
 
 
 def _check_columns(columns: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -106,7 +64,7 @@ def _check_columns(columns: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return cols
 
 
-class InProcessShard(ShardStore):
+class HostShard:
     """A shard held as plain numpy arrays in the host process."""
 
     def __init__(self) -> None:
@@ -125,9 +83,6 @@ class InProcessShard(ShardStore):
     def count(self) -> int:
         return self._count
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._columns)
-
     def stable_order(self, key: str) -> np.ndarray:
         return np.argsort(self._columns[key], kind="stable")
 
@@ -138,106 +93,6 @@ class InProcessShard(ShardStore):
 
     def local_scan(self, key: str, op: str = "add") -> np.ndarray:
         return _SCAN_OPS[op].accumulate(self._columns[key])
-
-
-# -- process-backed shard ----------------------------------------------------
-
-
-def _ensure_child_path() -> None:
-    """Make ``repro`` importable in spawned shard processes."""
-    import repro
-
-    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
-    parts = [src]
-    for part in os.environ.get("PYTHONPATH", "").split(os.pathsep):
-        if part and part not in parts:
-            parts.append(part)
-    os.environ["PYTHONPATH"] = os.pathsep.join(parts)
-
-
-def _shard_worker_main(conn) -> None:
-    """Child entry: an :class:`InProcessShard` driven over the pipe."""
-    store = InProcessShard()
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            break
-        op, args = msg[0], msg[1:]
-        if op == "close":
-            break
-        try:
-            result = getattr(store, op)(*args)
-        except Exception as exc:  # noqa: BLE001 - report, stay alive
-            conn.send(("err", f"{type(exc).__name__}: {exc}"))
-            continue
-        conn.send(("ok", result))
-    conn.close()
-
-
-class ProcessShard(ShardStore):
-    """A shard living in its own spawn-context process.
-
-    Same interface and byte-identical results as
-    :class:`InProcessShard` (the child *runs* one); columns travel
-    pickled over a duplex pipe, so the shard's memory belongs to the
-    child's address space, not the host's.
-    """
-
-    def __init__(self, mp_context: str = "spawn") -> None:
-        _ensure_child_path()
-        ctx = get_context(mp_context)
-        self._conn, child_conn = ctx.Pipe(duplex=True)
-        self._proc = ctx.Process(
-            target=_shard_worker_main, args=(child_conn,), daemon=True,
-            name="shard-store",
-        )
-        self._proc.start()
-        child_conn.close()
-
-    def _call(self, op: str, *args):
-        if self._proc is None:
-            raise RuntimeError("ProcessShard is closed")
-        self._conn.send((op, *args))
-        tag, payload = self._conn.recv()
-        if tag == "err":
-            raise RuntimeError(f"shard process failed on {op}: {payload}")
-        return payload
-
-    def put(self, columns: dict[str, np.ndarray]) -> None:
-        self._call("put", {k: np.asarray(v) for k, v in columns.items()})
-
-    def get(self, names: Sequence[str] | None = None) -> dict[str, np.ndarray]:
-        return self._call("get", None if names is None else tuple(names))
-
-    def count(self) -> int:
-        return self._call("count")
-
-    def names(self) -> tuple[str, ...]:
-        return self._call("names")
-
-    def stable_order(self, key: str) -> np.ndarray:
-        return self._call("stable_order", key)
-
-    def take(self, order: np.ndarray) -> None:
-        self._call("take", np.asarray(order))
-
-    def local_scan(self, key: str, op: str = "add") -> np.ndarray:
-        return self._call("local_scan", key, op)
-
-    def close(self) -> None:
-        if self._proc is None:
-            return
-        try:
-            self._conn.send(("close",))
-        except (BrokenPipeError, OSError):
-            pass
-        self._proc.join(timeout=5.0)
-        if self._proc.is_alive():
-            self._proc.kill()
-            self._proc.join()
-        self._conn.close()
-        self._proc = None
 
 
 # -- the sharded record set ---------------------------------------------------
@@ -261,9 +116,6 @@ class ShardedRecordSet:
         flag arms the per-shard and merge-point checks, and its
         installed fault injector's off-chip hook fires on every
         exchange.  Without an engine this is a pure storage layer.
-    process:
-        Back each shard with a :class:`ProcessShard` child process
-        instead of in-process arrays.
     """
 
     def __init__(
@@ -271,7 +123,6 @@ class ShardedRecordSet:
         columns: dict[str, np.ndarray],
         mesh: MultiChipMesh,
         engine: ShardedMeshEngine | None = None,
-        process: bool = False,
     ) -> None:
         cols = _check_columns(columns)
         if engine is not None and engine.chips != mesh:
@@ -286,24 +137,20 @@ class ShardedRecordSet:
             (ci, cj) for ci in range(mesh.chip_rows) for cj in range(mesh.chip_cols)
         ]
         cuts = _cuts(self.n, mesh.num_chips) if self.n >= 1 else None
-        self.shards: list[ShardStore] = []
+        self.shards: list[HostShard] = []
         for s in range(mesh.num_chips):
-            store: ShardStore = ProcessShard() if process else InProcessShard()
+            store = HostShard()
             lo, hi = (int(cuts[s]), int(cuts[s + 1])) if cuts is not None else (0, 0)
             store.put({k: v[lo:hi] for k, v in cols.items()})
             self.shards.append(store)
 
-    # -- lifecycle ---------------------------------------------------------
-
-    def close(self) -> None:
-        for store in self.shards:
-            store.close()
+    # -- lifecycle (shards are host arrays: nothing to release) -----------
 
     def __enter__(self) -> "ShardedRecordSet":
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
+        pass
 
     def __len__(self) -> int:
         return self.n

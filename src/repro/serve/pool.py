@@ -50,7 +50,6 @@ per-generation derived seeds) and fire inside the worker loop.
 from __future__ import annotations
 
 import os
-import pathlib
 import signal
 import threading
 import time
@@ -66,6 +65,7 @@ from repro.mesh.faults import PROCESS_FAULT_KINDS, FaultInjector, FaultPlan
 from repro.mesh.trace import emit_event
 from repro.serve.errors import BatchFailed, Overloaded, ServerClosed, WorkerUnavailable
 from repro.serve.ipc import ReplyCorrupt, decode_rows, encode_rows, pack_reply, unpack_reply
+from repro.util.child import ensure_child_path
 
 __all__ = ["WorkerPool", "POOL_STAT_KEYS"]
 
@@ -80,17 +80,12 @@ POOL_STAT_KEYS = (
 _SLOW_SEED_STRIDE = 1009     # per-slot fault-seed derivation stride
 _GENERATION_STRIDE = 9173    # per-restart-generation stride
 
-
-def _ensure_child_path() -> None:
-    """Make ``repro`` importable in spawned workers (mirrors the bench runner)."""
-    import repro
-
-    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
-    parts = [src]
-    for part in os.environ.get("PYTHONPATH", "").split(os.pathsep):
-        if part and part not in parts:
-            parts.append(part)
-    os.environ["PYTHONPATH"] = os.pathsep.join(parts)
+#: workers start like the bench runner's children: a fresh interpreter
+#: per process, so no parent state leaks into a failure domain
+START_METHOD = "spawn"
+#: silence a starting worker may keep before it is declared frozen
+#: (interpreter start, imports and snapshot restore)
+READY_TIMEOUT_S = 60.0
 
 
 # -- worker side -------------------------------------------------------------
@@ -266,21 +261,6 @@ class WorkerPool:
         seeds are derived so restarted workers draw fresh schedules.
     slow_s:
         Stall length an injected ``worker_slow`` sleeps for.
-    mp_context:
-        ``multiprocessing`` start method (default ``spawn``, matching
-        the bench runner's crash isolation).
-    shards:
-        Split every submitted batch's rows into up to this many
-        contiguous chunks dispatched as independent sub-batches (so
-        they land on distinct workers when workers are idle — the
-        shard-per-worker serving mode the sharded mesh unlocks).  The
-        returned future resolves with the per-query results
-        concatenated back in submission order and the per-shard mesh
-        steps summed; queries are answered independently, so the
-        results are byte-identical to an unsharded submit.  Each chunk
-        retries/hedges/fails independently; the first chunk failure
-        fails the whole submit.  ``1`` (default) preserves the
-        one-batch-one-worker behavior.
     """
 
     def __init__(
@@ -298,18 +278,13 @@ class WorkerPool:
         max_pending: int = 64,
         breaker_threshold: int = 3,
         restart_backoff_s: float = 0.1,
-        ready_timeout_s: float = 60.0,
         fault_plans=(),
         slow_s: float = 1.0,
-        mp_context: str = "spawn",
-        shards: int = 1,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
         plans = tuple(fault_plans)
         bad = [p.kind for p in plans if p.kind not in PROCESS_FAULT_KINDS]
         if bad:
@@ -334,11 +309,9 @@ class WorkerPool:
         self.max_pending = int(max_pending)
         self.breaker_threshold = int(breaker_threshold)
         self.restart_backoff_s = float(restart_backoff_s)
-        self.ready_timeout_s = float(ready_timeout_s)
         self.fault_plans = plans
         self.slow_s = float(slow_s)
-        self.shards = int(shards)
-        self._ctx = get_context(mp_context)
+        self._ctx = get_context(START_METHOD)
 
         self.stats: dict[str, float] = {key: 0 for key in POOL_STAT_KEYS}
         self._lock = threading.RLock()
@@ -350,7 +323,7 @@ class WorkerPool:
         self._stopping = threading.Event()
         self._wakeup_r, self._wakeup_w = os.pipe()
 
-        _ensure_child_path()
+        ensure_child_path()
         for slot in range(self.n_workers):
             self._workers[slot] = _Worker(slot=slot)
             self._spawn(self._workers[slot])
@@ -368,21 +341,8 @@ class WorkerPool:
         ``(results, mesh_steps)``.  Raises :class:`ServerClosed` /
         :class:`WorkerUnavailable` / :class:`Overloaded` synchronously —
         a rejected submit never creates a future.
-
-        With ``shards > 1`` the rows are cut into contiguous chunks
-        enqueued atomically (admission control sees all of them or
-        none); the future resolves with results re-concatenated in
-        submission order and the per-shard mesh steps summed.
         """
-        rows = np.asarray(rows)
-        n_shards = min(self.shards, max(1, int(rows.shape[0])))
-        if n_shards <= 1:
-            encoded = [encode_rows(rows)]
-        else:
-            bounds = np.linspace(0, rows.shape[0], n_shards + 1).astype(int)
-            encoded = [
-                encode_rows(rows[bounds[i]:bounds[i + 1]]) for i in range(n_shards)
-            ]
+        shape, data = encode_rows(np.asarray(rows))
         with self._lock:
             if self._closed:
                 raise ServerClosed("pool is closed; no new batches accepted")
@@ -391,64 +351,19 @@ class WorkerPool:
                     "every worker slot is quarantined (circuit breaker open); "
                     f"snapshot {self.snapshot_id[:12]}… cannot be served"
                 )
-            if len(self._queue) + len(self._inflight) + len(encoded) > self.max_pending:
+            if len(self._queue) + len(self._inflight) >= self.max_pending:
                 self.stats["shed"] += 1
                 emit_event("supervisor:shed")
                 raise Overloaded(
                     f"ingress queue full ({self.max_pending} batches pending); "
                     "load shed"
                 )
-            batches = []
-            for shape, data in encoded:
-                self._next_batch_id += 1
-                batches.append(
-                    _Batch(batch_id=self._next_batch_id, shape=shape, data=data)
-                )
-                self._queue.append(batches[-1])
-                self.stats["batches"] += 1
+            self._next_batch_id += 1
+            batch = _Batch(batch_id=self._next_batch_id, shape=shape, data=data)
+            self._queue.append(batch)
+            self.stats["batches"] += 1
         self._wake()
-        if len(batches) == 1:
-            return batches[0].future
-        return self._aggregate([b.future for b in batches])
-
-    @staticmethod
-    def _aggregate(parts: list[Future]) -> Future:
-        """One future over per-shard futures: ordered concat + summed steps.
-
-        The first shard failure (typed ``BatchFailed`` etc.) fails the
-        aggregate; late sibling results are discarded exactly like a
-        hedge loser's reply.
-        """
-        agg: Future = Future()
-        lock = threading.Lock()
-        slots: list = [None] * len(parts)
-        remaining = [len(parts)]
-
-        def _on_done(i: int):
-            def callback(fut: Future) -> None:
-                with lock:
-                    if agg.done():
-                        return
-                    exc = fut.exception()
-                    if exc is not None:
-                        agg.set_exception(exc)
-                        return
-                    slots[i] = fut.result()
-                    remaining[0] -= 1
-                    if remaining[0]:
-                        return
-                results: list = []
-                steps = 0.0
-                for part_results, part_steps in slots:
-                    results.extend(part_results)
-                    steps += float(part_steps)
-                agg.set_result((results, steps))
-
-            return callback
-
-        for i, part in enumerate(parts):
-            part.add_done_callback(_on_done(i))
-        return agg
+        return batch.future
 
     @property
     def pending(self) -> int:
@@ -806,7 +721,6 @@ class WorkerPool:
         """A worker died (crash, kill after hang, fatal restore failure)."""
         if worker.state in ("dead", "quarantined"):
             return
-        was_starting = worker.state == "starting"
         busy = worker.busy_batch
         worker.state = "dead"
         worker.busy_batch = None
@@ -825,10 +739,14 @@ class WorkerPool:
             return
         hold = self.restart_backoff_s * (2 ** (worker.consecutive_failures - 1))
         worker.restart_at = time.monotonic() + hold
-        if was_starting and reason.startswith("fatal"):
-            # restore failures are deterministic more often than not; the
-            # breaker escalates quickly but we still give it its chances
-            pass
+
+    def _kill_hung_locked(self, worker: _Worker, reason: str) -> None:
+        """A worker presumed frozen: kill it, then treat it as dead."""
+        self.stats["hangs"] += 1
+        proc = worker.process
+        if proc is not None and proc.is_alive():
+            proc.kill()
+        self._mark_dead_locked(worker, reason=reason)
 
     def _check_deadlines_locked(self) -> None:
         now = time.monotonic()
@@ -841,25 +759,12 @@ class WorkerPool:
                 self.stats["timeouts"] += 1
                 emit_event("supervisor:timeout")
                 if worker is not None and worker.busy_batch == batch.batch_id:
-                    # presumed hung: kill it; the sentinel fires but the
-                    # batch failure is charged here, exactly once
-                    self.stats["hangs"] += 1
-                    worker.busy_batch = None
-                    worker.state = "dead"
-                    worker.consecutive_failures += 1
-                    proc = worker.process
-                    if proc is not None and proc.is_alive():
-                        proc.kill()
-                    self._shutdown_worker(worker, grace=0.5)
-                    if worker.consecutive_failures >= self.breaker_threshold:
-                        worker.state = "quarantined"
-                        self.stats["quarantined"] += 1
-                        emit_event("supervisor:quarantine")
-                    else:
-                        worker.restart_at = now + self.restart_backoff_s * (
-                            2 ** (worker.consecutive_failures - 1)
-                        )
-                self._attempt_failed_locked(batch, "timeout")
+                    # presumed hung: the death path charges the batch's
+                    # failed attempt, exactly once (the sentinel then finds
+                    # the worker already dead)
+                    self._kill_hung_locked(worker, reason="timeout")
+                else:
+                    self._attempt_failed_locked(batch, "timeout")
 
     def _check_heartbeats_locked(self) -> None:
         now = time.monotonic()
@@ -868,15 +773,11 @@ class WorkerPool:
                 continue
             window = self.heartbeat_timeout_s
             if worker.state == "starting":
-                window = max(window, self.ready_timeout_s)
+                window = max(window, READY_TIMEOUT_S)
             if now - worker.last_hb < window:
                 continue
             # frozen: no heartbeat inside the window — kill and recover
-            self.stats["hangs"] += 1
-            proc = worker.process
-            if proc is not None and proc.is_alive():
-                proc.kill()
-            self._mark_dead_locked(worker, reason="hang")
+            self._kill_hung_locked(worker, reason="hang")
 
     def _restart_due_locked(self) -> None:
         now = time.monotonic()

@@ -138,8 +138,9 @@ class PointLocationService(MultisearchService):
 class LinePolyService(MultisearchService):
     """Line-polyhedron queries on a restored tangent DAG (Theorem 8.1).
 
-    Query row: ``[p0x, p0y, p0z, dx, dy, dz]``.  Result: an ``(11,)``
-    float64 row ``[intersects, tangent_left, tangent_right, plane_left(4),
+    Query row: ``[p0x, p0y, p0z, dx, dy, dz]``, finite, with a direction
+    of finite nonzero length.  Result: an ``(11,)`` float64 row
+    ``[intersects, tangent_left, tangent_right, plane_left(4),
     plane_right(4)]`` (planes NaN when the line intersects).
     """
 
@@ -155,6 +156,26 @@ class LinePolyService(MultisearchService):
         )
         self.c = c
         self.max_walk = max_walk
+
+    def canonical_queries(self, queries) -> np.ndarray:
+        """As the base, refusing rows that name no line.
+
+        The tangent keys divide by the direction's length, so a zero
+        direction (``dx = dy = dz = 0``), one whose length under- or
+        overflows, or a non-finite value would turn into NaN keys and an
+        arbitrary answer; such a row raises :class:`ValueError` instead.
+        """
+        q = super().canonical_queries(queries)
+        with np.errstate(over="ignore", invalid="ignore"):
+            length = np.linalg.norm(q[:, 3:6], axis=1)
+        bad = ~(np.isfinite(q).all(axis=1) & (length > 0) & (length < np.inf))
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise ValueError(
+                f"line query {i} must be finite [p0, d] with d of finite "
+                f"nonzero length; got {q[i].tolist()}"
+            )
+        return q
 
     def mesh_size(self, m: int) -> int:
         return max(self.structure.size, 2 * m)

@@ -1,4 +1,5 @@
-"""Shared utilities: deterministic RNG, iterated-logarithm machinery, records."""
+"""Shared utilities: deterministic RNG, iterated-logarithm machinery, records,
+and the start path of spawned child processes (:mod:`repro.util.child`)."""
 
 from repro.util.mathx import (
     ilog,

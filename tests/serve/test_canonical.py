@@ -1,5 +1,5 @@
-"""Satellite regressions: canonical-query contract, non-finite cache
-keys, and sharded worker-pool batches.
+"""Satellite regressions: canonical-query contract and non-finite cache
+keys.
 
 ``submit_many`` used to re-canonicalize each row on its way through
 ``submit`` — a pre-canonicalized (m, 1) slice of a width-1 service
@@ -14,7 +14,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.serve import BatchingServer, ResultCache, WorkerPool, query_cache_key
+from repro.serve import BatchingServer, ResultCache, query_cache_key
 from repro.serve.cache import drain_cache_counters
 
 
@@ -122,29 +122,3 @@ class TestNonFiniteCacheKeys:
         for _sid, qbytes in cache.keys():
             decoded = np.frombuffer(qbytes, dtype=np.float64)
             assert np.isfinite(decoded).all()
-
-
-class TestShardedWorkerPool:
-    @pytest.mark.parametrize("shards", [1, 2, 3])
-    def test_sharded_batches_byte_identical(self, pointloc_env, shards):
-        queries = pointloc_env["queries"][:9]
-        direct, direct_steps = pointloc_env["service"].run_batch(queries)
-        with WorkerPool(
-            pointloc_env["path"], workers=2, shards=shards, heartbeat_s=0.1
-        ) as pool:
-            results, steps = pool.submit_batch(queries).result(timeout=60)
-        assert np.array_equal(np.stack(results), np.stack(direct))
-        assert steps > 0
-
-    def test_more_shards_than_rows(self, pointloc_env):
-        queries = pointloc_env["queries"][:2]
-        direct, _ = pointloc_env["service"].run_batch(queries)
-        with WorkerPool(
-            pointloc_env["path"], workers=2, shards=8, heartbeat_s=0.1
-        ) as pool:
-            results, _ = pool.submit_batch(queries).result(timeout=60)
-        assert np.array_equal(np.stack(results), np.stack(direct))
-
-    def test_shards_validated(self, pointloc_env):
-        with pytest.raises(ValueError, match="shards"):
-            WorkerPool(pointloc_env["path"], shards=0)

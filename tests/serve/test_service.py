@@ -154,3 +154,45 @@ class TestIntervalRowValidation:
         assert isinstance(outcomes[-1], ValueError)
         direct, _ = interval_env["service"].run_batch(good)
         assert np.array_equal(np.array(outcomes[:-1]), np.array(direct))
+
+
+class TestLineRowValidation:
+    """A line row needs a finite point and a direction whose length is
+    finite and nonzero: the tangent keys divide by that length, so any
+    other row would be answered from NaN keys."""
+
+    BAD = [
+        [5.0, 5.0, 5.0, 0.0, 0.0, 0.0],
+        [np.nan, 0.0, 0.0, 1.0, 0.0, 0.0],
+        [np.inf, 0.0, 0.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0, -np.inf, 0.0],
+        [0.0, 0.0, 0.0, 1e-200, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1e200, 0.0, 0.0],
+    ]
+
+    @pytest.mark.parametrize(
+        "row", BAD,
+        ids=["zero-dir", "nan-p0", "inf-p0", "inf-dir", "dir-underflows", "dir-overflows"],
+    )
+    def test_malformed_row_refused(self, linepoly_env, row):
+        service = linepoly_env["service"]
+        batch = np.vstack([linepoly_env["queries"][:3], [row]])
+        with pytest.raises(ValueError, match="line query 3"):
+            service.run_batch(batch)
+
+    def test_bad_row_fails_only_its_caller(self, linepoly_env):
+        good = linepoly_env["queries"][:3]
+        server = BatchingServer(linepoly_env["service"], batch_size=4, deadline_s=0.005)
+
+        async def run():
+            tasks = [asyncio.ensure_future(server.submit(q)) for q in good]
+            tasks.append(asyncio.ensure_future(server.submit(self.BAD[0])))
+            await server.drain()
+            return await asyncio.gather(*tasks, return_exceptions=True)
+
+        outcomes = asyncio.run(run())
+        assert isinstance(outcomes[-1], ValueError)
+        direct, _ = linepoly_env["service"].run_batch(good)
+        assert np.array_equal(
+            np.array(outcomes[:-1]), np.array(direct), equal_nan=True
+        )

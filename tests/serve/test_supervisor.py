@@ -79,6 +79,7 @@ class TestCleanPath:
             assert pool.stats["timeouts"] == 0
             assert pool.stats["shed"] == 0
             assert pool.stats["restarts"] == 0
+            assert "dispatcher_errors" not in pool.stats
 
     def test_interval_service_through_pool(self, interval_env):
         queries = interval_env["queries"][:6]
@@ -146,6 +147,31 @@ class TestCrashRecovery:
             assert pool.worker_states() == {0: "quarantined"}
             with pytest.raises(WorkerUnavailable):
                 pool.submit_batch(pointloc_env["queries"][:2])
+
+
+class TestDeadline:
+    def test_hung_worker_killed_at_deadline(self, pointloc_env):
+        """A worker frozen mid-batch misses its reply deadline: it is killed
+        and restarted once, its second hang trips the breaker, and the
+        caller gets a typed error instead of waiting forever."""
+        plan = FaultPlan(seed=3, kind="worker_hang", rate=1.0, max_faults=None)
+        with _fast_pool(
+            pointloc_env["path"], workers=1, batch_deadline_s=0.3,
+            breaker_threshold=2, fault_plans=[plan],
+        ) as pool:
+            future = pool.submit_batch(pointloc_env["queries"][:2])
+            with pytest.raises(WorkerUnavailable):
+                future.result(timeout=60)
+            # the heartbeat window (3 s) never elapses first: every hang
+            # is caught by the 0.3 s deadline, so each is also a timeout
+            assert pool.stats["timeouts"] == 2
+            assert pool.stats["hangs"] == 2
+            assert pool.stats["restarts"] == 1
+            assert pool.stats["quarantined"] == 1
+            assert pool.stats["retries"] == 2
+            assert pool.stats["crashes"] == 0
+            assert pool.worker_states() == {0: "quarantined"}
+            assert "dispatcher_errors" not in pool.stats
 
 
 class TestCorruptReplies:

@@ -1,9 +1,8 @@
-"""ShardedRecordSet: decomposed primitives, process shards, xchip faults.
+"""ShardedRecordSet: decomposed primitives and xchip faults.
 
 The storage layer under the multi-chip mesh must reproduce the flat
 numpy reference byte-for-byte (stable sort, inclusive scan on integers,
-permutation route), whether shards are in-process slices or spawned
-child processes, and every off-chip fault kind must be caught at the
+permutation route), and every off-chip fault kind must be caught at the
 merge point by the paranoid checks.
 """
 
@@ -103,25 +102,6 @@ class TestShardingShape:
         eng = ShardedMeshEngine(MultiChipMesh.square(2, 4))
         with pytest.raises(ValueError, match="does not match"):
             ShardedRecordSet(make_columns(8), MultiChipMesh.square(1, 8), engine=eng)
-
-
-class TestProcessShards:
-    """Spawned shard children must be observationally identical."""
-
-    def test_ops_byte_identical_to_in_process(self):
-        mesh = MultiChipMesh.square(2, 2)
-        cols = make_columns(40, seed=3)
-        with ShardedRecordSet(cols, mesh) as local:
-            local.sort_by("key")
-            want_sorted = local.gather()
-            want_scan = local.scan("tag")
-        with ShardedRecordSet(cols, mesh, process=True) as procs:
-            procs.sort_by("key")
-            got_sorted = procs.gather()
-            got_scan = procs.scan("tag")
-        for name in cols:
-            assert got_sorted[name].tobytes() == want_sorted[name].tobytes()
-        assert got_scan.tobytes() == want_scan.tobytes()
 
 
 class TestCharging:
