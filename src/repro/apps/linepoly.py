@@ -71,7 +71,9 @@ class LinePolyRun:
     #: tangent planes as (m, 2, 4) [normal, offset]; NaN for intersecting
     planes: np.ndarray
     mesh_steps: float
-    #: queries whose descent needed a local improving walk (robustness net)
+    #: tangent searches (two per line) whose host check took at least one
+    #: local walk step: on the recorded workloads, both sides of every line
+    #: the walk declares intersecting (EXPERIMENTS.md E6)
     improved: int
 
 

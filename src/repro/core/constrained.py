@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from repro.core.splitters import Splitting
 from repro.mesh.engine import MeshEngine, Region
 from repro.mesh.faults import paranoid_boundary
 from repro.mesh.records import packed_vertices
-from repro.mesh.topology import block_spec
+from repro.mesh.topology import RegionSpec, block_spec
 from repro.mesh.trace import traced
 
 __all__ = ["constrained_multisearch", "ConstrainedStats"]
@@ -59,23 +60,36 @@ class ConstrainedStats:
     steps_histogram: dict[int, int] = field(default_factory=dict)
 
 
-def _grid_g(engine: MeshEngine, n: int, delta: float) -> int:
-    """Grid granularity: ``g x g`` blocks of ``~n^delta`` processors."""
+@dataclass(frozen=True)
+class _Plan:
+    """The per-(mesh, n, delta) constants of one Constrained-Multisearch."""
+
+    #: ``ceil(log2 n)``, the paper's ``x``
+    rounds: int
+    #: queries per subgraph copy, ``ceil(n^delta)``
+    cap: int
+    #: physical submeshes: the mesh is cut into ``g x g`` blocks
+    n_phys: int
+    #: block 0 of the grid: its side prices a round, and copies are dealt
+    #: to the blocks round-robin, so it is also the most loaded block
+    block0: RegionSpec
+
+
+@lru_cache(maxsize=256)
+def _plan(root: RegionSpec, n: int, delta: float) -> _Plan:
+    """Grid granularity ``g x g`` of blocks of ``~n^delta`` processors and
+    the other constants; a pure function of its arguments, so worked out
+    once per (mesh, structure size, delta) rather than on every call.
+    ``block_spec`` guarantees the same cuts as ``Region.partition``."""
     sub_records = max(1.0, float(n) ** delta)
     sub_side = max(1, math.ceil(math.sqrt(sub_records)))
-    return max(1, engine.shape.rows // sub_side)
-
-
-def _grid_block(engine: MeshEngine, g: int, index: int) -> Region:
-    """Block ``index`` (row-major) of the ``g x g`` grid, and nothing else.
-
-    The procedure only ever touches block 0 (for the common submesh side)
-    and the heaviest block (for the capacity spot-check), so it builds
-    those two instead of all ``g^2`` region objects.  ``block_spec``
-    guarantees the same cuts as ``Region.partition``.
-    """
-    spec = block_spec(engine.root.spec, g, g, index // g, index % g)
-    return Region(engine, spec)
+    g = max(1, root.rows // sub_side)
+    return _Plan(
+        rounds=max(1, math.ceil(math.log2(max(n, 2)))),
+        cap=max(1, int(math.ceil(float(n) ** delta))),
+        n_phys=g * g,
+        block0=block_spec(root, g, g, 0, 0),
+    )
 
 
 def constrained_multisearch(
@@ -111,13 +125,14 @@ def _constrained_multisearch(
     rounds: int | None,
     stats: ConstrainedStats | None,
 ) -> ConstrainedStats:
-    n = structure.size
-    delta = splitting.delta
     root = engine.root
+    cost = engine.clock.cost
+    plan = _plan(root.spec, structure.size, splitting.delta)
+    cap = plan.cap
     if stats is None:
         stats = ConstrainedStats()
     if rounds is None:
-        rounds = max(1, math.ceil(math.log2(max(n, 2))))
+        rounds = plan.rounds
     stats.rounds = rounds
 
     # Step 1: mark queries whose current vertex is in some G_i.  The comp
@@ -141,8 +156,7 @@ def _constrained_multisearch(
             combine="add",
             label="cm:gamma",
         )
-        cap = max(1, int(math.ceil(float(n) ** delta)))
-        gamma = -(-counts.astype(np.int64) // cap)  # ceil(count / cap)
+        gamma = -(-counts // cap)  # ceil(count / cap)
 
     # Step 3: nothing to do?
     total_copies = int(gamma.sum())
@@ -151,31 +165,23 @@ def _constrained_multisearch(
 
     # Step 4: create the copies.  Virtual submesh c holds copy
     # (component_of_copy[c], replica index); copies are assigned to
-    # physical submeshes round-robin.  Creating and distributing all
-    # copies is a constant number of global sort/route operations
-    # (total copied data = sum Gamma_i * |G_i| = O(n)).
+    # physical submeshes round-robin, so block 0 holds the most of them.
+    # Creating and distributing all copies is a constant number of global
+    # sort/route operations (total copied data = sum Gamma_i * |G_i| = O(n)).
     with traced(engine.clock, "cm:distribute"):
-        g = _grid_g(engine, n, delta)
-        n_phys = g * g
-        first_block = _grid_block(engine, g, 0)
-        component_of_copy = np.repeat(np.arange(k), gamma)
-        copy_base = np.concatenate([[0], np.cumsum(gamma)])  # component -> first copy id
-        phys_of_copy = np.arange(total_copies) % n_phys
         stats.copies_created = total_copies
-        copies_per_phys = np.bincount(phys_of_copy, minlength=n_phys)
-        stats.max_copies_per_submesh = int(copies_per_phys.max())
+        mc = stats.max_copies_per_submesh = -(-total_copies // plan.n_phys)
         # the copy broadcast: executed as one root sort + route (records of
         # every G_i annotated with replica ids), charged as such.
         root.charge_local(1, label="cm:copy-plan")
-        engine.charge_phase(root.side, engine.clock.cost.sort, "cm:copy-sort")
-        engine.charge_phase(root.side, engine.clock.cost.route, "cm:copy-route")
-        # capacity honesty: the heaviest physical submesh must hold its share
-        # of copied records within O(1) words per processor.
-        heavy = int(np.argmax(copies_per_phys))
-        heavy_records = int(
-            splitting.sizes[component_of_copy[phys_of_copy == heavy]].sum()
-        ) if total_copies else 0
-        _grid_block(engine, g, heavy).check_capacity(
+        engine.charge_phase(root.side, cost.sort, "cm:copy-sort")
+        engine.charge_phase(root.side, cost.route, "cm:copy-route")
+        # capacity honesty: the most loaded physical submesh (block 0, which
+        # holds copies 0, n_phys, 2 n_phys, ...) must hold its share of
+        # copied records within O(1) words per processor.
+        component_of_copy = np.repeat(np.arange(k), gamma)
+        heavy_records = int(splitting.sizes[component_of_copy[:: plan.n_phys]].sum())
+        Region(engine, plan.block0).check_capacity(
             heavy_records, per_proc=engine.capacity, what="copied subgraph records"
         )
 
@@ -183,35 +189,31 @@ def _constrained_multisearch(
         # rank within component -> replica = rank // cap  (so <= cap per copy).
         sort_key = np.where(marked, comp_of_cur, k)  # unmarked sort to the back
         order = root.argsort(sort_key, label="cm:query-sort")
-        sorted_comp = sort_key[order]
         rank_sorted = root.segmented_scan(
             np.ones(qs.m, dtype=np.int64),
-            sorted_comp,
+            sort_key[order],
             inclusive=False,
             label="cm:rank-scan",
         )
         ranked = np.empty(qs.m, dtype=np.int64)
         ranked[order] = rank_sorted
-        copy_of_query = np.full(qs.m, -1, dtype=np.int64)
-        mk = marked
-        copy_of_query[mk] = copy_base[comp_of_cur[mk]] + ranked[mk] // cap
-        engine.charge_phase(root.side, engine.clock.cost.route, "cm:query-route")
-        if mk.any():
-            per_copy = np.bincount(copy_of_query[mk], minlength=total_copies)
-            stats.max_queries_per_copy = int(per_copy.max())
-            if stats.max_queries_per_copy > cap:
-                raise AssertionError("copy overloaded: Lemma 3 packing violated")
+        engine.charge_phase(root.side, cost.route, "cm:query-route")
+        li = np.flatnonzero(marked)
+        comp_li = comp_of_cur[li]
+        first_copy = np.cumsum(gamma) - gamma  # component -> its first copy id
+        copy_li = first_copy[comp_li] + ranked[li] // cap
+        stats.max_queries_per_copy = int(np.bincount(copy_li).max())
+        if stats.max_queries_per_copy > cap:
+            raise AssertionError("copy overloaded: Lemma 3 packing violated")
 
     # Step 6: log2 n rounds inside the delta-submeshes (parallel max).
     # Data movement is executed as one vectorized batch per round; the
     # cost is that of the most-loaded physical submesh: its virtual copies
     # run sequentially, each round costing one RAR + one local step on a
-    # submesh of side first_block.side.
-    sub_side = first_block.side
-    mc = stats.max_copies_per_submesh
-    round_constant = engine.clock.cost.route * mc
-    round_extra = engine.clock.cost.local * mc
-    steps_in_cm = np.zeros(qs.m, dtype=np.int64)
+    # submesh of side block0.side.
+    sub_side = plan.block0.side
+    round_constant = cost.route * mc
+    round_extra = cost.local * mc
     with traced(engine.clock, "cm:rounds"):
         # The live set shrinks monotonically, so the loop owns compact
         # per-live arrays (current/key/state/step-count) and touches the
@@ -220,12 +222,12 @@ def _constrained_multisearch(
         # log).  Per-round work is one packed-row fancy-index plus
         # compressions of the shrinking live arrays.
         vertices = packed_vertices(structure)
-        li = np.flatnonzero(mk)
-        comp_li = comp_of_cur[li]
         cur_li = qs.current[li]
         key_li = qs.key[li]
         state_li = qs.state[li]
         steps_li = np.zeros(li.size, dtype=np.int64)
+        #: step counts of the queries that have left the loop
+        finished: list[np.ndarray] = []
         for _ in range(rounds):
             if not li.size:
                 break
@@ -236,8 +238,8 @@ def _constrained_multisearch(
             # next vertex stays in the same subgraph copy?
             # np.maximum == np.clip(nxt, 0, None) without the iinfo lookup
             stays = (nxt != STOP) & (comp_table[np.maximum(nxt, 0)] == comp_li)
-            stats.advanced_total += int(stays.sum())
-            if stays.all():
+            # == stays.all(), without ndarray.all's Python-level wrapper
+            if np.count_nonzero(stays) == stays.size:
                 cur_li = nxt
                 state_li = new_state
                 steps_li += 1
@@ -246,11 +248,11 @@ def _constrained_multisearch(
                 # drop out: flush their pre-round position/state and steps
                 out = ~stays
                 drop = li[out]
+                stepped = steps_li[out]
                 qs.current[drop] = cur_li[out]
                 qs.state[drop] = state_li[out]
-                stepped = steps_li[out]
                 qs.steps[drop] += stepped
-                steps_in_cm[drop] = stepped
+                finished.append(stepped)
                 li = li[stays]
                 comp_li = comp_li[stays]
                 key_li = key_li[stays]
@@ -264,14 +266,15 @@ def _constrained_multisearch(
             qs.current[li] = cur_li
             qs.state[li] = state_li
             qs.steps[li] += steps_li
-            steps_in_cm[li] = steps_li
+            finished.append(steps_li)
 
     # Step 7: discard copies; route the queries back to their home slots.
     with traced(engine.clock, "cm:return"):
-        engine.charge_phase(root.side, engine.clock.cost.route, "cm:return-route")
+        engine.charge_phase(root.side, cost.route, "cm:return-route")
         # histogram of small non-negative ints: bincount + nonzero yields
         # the {value: count} dict in ascending order, in O(n)
-        counts_hist = np.bincount(steps_in_cm[mk]) if mk.any() else np.array([], dtype=np.int64)
-        nz = np.flatnonzero(counts_hist)
-        stats.steps_histogram = {int(v): int(counts_hist[v]) for v in nz}
+        hist = np.bincount(np.concatenate(finished))
+        stats.steps_histogram = {int(v): int(hist[v]) for v in np.flatnonzero(hist)}
+        # every step a query took inside the procedure stayed in its copy
+        stats.advanced_total = sum(v * c for v, c in stats.steps_histogram.items())
     return stats

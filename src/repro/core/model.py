@@ -10,7 +10,7 @@ On the mesh, ``G``'s vertices live one per processor together with their
 adjacency (Appendix "initial configuration"), and a query *visits* a
 vertex when some processor holds copies of both records.  The mesh
 algorithms move copies of vertex records to queries (never the reverse
-semantics), which is what :class:`GraphStore` + :meth:`QuerySet.visit`
+semantics), which is what :class:`GraphStore` + :func:`advance_queries`
 implement on top of the engine's RAR primitive.
 
 :func:`run_reference` is the sequential oracle: it executes all search
@@ -26,6 +26,7 @@ from typing import Protocol
 import numpy as np
 
 from repro.mesh.engine import Region
+from repro.mesh.records import packed_vertices
 
 __all__ = [
     "STOP",
@@ -225,97 +226,46 @@ class MultisearchResult:
 
 
 class GraphStore:
-    """Vertex records of (a subgraph of) ``G`` resident in a mesh region.
+    """The vertex records of ``G`` resident in a mesh region.
 
-    Slot *j* of the region holds the record of global vertex ``ids[j]``;
-    ``ids`` is kept sorted so membership/locating is the standard
-    sort-and-merge, whose cost is part of every RAR/route charge.
-
-    A whole-structure store is the paper's initial configuration: ``G``
-    is resident before any search starts and only queries move.  It holds
-    the structure's own records as read-only views, so loading it copies
-    nothing and no search can write through to the structure.
+    The paper's initial configuration: ``G`` is resident before any
+    search starts and only queries move, so slot *v* of the region holds
+    vertex *v*'s record.  The store reads the structure's
+    :func:`~repro.mesh.records.packed_vertices` block (packed once and
+    cached on the structure, read-only), so loading copies nothing and
+    no search can write through to the structure.
     """
 
-    def __init__(
-        self,
-        region: Region,
-        ids: np.ndarray,
-        adjacency: np.ndarray,
-        payload: np.ndarray,
-        level: np.ndarray,
-        per_proc: int = 4,
-    ) -> None:
-        """Records in ``ids`` order; ``ids`` must be sorted ascending."""
+    def __init__(self, region: Region, structure: SearchStructure, per_proc: int = 4) -> None:
         self.region = region
-        self.ids = ids
-        self.adjacency = adjacency
-        self.payload = payload
-        self.level = level
-        region.check_capacity(self.ids.size, per_proc=per_proc, what="vertex records")
+        self.vertices = packed_vertices(structure)
+        self.n_vertices = structure.n_vertices
+        region.check_capacity(self.n_vertices, per_proc=per_proc, what="vertex records")
 
     @classmethod
     def load(
-        cls,
-        region: Region,
-        structure: SearchStructure,
-        vertex_ids: np.ndarray | None = None,
-        per_proc: int = 4,
+        cls, region: Region, structure: SearchStructure, per_proc: int = 4
     ) -> "GraphStore":
-        """Place (a subgraph of) ``structure`` into ``region``.
-
-        Without ``vertex_ids`` the store covers the whole structure:
-        ``ids`` is ``arange(V)`` (already sorted) and the records are
-        read-only views of the structure's arrays, so nothing is sorted
-        or copied.  A subgraph load sorts ``vertex_ids`` and copies the
-        selected records.
-        """
-        arrays = (structure.adjacency, structure.payload, structure.level)
-        if vertex_ids is None:
-            ids = np.arange(structure.n_vertices, dtype=np.int64)
-            records = [_read_only(a) for a in arrays]
-        else:
-            ids = np.asarray(vertex_ids, dtype=np.int64)
-            ids = ids[np.argsort(ids, kind="stable")]
-            records = [a[ids] for a in arrays]
-        return cls(region, ids, *records, per_proc=per_proc)
-
-    @property
-    def n_local(self) -> int:
-        return int(self.ids.size)
-
-    def locate(self, vids: np.ndarray) -> np.ndarray:
-        """Local slot of each global vertex id; ``-1`` if not resident."""
-        vids = np.asarray(vids, dtype=np.int64)
-        pos = np.searchsorted(self.ids, vids)
-        pos_clip = np.clip(pos, 0, max(self.ids.size - 1, 0))
-        hit = (self.ids.size > 0) & (vids >= 0)
-        if self.ids.size:
-            hit = hit & (self.ids[pos_clip] == vids)
-        return np.where(hit, pos_clip, -1)
-
-    def contains(self, vids: np.ndarray) -> np.ndarray:
-        return self.locate(vids) >= 0
+        """Place ``structure`` into ``region``."""
+        return cls(region, structure, per_proc=per_proc)
 
     def gather(self, vids: np.ndarray, label: str = "visit"):
-        """RAR the records of ``vids`` to the requesting queries.
+        """RAR the packed records of ``vids`` to the requesting queries.
 
-        Returns ``(found_mask, payload, adjacency, level)``; entries with
-        ``found_mask == False`` are undefined.  One RAR charge on the
-        region (covers the sort-and-merge concurrent-read simulation).
+        Returns ``(found_mask, rows)``: ``found_mask`` marks the ids of
+        resident vertices (``0 <= vid < V``), and ``rows`` holds their
+        records as :attr:`vertices` rows (split them with
+        ``vertices.fields``); rows with ``found_mask == False`` are
+        undefined.  One RAR charge on the region (covers the
+        sort-and-merge concurrent-read simulation).
         """
-        slots = self.locate(vids)
-        payload, adjacency, level = self.region.rar(
-            slots, self.payload, self.adjacency, self.level, label=label
+        vids = np.asarray(vids, dtype=np.int64)
+        # negative ids wrap to huge unsigned ones: one compare covers both ends
+        found = vids.view(np.uint64) < self.n_vertices
+        (rows,) = self.region.rar(
+            np.where(found, vids, STOP), self.vertices.block, label=label
         )
-        return slots >= 0, payload, adjacency, level
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """A write-protected view of ``a``; ``a`` itself stays writable."""
-    view = a.view()
-    view.setflags(write=False)
-    return view
+        return found, rows
 
 
 def advance_queries(
@@ -335,12 +285,12 @@ def advance_queries(
     if mask is None:
         mask = qs.active
     mask = mask & qs.active
-    found, vpay, vadj, vlev = store.gather(qs.current, label=label)
+    found, rows = store.gather(qs.current, label=label)
     do = mask & found
     store.region.charge_local(1, label=label + ":f")
     if do.any():
         nxt, new_state = structure.successor(
-            qs.current[do], vpay[do], vadj[do], vlev[do], qs.key[do], qs.state[do]
+            qs.current[do], *store.vertices.fields(rows[do]), qs.key[do], qs.state[do]
         )
         qs.current[do] = nxt
         qs.state[do] = new_state

@@ -473,13 +473,16 @@ def in_child_triangles(q: np.ndarray, corners: np.ndarray) -> np.ndarray:
     the mask equals :func:`point_in_triangle` element-wise.  A triangle
     contains ``q`` when its three orientations are all ``>= -1e-12`` or
     all ``<= 1e-12``; a NaN orientation fails both, so a non-finite point
-    lies in no triangle.
+    lies in no triangle.  That point's ``inf - inf`` is expected and does
+    not warn, so a served batch answers its row ``-1`` and every other
+    row as usual.
     """
     d = corners - q[:, None, :]
     dx, dy = d[..., 0], d[..., 1]
-    o = (dx * dy[:, _NEXT_CORNER] - dy * dx[:, _NEXT_CORNER]).reshape(
-        q.shape[0], MAX_CHILDREN, 3
-    )
+    with np.errstate(invalid="ignore"):
+        o = (dx * dy[:, _NEXT_CORNER] - dy * dx[:, _NEXT_CORNER]).reshape(
+            q.shape[0], MAX_CHILDREN, 3
+        )
     ge, le = o >= -_EPS, o <= _EPS
     # all over the last axis, unrolled (a short-axis reduction is slow)
     return (ge[..., 0] & ge[..., 1] & ge[..., 2]) | (

@@ -137,29 +137,31 @@ def ktree_rank_successor(k: int, h: int, strict: bool):
     :func:`ktree_rank_structure`) so a snapshot-restored structure can be
     rewired from its flat arrays without rebuilding the tree."""
 
+    below = np.less if strict else np.less_equal
+    #: leaves under each child of a depth-``d`` vertex, ``d < h``
+    leaves_per_child = k ** (h - np.arange(h) - 1).astype(np.float64)
+
     def successor(vid, vpayload, vadjacency, vlevel, qkey, qstate):
         m = vid.shape[0]
-        nxt = np.full(m, STOP, dtype=np.int64)
         new_state = np.array(qstate, copy=True)
         keys = np.asarray(qkey).reshape(m)
         internal = vlevel < h
+        if np.count_nonzero(internal) == m:  # internal.all(), unwrapped
+            # whole batch at internal vertices (every round but the last
+            # of a level-synchronous descent): index directly, no masks
+            idx = below(vpayload[:, : k - 1], keys[:, None]).sum(axis=1)
+            new_state[:, 0] += idx * leaves_per_child[vlevel]
+            return vadjacency[np.arange(m), idx], new_state
+        nxt = np.full(m, STOP, dtype=np.int64)
         if internal.any():
             seps = vpayload[internal, : k - 1]
-            x = keys[internal]
-            if strict:
-                idx = (seps < x[:, None]).sum(axis=1)
-            else:
-                idx = (seps <= x[:, None]).sum(axis=1)
+            idx = below(seps, keys[internal][:, None]).sum(axis=1)
             nxt[internal] = vadjacency[internal, :][np.arange(idx.size), idx]
-            leaves_per_child = k ** (h - vlevel[internal] - 1).astype(np.float64)
-            new_state[internal, 0] += idx * leaves_per_child
+            new_state[internal, 0] += idx * leaves_per_child[vlevel[internal]]
         leaf = ~internal
         if leaf.any():
             key_here = vpayload[leaf, k - 1]  # a leaf's subtree_lo is its key
-            if strict:
-                new_state[leaf, 0] += (key_here < keys[leaf]).astype(np.float64)
-            else:
-                new_state[leaf, 0] += (key_here <= keys[leaf]).astype(np.float64)
+            new_state[leaf, 0] += below(key_here, keys[leaf]).astype(np.float64)
         return nxt, new_state
 
     return successor

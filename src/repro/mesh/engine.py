@@ -488,11 +488,12 @@ class Region:
         for t in tables:
             self._check_records(np.asarray(t))
         self._charge(self.engine.clock.cost.route, label, volume=n)
-        live = addresses >= 0
+        # the largest address is the largest live one whenever one is live
+        top = int(addresses.max(initial=-1))
         outs: list[np.ndarray] = []
         for t in tables:
             t = np.asarray(t)
-            if live.any() and int(addresses[live].max()) >= t.shape[0]:
+            if top >= t.shape[0]:
                 raise ValueError("rar address out of range")
             outs.append(kernels.take(t, addresses, fill=fill))
         return tuple(outs)
@@ -519,7 +520,7 @@ class Region:
             raise ValueError(f"unknown combine {combine!r}")
         self._charge(self.engine.clock.cost.route, label, volume=n)
         live = addresses >= 0
-        if live.any() and int(addresses[live].max()) >= size:
+        if int(addresses.max(initial=-1)) >= size:
             raise ValueError("raw address out of range")
         if combine == "add":
             idx = addresses[live]

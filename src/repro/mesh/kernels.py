@@ -33,9 +33,12 @@ def identity(dtype: np.dtype, op: str):
 
 def take(table: np.ndarray, idx: np.ndarray, fill=0) -> np.ndarray:
     """Gather rows ``out[i] = table[idx[i]]``; ``idx[i] == -1`` yields ``fill``."""
-    live = idx >= 0
-    out = np.full((idx.shape[0],) + table.shape[1:], fill, dtype=table.dtype)
-    out[live] = table[idx[live]]
+    if not table.shape[0]:
+        return np.full((idx.shape[0],) + table.shape[1:], fill, dtype=table.dtype)
+    # negative ids clip to row 0 and are overwritten; ids past the end
+    # are the caller's to reject
+    out = table.take(idx, axis=0, mode="clip")
+    out[idx < 0] = fill
     return out
 
 

@@ -2,15 +2,17 @@
 
 A search structure's vertex record is three arrays: ``adjacency``
 (``(V, d)`` int64), ``level`` (``(V,)`` int64) and ``payload``
-(``(V, p)`` float64).  The Algorithm 1 advancer
-(:mod:`repro.core.hierdag`) and the Constrained-Multisearch round loop
-(:mod:`repro.core.constrained`) read the whole record of every vertex
-their live queries visit, once per level or round.  Reading three
-arrays costs three random gathers; :func:`packed_vertices` stacks the
-fields into ONE int64 block (floats bit-cast, which is lossless at equal
-itemsize), so the same read is a single row fancy-index touching one
-aligned row per vertex.  The gathers are memory-latency-bound, so one
-row stream instead of three is what the loops gain.
+(``(V, p)`` float64).  Every multisearch reads the whole record of each
+vertex its live queries visit: the Algorithm 1 advancer
+(:mod:`repro.core.hierdag`) once per level, the Constrained-Multisearch
+round loop (:mod:`repro.core.constrained`) once per round, and the
+full-mesh multistep (:class:`repro.core.model.GraphStore`) as one RAR.
+Reading three arrays costs three random gathers; :func:`packed_vertices`
+stacks the fields into ONE int64 block (floats bit-cast, which is
+lossless at equal itemsize), so the same read is a single row
+fancy-index touching one aligned row per vertex.  The gathers are
+memory-latency-bound, so one row stream instead of three is what the
+loops gain.
 
 The block only changes how the host moves arrays: successors receive
 views with the fields' own dtypes and shapes, so outputs and mesh-step
@@ -30,14 +32,17 @@ class PackedVertices:
     """``adjacency``, ``level`` and ``payload`` as columns of one int64 block.
 
     Row *v* of :attr:`block` is vertex *v*'s record.  :meth:`gather`
-    reads the records of many vertices with one row fancy-index.
+    reads the records of many vertices with one row fancy-index, and
+    :meth:`fields` splits rows read any other way.  The block is
+    read-only: it is shared by every search over the structure.
     """
 
     def __init__(self, adjacency: np.ndarray, level: np.ndarray, payload: np.ndarray):
         n = level.shape[0]
         cols = []
-        #: name -> (first column, width, 1-D?, the field's own dtype)
-        self.spans: dict[str, tuple[int, int, bool, np.dtype]] = {}
+        #: name -> (the field's column index or slice, the dtype to view
+        #: it as, ``None`` when it is stored as is)
+        views: dict[str, tuple[int | slice, np.dtype | None]] = {}
         c = 0
         for name, a in (("adjacency", adjacency), ("level", level), ("payload", payload)):
             a = np.asarray(a)
@@ -47,26 +52,31 @@ class PackedVertices:
                     f"got {a.ndim}-D {a.dtype}"
                 )
             width = 1 if a.ndim == 1 else a.shape[1]
-            self.spans[name] = (c, width, a.ndim == 1, a.dtype)
+            views[name] = (
+                c if a.ndim == 1 else slice(c, c + width),
+                None if a.dtype == _WORD else a.dtype,
+            )
             cols.append(a.reshape(n, width).view(_WORD))
             c += width
         self.block = np.concatenate(cols, axis=1)
+        self.block.setflags(write=False)
+        self._views = tuple(views[name] for name in ("payload", "adjacency", "level"))
 
-    def column(self, rows: np.ndarray, name: str) -> np.ndarray:
-        """Field ``name`` of gathered ``rows`` (a view, in its own dtype)."""
-        c, width, flat, dtype = self.spans[name]
-        cols = rows[:, c] if flat else rows[:, c : c + width]
-        return cols if dtype == _WORD else cols.view(dtype)
+    def fields(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(payload, adjacency, level)`` of gathered ``rows`` — the
+        successor's argument order — as views in the fields' own dtypes
+        and shapes."""
+        (pk, pd), (ak, ad), (lk, ld) = self._views
+        payload, adjacency, level = rows[:, pk], rows[:, ak], rows[:, lk]
+        return (
+            payload if pd is None else payload.view(pd),
+            adjacency if ad is None else adjacency.view(ad),
+            level if ld is None else level.view(ld),
+        )
 
     def gather(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(payload, adjacency, level)`` of vertices ``ids`` — the
-        successor's argument order — as views of one row gather."""
-        rows = self.block[ids]
-        return (
-            self.column(rows, "payload"),
-            self.column(rows, "adjacency"),
-            self.column(rows, "level"),
-        )
+        """:meth:`fields` of vertices ``ids``, read with one row gather."""
+        return self.fields(self.block[ids])
 
 
 def packed_vertices(structure) -> PackedVertices:

@@ -3,9 +3,11 @@
 Each multisearch digest covers a finished query set (``current``,
 ``state``, ``steps``, every ``trace`` snapshot) and the engine clock's
 total charge; each app digest covers the answers and the mesh steps of
-:func:`locate_on_structure` and :func:`line_queries_on_structure`.  The
-values were recorded once and must never change: how the host executes
-a primitive is free to change, what it computes and charges is not.
+:func:`locate_on_structure` and :func:`line_queries_on_structure`.  Every
+:class:`ConstrainedStats` field of the E2 calls and of the traced alpha
+run's calls is pinned as a plain value.  The values were recorded once
+and must never change: how the host executes a primitive is free to
+change, what it computes and charges is not.
 Every case runs twice on one structure, so the second run exercises
 whatever the engine caches on a structure after first use.
 """
@@ -23,6 +25,7 @@ from repro.apps.interval_search import (
 from repro.apps.linepoly import line_polyhedron_queries
 from repro.apps.pointloc import locate_on_structure
 from repro.bench.workloads import random_lines, sphere_points
+from repro.core import alpha as alpha_module
 from repro.core.alpha import alpha_multisearch
 from repro.core.constrained import constrained_multisearch
 from repro.core.hierdag import hierdag_multisearch
@@ -130,6 +133,55 @@ E2_PINS = {
     (7, 2147483647, 0.5): ("2380b4c803d42cdb:f4bc1329", "8430c3e2f0437b58:f4bc1329"),
     (7, 2147483647, 1.0): ("7979ec1ed3a6ab2d:46d9d566", "366ad7394495edab:46d9d566"),
 }
+#: every ConstrainedStats field of each E2 grid point's call (the same on
+#: all four runs): (marked, copies_created, rounds, max_queries_per_copy,
+#: max_copies_per_submesh, advanced_total, steps_histogram)
+E2_STATS_PINS = {
+    (4, 0, 0.0): (64, 10, 6, 8, 3, 128, {2: 64}),
+    (4, 0, 0.5): (64, 10, 6, 8, 3, 101, {1: 27, 2: 37}),
+    (4, 0, 1.0): (64, 8, 6, 8, 2, 64, {1: 64}),
+    (4, 1, 0.0): (64, 9, 6, 8, 3, 128, {2: 64}),
+    (4, 1, 0.5): (64, 10, 6, 8, 3, 93, {1: 35, 2: 29}),
+    (4, 1, 1.0): (64, 8, 6, 8, 2, 64, {1: 64}),
+    (4, 2147483647, 0.0): (64, 10, 6, 8, 3, 128, {2: 64}),
+    (4, 2147483647, 0.5): (64, 11, 6, 8, 3, 95, {1: 33, 2: 31}),
+    (4, 2147483647, 1.0): (64, 8, 6, 8, 2, 64, {1: 64}),
+    (5, 0, 0.0): (64, 10, 7, 12, 2, 128, {2: 64}),
+    (5, 0, 0.5): (64, 11, 7, 12, 2, 128, {2: 64}),
+    (5, 0, 1.0): (64, 6, 7, 12, 1, 128, {2: 64}),
+    (5, 1, 0.0): (64, 9, 7, 12, 1, 128, {2: 64}),
+    (5, 1, 0.5): (64, 11, 7, 12, 2, 128, {2: 64}),
+    (5, 1, 1.0): (64, 6, 7, 12, 1, 128, {2: 64}),
+    (5, 2147483647, 0.0): (64, 8, 7, 11, 1, 128, {2: 64}),
+    (5, 2147483647, 0.5): (64, 11, 7, 12, 2, 128, {2: 64}),
+    (5, 2147483647, 1.0): (64, 6, 7, 12, 1, 128, {2: 64}),
+    (6, 0, 0.0): (64, 8, 8, 15, 1, 192, {3: 64}),
+    (6, 0, 0.5): (64, 10, 8, 16, 1, 165, {2: 27, 3: 37}),
+    (6, 0, 1.0): (64, 4, 8, 16, 1, 128, {2: 64}),
+    (6, 1, 0.0): (64, 8, 8, 13, 1, 192, {3: 64}),
+    (6, 1, 0.5): (64, 11, 8, 16, 1, 157, {2: 35, 3: 29}),
+    (6, 1, 1.0): (64, 4, 8, 16, 1, 128, {2: 64}),
+    (6, 2147483647, 0.0): (64, 8, 8, 11, 1, 192, {3: 64}),
+    (6, 2147483647, 0.5): (64, 11, 8, 16, 1, 159, {2: 33, 3: 31}),
+    (6, 2147483647, 1.0): (64, 4, 8, 16, 1, 128, {2: 64}),
+    (7, 0, 0.0): (64, 16, 9, 9, 1, 192, {3: 64}),
+    (7, 0, 0.5): (64, 17, 9, 23, 2, 192, {3: 64}),
+    (7, 0, 1.0): (64, 3, 9, 23, 1, 192, {3: 64}),
+    (7, 1, 0.0): (64, 15, 9, 7, 1, 192, {3: 64}),
+    (7, 1, 0.5): (64, 14, 9, 23, 1, 192, {3: 64}),
+    (7, 1, 1.0): (64, 3, 9, 23, 1, 192, {3: 64}),
+    (7, 2147483647, 0.0): (64, 16, 9, 7, 1, 192, {3: 64}),
+    (7, 2147483647, 0.5): (64, 15, 9, 23, 1, 192, {3: 64}),
+    (7, 2147483647, 1.0): (64, 3, 9, 23, 1, 192, {3: 64}),
+}
+#: the same fields for each Constrained-Multisearch call of the traced
+#: alpha run in :func:`traced_cm_digests`, in call order
+TRACED_CM_STATS_PINS = [
+    (40, 1, 11, 40, 1, 160, {4: 40}),
+    (40, 17, 11, 6, 1, 160, {4: 40}),
+    (0, 0, 11, 0, 0, 0, {}),
+    (0, 0, 11, 0, 0, 0, {}),
+]
 TRACED_CM_PIN = "9d75f960baa8ee1b:fd3bf6ba:0x1.d8f0000000000p+13"
 TRACED_HIERDAG_PIN = "3d3230a196355010:74a69e23:0x1.c600000000000p+11"
 
@@ -167,8 +219,9 @@ def e1_digests(height, seed, m):
     return out
 
 
-def e2_digests(height, seed, skew):
-    """Untraced then traced digests (with the call's stats), each run twice on one structure."""
+def e2_runs(height, seed, skew):
+    """Untraced then traced Constrained-Multisearch calls, each run twice
+    on one structure: ``(query set, clock total, stats)`` per run."""
     tree = build_balanced_search_tree(2, height, seed=1)
     structure = ktree_directed_structure(tree)
     splitting = splitting_from_labels(tree.alpha_splitter().comp, tree.children, 0.5)
@@ -186,6 +239,14 @@ def e2_digests(height, seed, skew):
         eng = MeshEngine.for_problem(max(int(tree.size), m))
         qs = QuerySet.start(keys, starts.copy(), record_trace=record_trace)
         stats = constrained_multisearch(eng, structure, qs, splitting)
+        out.append((qs, eng.clock.time, stats))
+    return out
+
+
+def e2_digests(height, seed, skew):
+    """Untraced then traced digests (with the call's stats), each run twice on one structure."""
+    out = []
+    for qs, clock_time, stats in e2_runs(height, seed, skew):
         facts = (
             stats.copies_created,
             stats.max_queries_per_copy,
@@ -193,11 +254,26 @@ def e2_digests(height, seed, skew):
             sorted(stats.steps_histogram.items()),
         )
         out.append(
-            digest(qs, eng.clock.time)
+            digest(qs, clock_time)
             + ":"
             + hashlib.sha256(repr(facts).encode()).hexdigest()[:8]
         )
     return out
+
+
+def stats_fields(stats):
+    """The pinned ConstrainedStats fields, after checking that
+    ``advanced_total`` is the step total its histogram records."""
+    assert stats.advanced_total == sum(k * c for k, c in stats.steps_histogram.items())
+    return (
+        stats.marked,
+        stats.copies_created,
+        stats.rounds,
+        stats.max_queries_per_copy,
+        stats.max_copies_per_submesh,
+        stats.advanced_total,
+        stats.steps_histogram,
+    )
 
 
 def interval_case():
@@ -323,6 +399,28 @@ def test_e2_constrained_pinned(height, seed, skew):
 
 def test_traced_constrained_pinned():
     assert traced_cm_digests() == [TRACED_CM_PIN] * 2
+
+
+@pytest.mark.parametrize("height,seed,skew", E2_GRID)
+def test_e2_constrained_stats_pinned(height, seed, skew):
+    got = [stats_fields(stats) for _, _, stats in e2_runs(height, seed, skew)]
+    assert got == [E2_STATS_PINS[height, seed, skew]] * 4
+
+
+def test_traced_constrained_stats_pinned(monkeypatch):
+    calls = []
+
+    def recording(*args, **kwargs):
+        stats = constrained_multisearch(*args, **kwargs)
+        calls.append(stats_fields(stats))
+        return stats
+
+    monkeypatch.setattr(alpha_module, "constrained_multisearch", recording)
+    st_l, st_r, sp_l, sp_r, a, b = interval_case()
+    eng = MeshEngine(MeshShape.for_size(max(st_l.size, st_r.size, a.size)).side)
+    qs = QuerySet.start(b, 0, state_width=1, record_trace=True)
+    alpha_multisearch(eng, st_l, qs, sp_l)
+    assert calls == TRACED_CM_STATS_PINS
 
 
 def test_traced_hierdag_pinned():

@@ -14,6 +14,7 @@ from repro.core.model import (
 from repro.graphs.adapters import ktree_directed_structure
 from repro.graphs.ktree import build_balanced_search_tree
 from repro.mesh.engine import MeshEngine
+from repro.mesh.records import packed_vertices
 
 
 def chain_structure(n: int) -> SearchStructure:
@@ -137,31 +138,18 @@ class TestGraphStore:
         st = chain_structure(10)
         eng = MeshEngine(4)
         store = GraphStore.load(eng.root, st)
-        assert store.n_local == 10
-
-    def test_locate_subgraph(self):
-        st = chain_structure(10)
-        eng = MeshEngine(4)
-        store = GraphStore.load(eng.root, st, vertex_ids=np.array([2, 5, 7]))
-        got = store.locate(np.array([5, 2, 7, 3, -1]))
-        assert got[0] >= 0 and got[1] >= 0 and got[2] >= 0
-        assert got[3] == -1 and got[4] == -1
-        assert store.ids[got[0]] == 5
-
-    def test_contains(self):
-        st = chain_structure(6)
-        eng = MeshEngine(4)
-        store = GraphStore.load(eng.root, st, vertex_ids=np.array([0, 1]))
-        assert store.contains(np.array([0, 1, 2])).tolist() == [True, True, False]
+        assert store.n_vertices == 10
 
     def test_gather_returns_records(self):
         st = chain_structure(6)
         eng = MeshEngine(4)
         store = GraphStore.load(eng.root, st)
-        found, pay, adj, lev = store.gather(np.array([3, STOP]))
-        assert found.tolist() == [True, False]
+        found, rows = store.gather(np.array([3, STOP, 6, 2**40]))
+        assert found.tolist() == [True, False, False, False]
+        pay, adj, lev = store.vertices.fields(rows)
         assert lev[0] == 3
         assert adj[0, 0] == 4
+        assert pay.dtype == np.float64 and pay.shape == (4, 1)
 
     def test_gather_charges_rar(self):
         st = chain_structure(6)
@@ -171,35 +159,19 @@ class TestGraphStore:
         store.gather(np.array([0]))
         assert eng.clock.time - t0 == eng.clock.cost.route * 4
 
-    def test_full_load_shares_the_structure_records(self):
+    def test_reads_the_structures_packed_records(self):
         st = chain_structure(10)
         eng = MeshEngine(4)
         store = GraphStore.load(eng.root, st)
-        assert store.ids.tolist() == list(range(10))
-        for mine, theirs in (
-            (store.adjacency, st.adjacency),
-            (store.payload, st.payload),
-            (store.level, st.level),
-        ):
-            assert np.shares_memory(mine, theirs)
+        assert store.vertices is packed_vertices(st)
+        assert not np.shares_memory(store.vertices.block, st.level)
 
-    def test_full_load_records_are_read_only(self):
+    def test_packed_records_are_read_only(self):
         st = chain_structure(10)
         eng = MeshEngine(4)
         store = GraphStore.load(eng.root, st)
-        for arr in (store.adjacency, store.payload, store.level):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 7
-
-    def test_subgraph_load_sorts_and_copies(self):
-        st = chain_structure(10)
-        eng = MeshEngine(4)
-        store = GraphStore.load(eng.root, st, vertex_ids=np.array([7, 2, 5]))
-        assert store.ids.tolist() == [2, 5, 7]
-        assert store.level.tolist() == [2, 5, 7]
-        assert store.adjacency[:, 0].tolist() == [3, 6, 8]
-        assert not np.shares_memory(store.level, st.level)
-        assert store.locate(np.array([5, 7, 2])).tolist() == [1, 2, 0]
+        with pytest.raises(ValueError, match="read-only"):
+            store.vertices.block[0, 0] = 7
 
     def test_structure_stays_writable(self):
         # the chaos corruptor ``corrupt_structure_level`` writes in place
@@ -238,14 +210,14 @@ class TestAdvanceQueries:
         advance_queries(store, st, qs, mask=mask)
         assert qs.current.tolist() == [1, 0, 1]
 
-    def test_nonresident_vertex_untouched(self):
+    def test_out_of_range_vertex_untouched(self):
         st = chain_structure(8)
         eng = MeshEngine(4)
-        store = GraphStore.load(eng.root, st, vertex_ids=np.array([0, 1, 2]))
-        qs = QuerySet.start(np.zeros(2), np.array([1, 6]))
+        store = GraphStore.load(eng.root, st)
+        qs = QuerySet.start(np.zeros(2), np.array([1, 8]))
         advanced = advance_queries(store, st, qs)
         assert advanced.tolist() == [True, False]
-        assert qs.current.tolist() == [2, 6]
+        assert qs.current.tolist() == [2, 8]
 
     def test_stop_commits(self):
         st = chain_structure(3)

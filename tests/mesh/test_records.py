@@ -44,7 +44,7 @@ class TestPackedVertices:
         pv = PackedVertices(
             np.zeros((7, 1), dtype=np.int64), np.arange(7, dtype=np.int64), specials
         )
-        got = pv.column(pv.block, "payload")
+        got = pv.fields(pv.block)[0]
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got.view(np.int64), specials.view(np.int64))
 
@@ -68,7 +68,7 @@ class TestCache:
         st.level = st.level + 1  # new array identity invalidates the cache
         pv2 = packed_vertices(st)
         assert pv2 is not pv
-        np.testing.assert_array_equal(pv2.column(pv2.block, "level"), st.level)
+        np.testing.assert_array_equal(pv2.fields(pv2.block)[2], st.level)
 
     def test_unmarkable_structure_packs_every_call(self):
         class Frozen:
