@@ -31,7 +31,7 @@ def run_separation(offset: float, n=150, seed=0):
 
 def run_hull(n: int):
     pts = np.random.default_rng(n).normal(size=(n, 3))
-    ours = convex_hull_divide_conquer(pts, leaf_size=64, seed=0)
+    ours = convex_hull_divide_conquer(pts, leaf_size=64)
     ref = ConvexHull(pts)
     return abs(ours.volume() - ref.volume) / ref.volume
 

@@ -3,8 +3,9 @@
 
 ``merge_hulls`` combines two hulls by (1) discarding each side's vertices
 that lie inside the other hull — the exact inclusion filter, which on the
-mesh is a batch of point queries — and (2) running the incremental hull
-on the survivors.  ``convex_hull_divide_conquer`` builds a full hull by
+mesh is a batch of point queries — and (2) running the hull
+construction (:func:`repro.geometry.hull3d.convex_hull_3d`) on the
+survivors.  ``convex_hull_divide_conquer`` builds a full hull by
 splitting on x and merging recursively, the shape of the paper's
 Theorem 8.4 reduction to merging (the footnoted direct approaches
 [LPJC90, HI90] notwithstanding, the multisearch paper's route to the 3-d
@@ -21,7 +22,7 @@ from repro.mesh.trace import traced
 __all__ = ["merge_hulls", "convex_hull_divide_conquer"]
 
 
-def merge_hulls(h1: Hull3D, h2: Hull3D, seed=0) -> Hull3D:
+def merge_hulls(h1: Hull3D, h2: Hull3D) -> Hull3D:
     """Hull of the union of two hulls' vertex sets.
 
     Returns a hull over the concatenated point array (h1's points first),
@@ -29,7 +30,7 @@ def merge_hulls(h1: Hull3D, h2: Hull3D, seed=0) -> Hull3D:
 
     Traced phases (host spans): ``hullmerge:merge`` wrapping
     ``hullmerge:filter`` (mutual inclusion filter) and ``hullmerge:hull``
-    (incremental hull over the survivors).
+    (hull construction over the survivors).
     """
     with traced(None, "hullmerge:merge"):
         with traced(None, "hullmerge:filter"):
@@ -42,15 +43,13 @@ def merge_hulls(h1: Hull3D, h2: Hull3D, seed=0) -> Hull3D:
             if pts.shape[0] < 4:
                 pts = np.concatenate([p1, p2])
         with traced(None, "hullmerge:hull"):
-            return convex_hull_3d(pts, seed=seed)
+            return convex_hull_3d(pts)
 
 
-def convex_hull_divide_conquer(
-    points: np.ndarray, leaf_size: int = 32, seed=0
-) -> Hull3D:
+def convex_hull_divide_conquer(points: np.ndarray, leaf_size: int = 32) -> Hull3D:
     """3-d convex hull by divide-and-conquer merging (Theorem 8.4 shape).
 
-    Splits on the x-median; leaves use the incremental construction;
+    Splits on the x-median; leaves call :func:`convex_hull_3d` directly;
     internal nodes merge with :func:`merge_hulls`.  The returned hull's
     ``points`` array is a subset of the input (hull candidates only), so
     use geometric assertions (volume, containment) rather than index
@@ -61,10 +60,10 @@ def convex_hull_divide_conquer(
     """
     points = np.asarray(points, dtype=np.float64)
     if points.shape[0] <= max(leaf_size, 4):
-        return convex_hull_3d(points, seed=seed)
+        return convex_hull_3d(points)
     with traced(None, "hullmerge:divide"):
         order = np.argsort(points[:, 0], kind="stable")
         half = points.shape[0] // 2
-        left = convex_hull_divide_conquer(points[order[:half]], leaf_size, seed)
-        right = convex_hull_divide_conquer(points[order[half:]], leaf_size, seed)
-        return merge_hulls(left, right, seed=seed)
+        left = convex_hull_divide_conquer(points[order[:half]], leaf_size)
+        right = convex_hull_divide_conquer(points[order[half:]], leaf_size)
+        return merge_hulls(left, right)

@@ -7,12 +7,11 @@ along the horizon of ``q``.  These are exactly the faces of
 ``q``, contains a hull edge of ``P`` (the contact), and has all of ``P``
 on its inner side.
 
-The per-query work is the beneath-beyond step of the incremental hull
-(vectorized visible-face scan + horizon extraction), i.e. the same
-primitive the 3-d hull substrate uses; a batch of m queries is m
-independent such steps, which is the data-parallel shape multisearch
-exploits on the mesh.  Points inside ``P`` (exact test) have an empty
-cone.
+The per-query work is one beneath-beyond step (vectorized visible-face
+scan + horizon extraction) against the fixed hull; a batch of m queries
+is m independent such steps, which is the data-parallel shape
+multisearch exploits on the mesh.  Points inside ``P`` (exact test)
+have an empty cone.
 """
 
 from __future__ import annotations

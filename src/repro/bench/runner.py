@@ -163,9 +163,10 @@ REGISTRY: dict[str, BenchSpec] = {
         "bench_e9_hull3d", "run_hull", _pts(n=[200, 400, 800]), has_steps=False
     ),
     "e10_vm": BenchSpec("bench_e10_vm", "vm_costs", _pts(side=[8, 16, 32, 64])),
-    # E11 sweeps each pipeline over its own 64x size range (dk3d's host
-    # stand-in is O(n^2), so it gets the smaller window); concatenated in
-    # ascending key order, so --smoke runs the cheap dk3d n=32 point
+    # E11 sweeps each pipeline over its own 64x size range (dk3d keeps the
+    # smaller window it was first recorded with, so the committed rows
+    # replay); concatenated in ascending key order, so --smoke runs the
+    # cheap dk3d n=32 point
     "e11_construct": BenchSpec(
         "bench_e11_construct", "run_once",
         _pts(pipeline=["dk3d"], n=[32, 128, 512, 2048])

@@ -6,8 +6,8 @@
 * :mod:`repro.geometry.independent` — bounded-degree independent sets.
 * :mod:`repro.geometry.kirkpatrick` — the subdivision hierarchy [Kir83]
   for planar point location; a hierarchical DAG.
-* :mod:`repro.geometry.hull3d` — randomized incremental 3-d convex hull
-  with conflict lists.
+* :mod:`repro.geometry.hull3d` — 3-d convex hull (Qhull via scipy, with
+  the mesh construction cost charged by a model).
 * :mod:`repro.geometry.dk3d` — the Dobkin–Kirkpatrick hierarchical
   representation of a convex polyhedron; a hierarchical DAG for extremal
   (tangent-plane / support) queries.

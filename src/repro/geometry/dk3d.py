@@ -112,9 +112,10 @@ def build_dk_hierarchy(
         construct = Construction(max(points.shape[0], 1))
     with construct.span("dk3d:build"):
         with construct.span("dk3d:base-hull"):
-            hull = convex_hull_3d(
-                points, seed=rng.integers(2**31), construct=construct
-            )
+            # the draw feeds nothing; it keeps ``rng`` at the state the
+            # independent-set choices below were pinned with
+            rng.integers(2**31)
+            hull = convex_hull_3d(points, construct=construct)
         hulls = [hull]
         adjacency = [_hull_adjacency(hull)]
         while hulls[-1].vertices.size > stop_size and len(hulls) < max_rounds:
@@ -132,9 +133,8 @@ def build_dk_hierarchy(
                 keep = np.array(sorted(set(int(v) for v in cur.vertices) - set(chosen)))
                 if keep.size < 4 or not chosen:
                     break
-                nxt = convex_hull_3d(
-                    points[keep], seed=rng.integers(2**31), construct=construct
-                )
+                rng.integers(2**31)  # unused; see the base-hull draw
+                nxt = convex_hull_3d(points[keep], construct=construct)
                 # re-index faces back to original point ids
                 remapped = Hull3D(
                     points=points,

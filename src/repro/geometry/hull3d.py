@@ -1,22 +1,18 @@
-"""Incremental 3-d convex hull (beneath–beyond).
+"""3-d convex hull: Qhull on the host, a modelled charge on the mesh.
 
-Points are inserted one at a time; the faces visible from the new point
-are found by a vectorized signed-distance test against all live faces,
-the horizon (edges with exactly one visible adjacent face) is extracted
-from an edge->faces map, and a cone of new faces is built on it.  With
-random insertion order this is the standard randomized incremental
-construction; the per-insertion scan is O(F) but fully vectorized, which
-is the right trade-off for the problem sizes the mesh simulation reaches
-(the guides' advice: vectorize the hot loop, don't micro-optimize Python).
+The host computes the hull with one ``scipy.spatial.ConvexHull`` call
+(Qhull; Barber, Dobkin and Huhdanpaa, "The Quickhull Algorithm for
+Convex Hulls", ACM TOMS 1996).  As with the other construction
+stand-ins, the host algorithm is not what the mesh would run: an
+attached :class:`repro.mesh.construct.Construction` is charged the
+modelled mesh cost instead.
 
-Degenerate inputs (coplanar quadruples) are handled by epsilon tests and,
-for the initial simplex, by scanning for a non-degenerate quadruple;
-workloads joggle their inputs when they are adversarially flat.
-
-The result is a watertight, outward-oriented triangulated hull, verified
-in tests against ``scipy.spatial.ConvexHull`` (equal vertex sets, equal
-volume) and by direct invariant checks (every input point inside, every
-face boundary matched by exactly one neighbour).
+The result is a triangulated hull whose faces are wound to agree with
+Qhull's outward facet normals.  Qhull's precision tests are relative to
+the input's extent, so points on a flat face are not vertices and the
+answer does not depend on the input's scale.  Inputs whose affine hull
+is below 3-d are rejected by a (scale-free) rank test before Qhull sees
+them.
 """
 
 from __future__ import annotations
@@ -24,10 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 __all__ = ["Hull3D", "convex_hull_3d"]
 
-_EPS = 1e-9
+#: affine rank of a degenerate input -> the error it raises
+_DEGENERATE = {
+    0: "all points coincide",
+    1: "all points collinear",
+    2: "all points coplanar",
+}
 
 
 @dataclass
@@ -77,48 +79,19 @@ class Hull3D:
         return np.unique(e, axis=0)
 
 
-def _initial_simplex(points: np.ndarray, eps: float) -> list[int]:
-    """Four affinely independent point indices, or raise."""
-    n = points.shape[0]
-    i0 = 0
-    # farthest from p0
-    d = np.linalg.norm(points - points[i0], axis=1)
-    i1 = int(np.argmax(d))
-    if d[i1] < eps:
-        raise ValueError("all points coincide")
-    # farthest from line p0-p1
-    u = points[i1] - points[i0]
-    u = u / np.linalg.norm(u)
-    rel = points - points[i0]
-    perp = rel - np.outer(rel @ u, u)
-    dists = np.linalg.norm(perp, axis=1)
-    i2 = int(np.argmax(dists))
-    if dists[i2] < eps:
-        raise ValueError("all points collinear")
-    # farthest from plane p0-p1-p2
-    nrm = np.cross(points[i1] - points[i0], points[i2] - points[i0])
-    nrm = nrm / np.linalg.norm(nrm)
-    h = np.abs(rel @ nrm)
-    i3 = int(np.argmax(h))
-    if h[i3] < eps:
-        raise ValueError("all points coplanar")
-    return [i0, i1, i2, i3]
-
-
-def convex_hull_3d(points: np.ndarray, seed=None, eps: float = _EPS, construct=None) -> Hull3D:
+def convex_hull_3d(points: np.ndarray, construct=None) -> Hull3D:
     """Compute the convex hull of ``points`` ((n, 3), n >= 4).
 
-    ``seed`` randomizes the insertion order (recommended; ``None`` keeps
-    the input order after the initial simplex).
+    Raises ``ValueError`` when the points span less than three
+    dimensions or Qhull rejects them.
 
-    Traced phases: ``hull3d:build`` wrapping ``hull3d:simplex``
-    (initial-simplex search) and ``hull3d:insert`` (the incremental
-    insertion loop).  With a :class:`repro.mesh.construct.Construction`
-    attached, the spans charge the modelled mesh cost of the
-    divide-and-conquer hull on a submesh sized for ``n`` — a constant
-    number of extreme-point reductions, one sort of the points, scans,
-    and a route of the final faces; the host-side insertion loop itself
-    is the sequential stand-in and stays wall-time-only.
+    Traced phases: ``hull3d:build`` wrapping ``hull3d:simplex`` (the
+    dimension check) and ``hull3d:insert`` (the Qhull call).  With a
+    :class:`repro.mesh.construct.Construction` attached, the spans charge
+    the modelled mesh cost of the divide-and-conquer hull on a submesh
+    sized for ``n`` — four extreme-point reductions, one sort of the
+    points, a scan, and a route of the final faces; the host-side Qhull
+    call itself is the sequential stand-in and stays wall-time-only.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
@@ -131,101 +104,27 @@ def convex_hull_3d(points: np.ndarray, seed=None, eps: float = _EPS, construct=N
 
         construct = Construction(n)
     with construct.span("hull3d:build"):
-        return _convex_hull_3d(points, seed, eps, construct)
-
-
-def _convex_hull_3d(points: np.ndarray, seed, eps: float, construct) -> Hull3D:
-    n = points.shape[0]
-    with construct.span("hull3d:simplex"):
-        simplex = _initial_simplex(points, eps)
-        # modelled: the four farthest-point selections are global reduces
-        for _ in range(4):
-            construct.reduce(points[:, 0], op="max", n=n)
-    centroid = points[simplex].mean(axis=0)
-
-    faces: list[tuple[int, int, int]] = []
-    normals: list[np.ndarray] = []
-    offsets: list[float] = []
-    alive: list[bool] = []
-    edge_faces: dict[tuple[int, int], list[int]] = {}
-
-    def add_face(a: int, b: int, c: int) -> None:
-        nrm = np.cross(points[b] - points[a], points[c] - points[a])
-        norm = np.linalg.norm(nrm)
-        if norm < 1e-30:
-            raise ValueError("degenerate hull face")
-        nrm = nrm / norm
-        off = float(nrm @ points[a])
-        if nrm @ centroid > off:  # orient outward
-            b, c = c, b
-            nrm = -nrm
-            off = float(nrm @ points[a])
-        fid = len(faces)
-        faces.append((a, b, c))
-        normals.append(nrm)
-        offsets.append(off)
-        alive.append(True)
-        for u, v in ((a, b), (b, c), (c, a)):
-            edge_faces.setdefault((min(u, v), max(u, v)), []).append(fid)
-
-    s = simplex
-    add_face(s[0], s[1], s[2])
-    add_face(s[0], s[1], s[3])
-    add_face(s[0], s[2], s[3])
-    add_face(s[1], s[2], s[3])
-
-    order = [i for i in range(n) if i not in set(simplex)]
-    if seed is not None:
-        rng = np.random.default_rng(seed)
-        rng.shuffle(order)
-
-    normals_arr = np.array(normals)
-    offsets_arr = np.array(offsets)
-
-    with construct.span("hull3d:insert"):
-        # modelled: one sort of the points into mesh order, a scan to rank
-        # them, and (after the loop) a route of the final face records
-        construct.sort(points[:, 0], n=n)
-        construct.scan(np.ones(n, dtype=np.int64), n=n)
-        for p_idx in order:
-            p = points[p_idx]
-            alive_arr = np.array(alive)
-            dists = normals_arr @ p - offsets_arr
-            visible = np.flatnonzero(alive_arr & (dists > eps))
-            if visible.size == 0:
-                continue  # inside the current hull
-            visible_set = set(int(f) for f in visible)
-            # horizon: edges of visible faces whose other side is hidden (or
-            # boundary — cannot happen on a closed hull)
-            horizon: list[tuple[int, int]] = []
-            for f in visible_set:
-                a, b, c = faces[f]
-                for u, v in ((a, b), (b, c), (c, a)):
-                    key = (min(u, v), max(u, v))
-                    adj = [g for g in edge_faces[key] if alive[g]]
-                    others = [g for g in adj if g not in visible_set]
-                    if others:
-                        # orient the horizon edge as it appears in the visible
-                        # face so the new face keeps a consistent winding
-                        horizon.append((u, v))
-            for f in visible_set:
-                alive[f] = False
-            for u, v in horizon:
-                add_face(u, v, p_idx)
-            normals_arr = np.array(normals)
-            offsets_arr = np.array(offsets)
-
-        keep = np.flatnonzero(alive)
-        faces_arr = np.array([faces[i] for i in keep], dtype=np.int64)
-        if faces_arr.shape[0]:
-            construct.route(
-                np.arange(faces_arr.shape[0]),
-                faces_arr[:, 0],
-                n=faces_arr.shape[0],
-            )
-    return Hull3D(
-        points=points,
-        faces=faces_arr,
-        normals=normals_arr[keep],
-        offsets=offsets_arr[keep],
-    )
+        with construct.span("hull3d:simplex"):
+            rank = int(np.linalg.matrix_rank(points - points[0]))
+            if rank < 3:
+                raise ValueError(_DEGENERATE[rank])
+            # modelled: the four farthest-point selections are global reduces
+            for _ in range(4):
+                construct.reduce(points[:, 0], op="max", n=n)
+        with construct.span("hull3d:insert"):
+            # modelled: one sort of the points into mesh order, a scan to
+            # rank them, and a route of the final face records
+            construct.sort(points[:, 0], n=n)
+            construct.scan(np.ones(n, dtype=np.int64), n=n)
+            try:
+                qh = ConvexHull(points)
+            except QhullError as exc:
+                reason = str(exc).strip().splitlines()[0]
+                raise ValueError(f"Qhull rejected the points: {reason}") from exc
+            faces = qh.simplices.astype(np.int64)
+            normals = qh.equations[:, :3]
+            a, b, c = (points[faces[:, k]] for k in range(3))
+            flip = np.einsum("ij,ij->i", np.cross(b - a, c - a), normals) < 0
+            faces[flip] = faces[flip][:, ::-1]
+            construct.route(np.arange(faces.shape[0]), faces[:, 0], n=faces.shape[0])
+    return Hull3D(points=points, faces=faces, normals=normals, offsets=-qh.equations[:, 3])

@@ -1,9 +1,10 @@
 """Deterministic RNG plumbing.
 
-Every stochastic component in the library (workload generators, randomized
-incremental hull, benchmark harness) takes either a seed or a
-``numpy.random.Generator``; this module is the single place that turns one
-into the other so experiments are reproducible bit-for-bit.
+Every stochastic component in the library (workload generators,
+independent-set selection in the hierarchy builders, benchmark harness)
+takes either a seed or a ``numpy.random.Generator``; this module is the
+single place that turns one into the other so experiments are
+reproducible bit-for-bit.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from repro.geometry.hull3d import convex_hull_3d
 
 @pytest.fixture(scope="module")
 def hull():
-    return convex_hull_3d(sphere_points(200, seed=0), seed=1)
+    return convex_hull_3d(sphere_points(200, seed=0))
 
 
 class TestTangentCones:

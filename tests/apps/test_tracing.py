@@ -186,7 +186,7 @@ class TestE9HullsAndSeparation:
         from repro.geometry.hull3d import convex_hull_3d
 
         def run():
-            hull = convex_hull_3d(sphere_points(80, seed=7), seed=8)
+            hull = convex_hull_3d(sphere_points(80, seed=7))
             queries = sphere_points(10, seed=9) * 3.0
             return tangent_cones(hull, queries)
 

@@ -4,8 +4,10 @@
 code and the sweep point, so every committed point of these BENCH
 documents is re-run in process (one call each, no timing) and must
 reproduce its recorded count exactly.  E1 is Algorithm 1 and the
-synchronous baseline, E2 the Constrained-Multisearch procedure, E13 the
-batching front end over a restored point-location structure.  Wall times
+synchronous baseline, E2 the Constrained-Multisearch procedure, E11 the
+modelled construction of the Kirkpatrick and Dobkin–Kirkpatrick
+structures, E13 the batching front end over a restored point-location
+structure.  Wall times
 in the same documents are not checked here: they belong to the runner's
 ``--compare`` gate.
 """
@@ -18,7 +20,7 @@ import pytest
 
 from repro.bench.runner import BENCH_DIR, REGISTRY, REPO_ROOT, _extract_steps, point_result
 
-BENCHES = ("e1_hierdag", "e2_constrained", "e13_serving")
+BENCHES = ("e1_hierdag", "e2_constrained", "e11_construct", "e13_serving")
 
 
 def _points(bench):

@@ -106,7 +106,7 @@ def _all_outputs():
     out = [lv.triangles for lv in hier.levels] + [st.adjacency, st.payload, mu]
     dkh, dks, orig = _build_dk(Construction(128))
     out += [h.faces for h in dkh.hulls] + [dks.adjacency, orig]
-    hull = convex_hull_3d(sphere_points(90, seed=11), seed=11)
+    hull = convex_hull_3d(sphere_points(90, seed=11))
     out += [hull.faces, hull.normals]
     sub = merged_face_subdivision(hier, seed=4)
     out += [sub.face_of_triangle]
@@ -154,7 +154,7 @@ class TestEveryBuilderCharges:
 
     def test_hull3d(self):
         c = Construction(96)
-        convex_hull_3d(sphere_points(96, seed=11), seed=11, construct=c)
+        convex_hull_3d(sphere_points(96, seed=11), construct=c)
         assert c.steps > 0
 
     def test_subdivision(self):

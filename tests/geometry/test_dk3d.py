@@ -1,5 +1,8 @@
 """Tests for the Dobkin-Kirkpatrick hierarchy."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -8,9 +11,11 @@ from repro.core.model import run_reference
 from repro.geometry.dk3d import (
     build_dk_hierarchy,
     dk_support_structure,
+    dk_tangent_snapshot_arrays,
     dk_tangent_structure,
 )
 from repro.geometry.independent import greedy_low_degree_independent_set
+from repro.mesh.construct import Construction
 
 
 @pytest.fixture(scope="module")
@@ -139,3 +144,37 @@ class TestIndependentSet:
         for a, b in zip(sizes, sizes[1:]):
             assert b <= a * 0.98
             assert b >= a * 0.3  # greedy removes a bounded fraction
+
+
+def _snapshot_digest(n: int, seed: int) -> tuple[str, float]:
+    """Snapshot sha256 and modelled steps of building the hierarchy."""
+    construct = Construction(n)
+    hier = build_dk_hierarchy(sphere_points(n, seed=seed), seed=seed, construct=construct)
+    arrays, meta = dk_tangent_snapshot_arrays(hier)
+    h = hashlib.sha256()
+    for k in sorted(arrays):
+        a = np.ascontiguousarray(arrays[k])
+        h.update(f"{k}:{a.dtype.str}:{a.shape}".encode())
+        h.update(a.tobytes())
+    h.update(json.dumps(meta, sort_keys=True).encode())
+    return h.hexdigest(), construct.steps
+
+
+#: snapshot digests and construction steps, recorded with the previous
+#: (beneath-beyond) host hull and pinned so the hull backend cannot move
+#: the hierarchy's vertex sets, adjacency, independent-set choices or charges
+_GOLDEN_DIGESTS = {
+    (256, 0): (
+        "d68941943ed317248de62bbf609870b09d0e3fc0d7b1e108ff4590a1e38b3113",
+        3085.0,
+    ),
+    (2048, 1): (
+        "472c6a513d66dcb804d1584b8c4370cf13a8d8c808983a19c659e18b4fb8361a",
+        9515.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(_GOLDEN_DIGESTS))
+def test_snapshot_digest_is_pinned(n, seed):
+    assert _snapshot_digest(n, seed) == _GOLDEN_DIGESTS[(n, seed)]
