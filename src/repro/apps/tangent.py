@@ -11,7 +11,8 @@ The per-query work is one beneath-beyond step (vectorized visible-face
 scan + horizon extraction) against the fixed hull; a batch of m queries
 is m independent such steps, which is the data-parallel shape
 multisearch exploits on the mesh.  Points inside ``P`` (exact test)
-have an empty cone.
+have an empty cone.  Tolerances are relative to the hull's coordinate
+scale (:attr:`Hull3D.scale`), so the answers do not depend on units.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.mesh.trace import traced
 
 __all__ = ["TangentCone", "tangent_cones"]
 
+#: visibility tolerance, relative to the hull's coordinate scale
 _EPS = 1e-9
 
 
@@ -51,6 +53,7 @@ def tangent_cones(hull: Hull3D, queries: np.ndarray) -> list[TangentCone]:
 
 def _tangent_cones(hull: Hull3D, queries: np.ndarray) -> list[TangentCone]:
     pts = hull.points
+    scale = hull.scale
     out: list[TangentCone] = []
 
     # face adjacency over edges, once
@@ -61,7 +64,7 @@ def _tangent_cones(hull: Hull3D, queries: np.ndarray) -> list[TangentCone]:
 
     for q in queries:
         dists = hull.normals @ q - hull.offsets
-        visible = dists > _EPS
+        visible = dists > _EPS * scale
         if not visible.any():
             out.append(
                 TangentCone(
@@ -85,7 +88,7 @@ def _tangent_cones(hull: Hull3D, queries: np.ndarray) -> list[TangentCone]:
         for j, (u, v) in enumerate(horizon):
             nrm = np.cross(pts[u] - q, pts[v] - q)
             norm = np.linalg.norm(nrm)
-            if norm < 1e-30:
+            if norm < 1e-30 * scale * scale:
                 nrm = hull.normals[next(iter(vis_ids))]
             else:
                 nrm = nrm / norm

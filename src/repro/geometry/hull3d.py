@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 __all__ = ["Hull3D", "convex_hull_3d"]
 
@@ -56,14 +55,22 @@ class Hull3D:
         c = self.points[self.faces[:, 2]]
         return float(np.abs(np.einsum("ij,ij->i", a, np.cross(b, c)).sum()) / 6.0)
 
+    @property
+    def scale(self) -> float:
+        """Largest coordinate magnitude of the points (a hull vertex attains
+        it): the unit of the hull's tolerances."""
+        return float(np.abs(self.points).max())
+
     def contains(self, q: np.ndarray, eps: float = 1e-9) -> np.ndarray:
         """True where query points lie inside (or on) the hull.
 
         Exact O(F) per point, vectorized; the substrate inclusion test.
+        ``eps`` is relative to :attr:`scale`, so scaling hull and queries
+        together does not change the answer.
         """
         q = np.atleast_2d(np.asarray(q, dtype=np.float64))
         d = q @ self.normals.T - self.offsets[None, :]
-        return (d <= eps).all(axis=1)
+        return (d <= eps * self.scale).all(axis=1)
 
     def support(self, direction: np.ndarray) -> int:
         """Index of the hull vertex extreme in ``direction`` (brute force)."""
@@ -116,6 +123,9 @@ def convex_hull_3d(points: np.ndarray, construct=None) -> Hull3D:
             # rank them, and a route of the final face records
             construct.sort(points[:, 0], n=n)
             construct.scan(np.ones(n, dtype=np.int64), n=n)
+            # lazy import, as in kirkpatrick: restores need no scipy
+            from scipy.spatial import ConvexHull, QhullError
+
             try:
                 qh = ConvexHull(points)
             except QhullError as exc:

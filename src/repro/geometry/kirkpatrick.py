@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import Delaunay
 
 from repro.core.model import STOP, SearchStructure
 from repro.geometry.primitives import (
@@ -302,6 +301,10 @@ def _build_kirkpatrick(
     corner_ids = {n, n + 1, n + 2}
 
     with construct.span("kirkpatrick:delaunay"):
+        # lazy import: restoring a snapshot needs no scipy, so a serving
+        # worker's start does not pay for it
+        from scipy.spatial import Delaunay
+
         base = Delaunay(all_pts).simplices.astype(np.int64)
         # normalize orientation CCW
         a, b, c = all_pts[base[:, 0]], all_pts[base[:, 1]], all_pts[base[:, 2]]

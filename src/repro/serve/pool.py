@@ -3,7 +3,10 @@
 One hung flush or one crashed interpreter must not take the service
 down.  This module splits serving across OS-process failure domains:
 
-* **Workers** (:func:`_worker_main`): each process restores a
+* **Workers** (:func:`_worker_main`): each process is forked from a
+  ``forkserver`` that imported the serving modules once
+  (:data:`FORKSERVER_PRELOAD`), takes the supervisor's ``REPRO_*``
+  environment, restores a
   :class:`~repro.serve.service.MultisearchService` from the
   content-addressed snapshot (construction-free, hash-validated with the
   supervisor's expected id) and answers batches one at a time.  A
@@ -33,6 +36,10 @@ down.  This module splits serving across OS-process failure domains:
     with a typed :class:`~repro.serve.errors.Overloaded` *before* any
     work or memory is committed.
 
+The forkserver outlives any one pool, so restarts and later pools skip
+the interpreter start and imports; an exit hook closes every open pool
+and reaps the server, so no process outlives the supervisor.
+
 Supervision is pure host-side bookkeeping: no engine exists in the
 supervisor process, so zero mesh steps are charged unless a worker runs
 a batch — and a fault-free supervised batch charges exactly the steps
@@ -49,14 +56,16 @@ per-generation derived seeds) and fire inside the worker loop.
 
 from __future__ import annotations
 
+import atexit
 import os
 import signal
 import threading
 import time
+import weakref
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from multiprocessing import get_context
+from multiprocessing import forkserver, get_context
 from multiprocessing.connection import wait as _conn_wait
 
 import numpy as np
@@ -80,19 +89,58 @@ POOL_STAT_KEYS = (
 _SLOW_SEED_STRIDE = 1009     # per-slot fault-seed derivation stride
 _GENERATION_STRIDE = 9173    # per-restart-generation stride
 
-#: workers start like the bench runner's children: a fresh interpreter
-#: per process, so no parent state leaks into a failure domain
-START_METHOD = "spawn"
+#: workers are forks of a forkserver: a clean interpreter that imported
+#: :data:`FORKSERVER_PRELOAD` and never held supervisor state, so each
+#: worker is still its own failure domain but skips interpreter start
+#: and imports
+START_METHOD = "forkserver"
+#: what the forkserver imports once, before it forks any worker
+FORKSERVER_PRELOAD = ("repro.serve.pool", "repro.serve.service", "repro.serve.snapshot")
+#: a forked worker holds the forkserver's environment from when the
+#: server started, so the supervisor's variables with this prefix (set
+#: and unset alike) travel with every start
+ENV_PREFIX = "REPRO_"
 #: silence a starting worker may keep before it is declared frozen
-#: (interpreter start, imports and snapshot restore)
+#: (the fork and snapshot restore; a process's first start also pays the
+#: forkserver's interpreter start and imports)
 READY_TIMEOUT_S = 60.0
+
+#: pools not yet closed; the exit hook closes them before it stops the
+#: forkserver, whose "alive" pipe every live worker holds
+_OPEN_POOLS: "weakref.WeakSet[WorkerPool]" = weakref.WeakSet()
+
+
+def _close_pools_and_forkserver() -> None:
+    """Exit hook: close every open pool, then stop and reap the forkserver.
+
+    Closing first matters twice over: a closed pool restarts no worker,
+    and the server only exits once no worker holds its alive pipe.
+    """
+    for pool in list(_OPEN_POOLS):
+        pool.close(timeout=0)
+    forkserver._forkserver._stop()
+
+
+# exit hooks run last-in first-out and multiprocessing registered its own
+# on import, so this one runs first: before that hook terminates the
+# workers, which a still-open pool's dispatcher would restart
+atexit.register(_close_pools_and_forkserver)
 
 
 # -- worker side -------------------------------------------------------------
 
 
+def _adopt_env(env: dict[str, str]) -> None:
+    """Make this process's ``REPRO_*`` variables exactly ``env``."""
+    for name in [n for n in os.environ if n.startswith(ENV_PREFIX)]:
+        if name not in env:
+            del os.environ[name]
+    os.environ.update(env)
+
+
 def _worker_main(
     conn,
+    env: dict[str, str],
     worker_id: int,
     snapshot_path: str,
     expected_snapshot_id: str | None,
@@ -103,10 +151,12 @@ def _worker_main(
 ) -> None:
     """Worker process entry: restore, heartbeat, answer batches forever.
 
-    The restore is hash-validated against the supervisor's expected
-    snapshot id — a torn or swapped file fails closed with a ``fatal``
-    message naming the id, which feeds the supervisor's circuit breaker
-    instead of serving wrong answers.
+    ``env`` is the supervisor's ``REPRO_*`` environment at start; it
+    replaces the forkserver's before anything reads it.  The restore is
+    hash-validated against the supervisor's expected snapshot id — a torn
+    or swapped file fails closed with a ``fatal`` message naming the id,
+    which feeds the supervisor's circuit breaker instead of serving wrong
+    answers.
     """
     send_lock = threading.Lock()
 
@@ -119,6 +169,7 @@ def _worker_main(
             return False
 
     try:
+        _adopt_env(env)
         from repro.serve.service import restore_service
         from repro.serve.snapshot import read_snapshot
 
@@ -312,6 +363,7 @@ class WorkerPool:
         self.fault_plans = plans
         self.slow_s = float(slow_s)
         self._ctx = get_context(START_METHOD)
+        self._ctx.set_forkserver_preload(list(FORKSERVER_PRELOAD))
 
         self.stats: dict[str, float] = {key: 0 for key in POOL_STAT_KEYS}
         self._lock = threading.RLock()
@@ -331,6 +383,7 @@ class WorkerPool:
             target=self._dispatch_loop, daemon=True, name="pool-dispatcher"
         )
         self._dispatcher.start()
+        _OPEN_POOLS.add(self)
 
     # -- public API ----------------------------------------------------------
 
@@ -388,6 +441,7 @@ class WorkerPool:
             if self._closed and self._stopping.is_set():
                 return
             self._closed = True
+        _OPEN_POOLS.discard(self)
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             with self._lock:
@@ -438,6 +492,7 @@ class WorkerPool:
             target=_worker_main,
             args=(
                 child_conn,
+                {k: v for k, v in os.environ.items() if k.startswith(ENV_PREFIX)},
                 worker.slot,
                 self.snapshot_path,
                 self.snapshot_id,

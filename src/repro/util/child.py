@@ -1,9 +1,10 @@
-"""The start path every spawned child process shares.
+"""The start path every child interpreter shares.
 
-Spawn-context children (the bench runner's per-point workers and the
-serving pool's workers) rebuild ``sys.path`` from the environment, so a
-parent that found ``repro`` some other way (pytest conftest, editable
-install) must pass its paths down through ``PYTHONPATH``.
+The bench runner's spawn-context per-point workers and the serving
+pool's forkserver (which imports the workers' modules before it forks
+them) build ``sys.path`` from the environment, so a parent that found
+``repro`` some other way (pytest conftest, editable install) must pass
+its paths down through ``PYTHONPATH``.
 """
 
 from __future__ import annotations

@@ -65,3 +65,15 @@ class TestDivideConquer:
         ours = convex_hull_divide_conquer(pts, leaf_size=50)
         ref = ConvexHull(pts)
         assert ours.volume() == pytest.approx(ref.volume, rel=1e-9)
+
+
+@pytest.mark.parametrize("factor", [1e-6, 1e-9])
+def test_merge_filter_is_scale_free(factor):
+    """The inclusion filter's tolerance scales with the hulls: a tiny
+    copy drops exactly the vertices the unit-scale merge drops."""
+    P = sphere_points(80, seed=9, radius=2.0)
+    Q = sphere_points(80, seed=12, radius=1.0, center=(2.0, 0.0, 0.0))
+    ref = merge_hulls(convex_hull_3d(P), convex_hull_3d(Q))
+    got = merge_hulls(convex_hull_3d(P * factor), convex_hull_3d(Q * factor))
+    np.testing.assert_array_equal(got.points, ref.points * factor)
+    np.testing.assert_array_equal(got.vertices, ref.vertices)

@@ -71,3 +71,26 @@ class TestTangentCones:
         (cone,) = tangent_cones(hull, q[None, :])
         assert not cone.inside
         assert cone.planes.shape[0] >= 3
+
+
+def _contact_edges(cone) -> set:
+    return {(min(u, v), max(u, v)) for u, v in cone.contacts.tolist()}
+
+
+class TestScaleFree:
+    """Tolerances are relative to the hull's coordinate scale: shrinking
+    hull and queries together changes no answer.  An absolute 1e-9 fails
+    here: it calls 7 of these 50 exterior queries inside at scale 1e-9
+    and changes contact edges at 1e-6 and 1e-8."""
+
+    @pytest.mark.parametrize("factor", [1e-6, 1e-8, 1e-9])
+    def test_scaled_copy_gives_the_same_cones(self, factor):
+        pts = sphere_points(200, seed=0)
+        q = sphere_points(50, seed=11, radius=2.0)
+        ref = tangent_cones(convex_hull_3d(pts), q)
+        hull = convex_hull_3d(pts * factor)
+        got = tangent_cones(hull, q * factor)
+        assert [c.inside for c in got] == [c.inside for c in ref] == [False] * 50
+        assert [_contact_edges(c) for c in got] == [_contact_edges(c) for c in ref]
+        assert not hull.contains(q * factor).any()
+        assert hull.contains(pts * factor).all()

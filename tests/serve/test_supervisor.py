@@ -13,9 +13,11 @@ The contract under test, from DESIGN.md §8:
   exactly the mesh steps the same batch charges in-process, and zero
   steps are charged when nothing is served.
 
-Worker processes restore from the session snapshot, so each pool spawn
-costs an interpreter start + construction-free restore; tests share
-queries and keep pools small (2 workers) to bound wall-clock.
+Worker processes are forked from the preloaded forkserver and restore
+from the session snapshot, so each pool start costs a fork + a
+construction-free restore (the session's first pool also starts the
+server); tests share queries and keep pools small (2 workers) to bound
+wall-clock.
 """
 
 import asyncio
