@@ -6,7 +6,7 @@ read:
 
 * ``python -m repro.bench.report BENCH_e1_hierdag.json`` — per-point
   wall/steps table plus, when the run was collected with
-  ``--profile``, the per-label mesh-step breakdown;
+  ``--trace``, the per-label mesh-step breakdown;
 * ``python -m repro.bench.report --diff OLD.json NEW.json`` — per-point
   wall-clock and mesh-step deltas, per-label profile deltas when both
   documents carry profiles, and the same regression verdict as the

@@ -37,8 +37,7 @@ Usage::
     python -m repro.bench.runner e1_hierdag e2_constrained
     python -m repro.bench.runner --all --smoke          # smallest points
     python -m repro.bench.runner e1_hierdag --compare BENCH_e1_hierdag.json
-    python -m repro.bench.runner e2_constrained --profile
-    python -m repro.bench.runner e1_hierdag --trace   # Chrome trace blobs
+    python -m repro.bench.runner e1_hierdag --trace   # traces + step profile
     python -m repro.bench.runner e3_alpha --timeout 120 --resume
 
 ``python -m repro.bench.report`` renders one BENCH JSON's per-phase
@@ -301,7 +300,6 @@ def run_point(
     point: dict,
     repeats: int = 5,
     warmup: int = 1,
-    profile: bool = False,
     trace: bool = False,
 ) -> dict:
     """Measure one sweep point (called in a worker process).
@@ -309,9 +307,11 @@ def run_point(
     Returns the point's schema-2 JSON record.  Because the pool recycles
     the process after each task, ``ru_maxrss`` is this point's peak RSS.
 
-    The caller's ``REPRO_PROFILE`` / ``REPRO_TRACE`` are saved on entry
-    and restored on exit, so the optional profiled and traced passes
-    never clobber a value the caller exported.
+    With ``trace`` the point runs once more under ``REPRO_TRACE``; that
+    pass yields the span trees and their per-label fold, the point's
+    ``profile``.  The caller's ``REPRO_TRACE`` is saved on entry and
+    restored on exit, so the traced pass never clobbers a value the
+    caller exported.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
@@ -323,7 +323,7 @@ def run_point(
     else:
         call = lambda: fn(**point)  # noqa: E731
     record: dict = {"params": dict(point)}
-    saved_env = {name: os.environ.get(name) for name in ("REPRO_PROFILE", "REPRO_TRACE")}
+    saved_trace = os.environ.get("REPRO_TRACE")
     try:
         for _ in range(warmup):
             call()
@@ -341,21 +341,8 @@ def run_point(
                 f"no mesh-step count found in {spec.module}.{spec.entry} "
                 "result; recording steps: null"
             ]
-        if profile:
-            from repro.mesh.clock import drain_profiled_clocks
-            from repro.mesh.profile import CostProfile, profile as summarize
-
-            drain_profiled_clocks()
-            os.environ["REPRO_PROFILE"] = "1"
-            try:
-                call()
-            finally:
-                os.environ.pop("REPRO_PROFILE", None)
-            merged = CostProfile().merge(
-                *(summarize(clock.history) for clock in drain_profiled_clocks())
-            )
-            record["profile"] = merged.to_dict()
         if trace:
+            from repro.mesh.profile import CostProfile
             from repro.mesh.trace import chrome_doc, drain_traced_tracers
 
             drain_traced_tracers()  # clear any stale registrations first
@@ -369,19 +356,19 @@ def run_point(
             record["trace_tree"] = "\n\n".join(t.render() for t in tracers)
             record["trace_collapsed"] = "\n".join(t.collapsed() for t in tracers)
             record["trace_steps"] = sum(t.total_steps for t in tracers)
+            record["profile"] = CostProfile.from_tracers(tracers).to_dict()
     finally:
-        for name, value in saved_env.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        if saved_trace is None:
+            os.environ.pop("REPRO_TRACE", None)
+        else:
+            os.environ["REPRO_TRACE"] = saved_trace
     record["peak_rss_kb"] = _peak_rss_kib(
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     )
     return record
 
 
-def _point_worker(conn, bench, point, repeats, warmup, profile, trace) -> None:
+def _point_worker(conn, bench, point, repeats, warmup, trace) -> None:
     """Spawned-process entry: run one point, ship the record over ``conn``.
 
     Any Python-level failure is reported as an ``("error", ...)`` message;
@@ -389,7 +376,7 @@ def _point_worker(conn, bench, point, repeats, warmup, profile, trace) -> None:
     is detected by the parent via EOF on the pipe.
     """
     try:
-        record = run_point(bench, point, repeats, warmup, profile, trace)
+        record = run_point(bench, point, repeats, warmup, trace)
         conn.send(("ok", record))
     except BaseException as exc:  # noqa: BLE001 - the whole point is isolation
         conn.send(
@@ -543,7 +530,6 @@ def run_bench(
     repeats: int = 5,
     warmup: int = 1,
     smoke: bool = False,
-    profile: bool = False,
     trace: bool = False,
     timeout: float | None = None,
     retries: int = 1,
@@ -569,7 +555,7 @@ def run_bench(
     ensure_child_path(BENCH_DIR)
     config = {
         "bench": bench, "repeats": repeats, "warmup": warmup,
-        "smoke": smoke, "profile": profile, "trace": trace,
+        "smoke": smoke, "trace": trace,
     }
     if checkpoint is not None:
         checkpoint = pathlib.Path(checkpoint)
@@ -613,7 +599,7 @@ def run_bench(
             recv_conn, send_conn = ctx.Pipe(duplex=False)
             proc = ctx.Process(
                 target=_point_worker,
-                args=(send_conn, bench, job.point, repeats, warmup, profile, trace),
+                args=(send_conn, bench, job.point, repeats, warmup, trace),
                 daemon=True,
             )
             proc.start()
@@ -701,7 +687,7 @@ def run_bench(
         doc["n_errors"] = n_errors
     if resumed:
         doc["resumed_points"] = resumed
-    if profile:
+    if trace:
         from repro.mesh.profile import CostProfile
 
         merged = CostProfile().merge(
@@ -812,14 +798,11 @@ def main(argv: list[str] | None = None) -> int:
         help="smallest sweep point only, one repeat (tier-2 sanity check)",
     )
     parser.add_argument(
-        "--profile", action="store_true",
-        help="also collect a merged per-label mesh-step profile",
-    )
-    parser.add_argument(
         "--trace", action="store_true",
         help="also record one span-traced pass per point; Chrome trace_event "
         "blobs land next to BENCH_<name>.json as TRACE_<name>__<params>.json "
-        "(plus a .txt tree render and a flamegraph .collapsed export)",
+        "(plus a .txt tree render and a flamegraph .collapsed export), and "
+        "the pass's per-label mesh-step profile lands in the document",
     )
     parser.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
@@ -877,7 +860,7 @@ def main(argv: list[str] | None = None) -> int:
             checkpoint = args.out_dir / f"BENCH_{bench}.partial.json"
         doc = run_bench(
             bench, jobs=args.jobs, repeats=args.repeats, warmup=args.warmup,
-            smoke=args.smoke, profile=args.profile, trace=args.trace,
+            smoke=args.smoke, trace=args.trace,
             timeout=args.timeout, retries=args.retries, backoff=args.backoff,
             checkpoint=checkpoint, resume=args.resume,
         )
@@ -928,7 +911,7 @@ def main(argv: list[str] | None = None) -> int:
                 )
             else:
                 checkpoint.unlink()
-        if args.profile and "profile" in doc:
+        if "profile" in doc:
             from repro.mesh.profile import CostProfile
 
             print(CostProfile.from_dict(doc["profile"]).render(), flush=True)

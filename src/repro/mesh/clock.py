@@ -29,19 +29,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
-__all__ = ["CostModel", "StepClock", "ParallelFrame", "drain_profiled_clocks"]
-
-#: clocks created while ``REPRO_PROFILE`` was set — the bench runner's
-#: hook for profiling code that builds its engines internally.  Worker
-#: processes drain this after each profiled run.
-_PROFILED_CLOCKS: list["StepClock"] = []
-
-
-def drain_profiled_clocks() -> list["StepClock"]:
-    """Return and clear the clocks captured under ``REPRO_PROFILE``."""
-    out = list(_PROFILED_CLOCKS)
-    _PROFILED_CLOCKS.clear()
-    return out
+__all__ = ["CostModel", "StepClock", "ParallelFrame"]
 
 
 @dataclass(frozen=True)
@@ -81,14 +69,10 @@ class StepClock:
         self.cost = cost_model if cost_model is not None else CostModel()
         self._accumulators: list[float] = [0.0]
         self._frames: list[ParallelFrame] = []
-        self.history: list[tuple[str, float]] = []
-        self.record_history: bool = False
         #: attached :class:`repro.mesh.trace.Tracer` (None = tracing off);
-        #: every charge is forwarded to its innermost open span.
+        #: every charge is forwarded to its innermost open span, the only
+        #: record of individual charges.
         self.tracer = None
-        if os.environ.get("REPRO_PROFILE"):
-            self.record_history = True
-            _PROFILED_CLOCKS.append(self)
         if os.environ.get("REPRO_TRACE"):
             from repro.mesh.trace import Tracer, register_traced_tracer
 
@@ -116,8 +100,6 @@ class StepClock:
         if steps < 0:
             raise ValueError(f"cannot charge negative steps: {steps}")
         self._accumulators[-1] += steps
-        if self.record_history:
-            self.history.append((label, steps))
         if self.tracer is not None:
             self.tracer.on_charge(label, steps, volume)
 
@@ -158,7 +140,6 @@ class StepClock:
         if self._frames:
             raise RuntimeError("cannot reset inside a parallel() frame")
         self._accumulators = [0.0]
-        self.history.clear()
 
 
 class ParallelSection:

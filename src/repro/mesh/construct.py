@@ -25,7 +25,7 @@ Charge labels are namespaced ``construct:*`` (``construct:sort``,
 so profiles, trace spans and the chaos harness can distinguish
 construction work from query work.  Because the primitives run through the
 real engine, they inherit the whole cost-discipline stack for free:
-``REPRO_TRACE`` span attribution, ``REPRO_PROFILE`` label histograms,
+``REPRO_TRACE`` span attribution and its per-label profiles,
 paranoid-mode invariants (including the stable-order check on tied keys)
 and fault injection at the same boundaries the queries are attacked at.
 

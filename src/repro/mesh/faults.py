@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.mesh.trace import ambient_tracer
+from repro.mesh.trace import _resolve
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mesh.engine import MeshEngine
@@ -148,13 +148,10 @@ class InvariantViolation(AssertionError):
 def current_span_path(clock=None) -> tuple[str, ...]:
     """Names of the open trace spans, outermost first.
 
-    Resolution mirrors :func:`repro.mesh.trace.traced`: the clock's
-    attached tracer first, then the ambient tracer.  Returns ``()`` when
+    Resolution is :func:`repro.mesh.trace.traced`'s.  Returns ``()`` when
     tracing is off — violations still raise, just without a span path.
     """
-    tracer = getattr(clock, "tracer", None) if clock is not None else None
-    if tracer is None:
-        tracer = ambient_tracer()
+    tracer = _resolve(clock)
     if tracer is None:
         return ()
     return tracer.current_path

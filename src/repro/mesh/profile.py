@@ -1,10 +1,11 @@
-"""Cost profiling: per-label breakdown of a clock's charge history.
+"""Cost profiling: per-label breakdown of the charges a tracer recorded.
 
 The engine primitives tag every charge with a label (``"sort"``,
-``"cm:round"``, ``"hierdag:phase2"``, ...).  Enabling
-``engine.clock.record_history`` and summarizing with :func:`profile`
-yields the cost breakdown the ablation benches report — which stage of an
-algorithm pays what.
+``"cm:round"``, ``"hierdag:phase2"``, ...), and an attached
+:class:`~repro.mesh.trace.Tracer` counts the calls and steps of each label
+on the span that was open.  :meth:`CostProfile.from_tracers` folds those
+span counters into the flat breakdown the ablation benches and the bench
+runner's ``--trace`` pass report — which stage of an algorithm pays what.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.mesh.clock import StepClock
+from repro.mesh.trace import Span, Tracer
 
-__all__ = ["CostProfile", "profile", "profiled"]
+__all__ = ["CostProfile", "profiled"]
 
 
 @dataclass
@@ -72,6 +74,22 @@ class CostProfile:
         return {"by_label": dict(self.by_label), "calls": dict(self.calls)}
 
     @classmethod
+    def from_tracers(cls, tracers) -> "CostProfile":
+        """Fold the per-label counters of every span of ``tracers``."""
+        prof = cls()
+        for tracer in tracers:
+            prof._add_span(tracer.root)
+        return prof
+
+    def _add_span(self, span: Span) -> None:
+        """Add the counters of ``span`` and its subtree (pre-order)."""
+        for label, counter in span.counters.items():
+            self.by_label[label] = self.by_label.get(label, 0.0) + counter.steps
+            self.calls[label] = self.calls.get(label, 0) + counter.calls
+        for child in span.children:
+            self._add_span(child)
+
+    @classmethod
     def from_dict(cls, data: dict) -> "CostProfile":
         """Inverse of :meth:`to_dict`; other keys (the ``memo`` counters
         older bench documents carry) are ignored."""
@@ -81,32 +99,26 @@ class CostProfile:
         )
 
 
-def profile(history: list[tuple[str, float]]) -> CostProfile:
-    """Summarize a ``StepClock.history`` list."""
-    prof = CostProfile()
-    for label, cost in history:
-        prof.by_label[label] = prof.by_label.get(label, 0.0) + cost
-        prof.calls[label] = prof.calls.get(label, 0) + 1
-    return prof
-
-
 @contextmanager
 def profiled(clock: StepClock) -> Iterator[CostProfile]:
     """Record charges during the block; the yielded profile fills on exit.
+
+    The block runs in a span of the clock's tracer, so an outer tracer
+    keeps every charge; a clock without one gets a fresh tracer for the
+    block, detached again on exit (also on an exception).
 
     Note: per-label costs are raw charges and do not apply parallel-max
     folding — inside a ``parallel()`` section, branch charges all appear.
     Use the clock's own time for the folded total; the profile answers
     "what kind of work happened", not "what was the critical path".
     """
-    prev_flag = clock.record_history
-    start = len(clock.history)
-    clock.record_history = True
+    outer = clock.tracer
+    tracer = outer if outer is not None else Tracer(clock=clock)
     prof = CostProfile()
     try:
-        yield prof
+        with tracer.span("profiled") as span:
+            yield prof
     finally:
-        clock.record_history = prev_flag
-        computed = profile(clock.history[start:])
-        prof.by_label = computed.by_label
-        prof.calls = computed.calls
+        if outer is None:
+            tracer.detach(clock)
+        prof._add_span(span)

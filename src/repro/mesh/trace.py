@@ -1,9 +1,11 @@
 """Hierarchical span tracing + metrics over the :class:`StepClock`.
 
 The paper's whole evaluation is cost accounting — every theorem is a claim
-about *where* mesh steps go.  :mod:`repro.mesh.profile` answers the flat
-per-label question ("how much did ``sort`` cost"); this module adds the
-*hierarchical* one ("how much did ``sort`` cost inside band 2's Phase 1").
+about *where* mesh steps go.  A :class:`Tracer` is the one record of the
+individual charges: it answers the hierarchical question ("how much did
+``sort`` cost inside band 2's Phase 1"), and :mod:`repro.mesh.profile`
+folds its spans into the flat per-label one ("how much did ``sort``
+cost").
 
 A :class:`Tracer` attaches to a clock (``tracer.attach(clock)`` or
 ``Tracer(clock=clock)``); from then on every :meth:`StepClock.charge`
@@ -16,9 +18,9 @@ is attributed to the innermost open span:
 Each :class:`Span` records host wall time plus, per charge label, the
 invocation count, charged mesh steps, and moved element volume (record
 counts reported by the engine primitives).  Algorithm code opens spans
-through :func:`traced`, which is a zero-cost no-op when the clock has no
-tracer attached — instrumented code paths cost one attribute check when
-tracing is off.
+through :func:`traced`, which is a no-op when the clock has no tracer
+attached and no :func:`ambient` tracer is installed — instrumented code
+paths then cost one attribute check and one list check.
 
 Exporters:
 
@@ -44,14 +46,16 @@ the critical path cost" (``steps_total``).
 
 Host-side (clock-less) code — the geometry builders that run before any
 engine exists — opens spans through the same :func:`traced` helper with
-``clock=None``: the span lands on the *ambient* tracer, either one
+``clock=None``: the span then lands on the *ambient* tracer, either one
 installed with :func:`ambient` or, under ``REPRO_TRACE``, a lazily
 created per-process host tracer drained alongside the clock tracers.
 
-The bench runner's ``--trace`` flag uses the ``REPRO_TRACE`` environment
-variable the same way ``--profile`` uses ``REPRO_PROFILE``: clocks
-created while it is set auto-attach a fresh tracer and register it in a
-module-level list drained by :func:`drain_traced_tracers`.
+The bench runner's ``--trace`` pass sets the ``REPRO_TRACE`` environment
+variable: clocks created while it is set auto-attach a fresh tracer and
+register it in a module-level list drained by
+:func:`drain_traced_tracers`.  The variable is read live (when a clock is
+built, and by clock-less host spans), never cached, because callers set
+and clear it in the middle of a process.
 """
 
 from __future__ import annotations
@@ -68,7 +72,6 @@ __all__ = [
     "Tracer",
     "traced",
     "ambient",
-    "ambient_tracer",
     "emit_event",
     "chrome_doc",
     "parse_collapsed",
@@ -89,6 +92,9 @@ _AMBIENT: list["Tracer"] = []
 #: per drain); collects construction-phase spans that happen before any
 #: engine/clock exists.
 _ENV_HOST_TRACER: "Tracer | None" = None
+
+#: what :func:`traced` returns when nothing records (reusable, reentrant)
+_NULL_SPAN = nullcontext()
 
 
 def register_traced_tracer(tracer: "Tracer") -> None:
@@ -391,20 +397,18 @@ def traced(clock, name: str):
 
     Algorithm phases wrap themselves in ``with traced(engine.clock,
     "hierdag:phase2"):`` — when no tracer is attached (the default) this
-    is one ``getattr`` plus a shared ``nullcontext``, preserving the
-    zero-mesh-step / negligible-wall guarantee of untraced runs.
+    is one attribute check, one list check and a shared ``nullcontext``,
+    preserving the zero-mesh-step / negligible-wall guarantee of untraced
+    runs.
 
     ``clock`` may be ``None`` for host-side phases that run before any
     engine exists (geometry construction): the span then falls back to
     the innermost :func:`ambient` tracer, or — under ``REPRO_TRACE`` — to
-    a lazily created per-process host tracer.  With no clock tracer, no
-    ambient tracer, and no ``REPRO_TRACE``, this stays a cheap no-op.
+    a lazily created per-process host tracer.
     """
-    tracer = getattr(clock, "tracer", None) if clock is not None else None
+    tracer = _resolve(clock)
     if tracer is None:
-        tracer = ambient_tracer()
-        if tracer is None:
-            return nullcontext()
+        return _NULL_SPAN
     return tracer.span(name)
 
 
@@ -418,18 +422,24 @@ def ambient(tracer: "Tracer") -> Iterator["Tracer"]:
         _AMBIENT.pop()
 
 
-def ambient_tracer() -> "Tracer | None":
-    """The tracer clock-less spans attach to, or ``None`` (tracing off).
+def _resolve(clock) -> "Tracer | None":
+    """The tracer that spans, events and span paths of ``clock`` go to.
 
-    Resolution order: the innermost :func:`ambient` tracer, then — when
-    ``REPRO_TRACE`` is set — a per-process host tracer created on first
-    use and registered for :func:`drain_traced_tracers` like the clock
-    tracers.
+    The clock's attached tracer, then the innermost :func:`ambient`
+    tracer.  Only clock-less code (``clock=None``) goes on to the
+    per-process host tracer that ``REPRO_TRACE`` turns on (created on
+    first use and registered for :func:`drain_traced_tracers` like the
+    clock tracers), so a tracer-less clock never reads the environment.
+    ``None`` means tracing is off.
     """
     global _ENV_HOST_TRACER
+    if clock is not None:
+        tracer = getattr(clock, "tracer", None)
+        if tracer is not None:
+            return tracer
     if _AMBIENT:
         return _AMBIENT[-1]
-    if os.environ.get("REPRO_TRACE"):
+    if clock is None and os.environ.get("REPRO_TRACE"):
         if _ENV_HOST_TRACER is None:
             _ENV_HOST_TRACER = Tracer(name="host")
             register_traced_tracer(_ENV_HOST_TRACER)
@@ -440,14 +450,11 @@ def ambient_tracer() -> "Tracer | None":
 def emit_event(name: str, count: int = 1, clock=None) -> None:
     """Record a zero-step event on the innermost open span, if any.
 
-    Resolution mirrors :func:`traced`: the clock's attached tracer first,
-    then the ambient tracer.  A no-op when tracing is off, so host-side
-    caches (the serving layer's result cache) can annotate hits and
-    misses unconditionally.
+    Resolution is :func:`traced`'s.  A no-op when tracing is off, so
+    host-side caches (the serving layer's result cache) can annotate hits
+    and misses unconditionally.
     """
-    tracer = getattr(clock, "tracer", None) if clock is not None else None
-    if tracer is None:
-        tracer = ambient_tracer()
+    tracer = _resolve(clock)
     if tracer is not None:
         tracer.on_event(name, count)
 

@@ -205,19 +205,36 @@ class TestRunPoint:
         assert sum(parsed.values()) == record["trace_steps"]
         assert any("hierdag:bstar" in ";".join(p) for p in parsed)
 
-    def test_profile_record(self):
+    def test_profile_record(self, monkeypatch):
         # e10 runs on the raw MeshVM (no StepClock), so profile an
-        # engine-based bench: E1's smallest point
+        # engine-based bench: E1's smallest point.  The profile is the
+        # fold of the traced pass's own tracers.
+        from repro.mesh import trace
+        from repro.mesh.profile import CostProfile
+
+        drained: list = []
+        drain = trace.drain_traced_tracers
+
+        def spy():
+            drained.append(drain())
+            return drained[-1]
+
+        monkeypatch.setattr(trace, "drain_traced_tracers", spy)
         record = run_point(
             "e1_hierdag",
             {"height": 8, "method": "hierdag"},
             repeats=1,
             warmup=0,
-            profile=True,
+            trace=True,
         )
+        tracers = drained[-1]
+        assert set(record["profile"]) == {"by_label", "calls"}
+        assert record["profile"] == CostProfile.from_tracers(tracers).to_dict()
         assert record["profile"]["by_label"]
         assert sum(record["profile"]["by_label"].values()) > 0
-        assert set(record["profile"]) == {"by_label", "calls"}
+        assert sum(record["profile"]["calls"].values()) == sum(
+            t.root.calls_total for t in tracers
+        )
 
 
 class TestProvenance:
@@ -287,7 +304,7 @@ def _probe_callable(monkeypatch, seen, result=1.0):
 
     def fake(bench):
         def fn(**kwargs):
-            seen.append((os.environ.get("REPRO_PROFILE"), os.environ.get("REPRO_TRACE")))
+            seen.append(os.environ.get("REPRO_TRACE"))
             return result
 
         return spec, fn
@@ -296,37 +313,30 @@ def _probe_callable(monkeypatch, seen, result=1.0):
 
 
 class TestRunPointEnvHygiene:
-    # regression: run_point used to pop REPRO_PROFILE/TRACE on exit,
-    # clobbering whatever the caller had exported
+    # regression: run_point used to pop REPRO_TRACE on exit, clobbering
+    # whatever the caller had exported
 
-    VARS = ("REPRO_PROFILE", "REPRO_TRACE")
-
-    def test_restores_caller_values(self, monkeypatch):
+    def test_restores_caller_value(self, monkeypatch):
         import os
 
-        monkeypatch.setenv("REPRO_PROFILE", "1")
         monkeypatch.setenv("REPRO_TRACE", "1")
-        run_point("selftest", {"mode": "ok"}, repeats=1, warmup=0)
-        assert os.environ["REPRO_PROFILE"] == "1"
+        run_point("selftest", {"mode": "ok"}, repeats=1, warmup=0, trace=True)
         assert os.environ["REPRO_TRACE"] == "1"
 
-    def test_unset_vars_stay_unset(self, monkeypatch):
+    def test_unset_var_stays_unset(self, monkeypatch):
         import os
 
-        for name in self.VARS:
-            monkeypatch.delenv(name, raising=False)
-        run_point("selftest", {"mode": "ok"}, repeats=1, warmup=0)
-        for name in self.VARS:
-            assert name not in os.environ
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        run_point("selftest", {"mode": "ok"}, repeats=1, warmup=0, trace=True)
+        assert "REPRO_TRACE" not in os.environ
 
-    def test_extra_passes_see_only_their_flag(self, monkeypatch):
+    def test_only_the_traced_pass_sees_the_flag(self, monkeypatch):
         seen: list = []
         _probe_callable(monkeypatch, seen)
-        for name in self.VARS:
-            monkeypatch.delenv(name, raising=False)
-        run_point("probe", {}, repeats=1, warmup=1, profile=True, trace=True)
-        # warmup, timed pass, profiled pass, traced pass
-        assert seen == [(None, None), (None, None), ("1", None), (None, "1")]
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        run_point("probe", {}, repeats=1, warmup=1, trace=True)
+        # warmup, timed pass, traced pass: one extra pass, not two
+        assert seen == [None, None, "1"]
 
     def test_restores_env_when_entry_raises(self, monkeypatch):
         import os

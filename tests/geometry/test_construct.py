@@ -4,7 +4,7 @@ Three properties gate the tentpole:
 
 * **determinism** — modelled construction steps are a pure function of
   the input: repeated builds with the same seed charge the identical
-  step total *and* the identical (label, steps) history;
+  step total *and* the identical (label, steps) sequence;
 * **span accounting** — with a tracer attached, the span tree sums
   exactly to ``clock.time``, parallel folds included;
 * **output equivalence** — a builder's outputs are byte-identical
@@ -28,6 +28,7 @@ from repro.intervals.interval_tree import IntervalTree
 from repro.intervals.structure import build_interval_structure
 from repro.mesh.construct import CONSTRUCT_LABELS, Construction
 from repro.mesh.trace import Tracer
+from tests.conftest import RecordingTracer
 
 
 def _kirk_points(n=80, seed=7):
@@ -51,23 +52,23 @@ def _build_dk(construct):
 class TestDeterminism:
     @pytest.mark.parametrize("build", [_build_kirk, _build_dk],
                              ids=["kirkpatrick", "dk3d"])
-    def test_steps_and_history_repeat(self, build):
+    def test_steps_and_charges_repeat(self, build):
         runs = []
         for _ in range(2):
             c = Construction(128)
-            c.clock.record_history = True
+            tracer = RecordingTracer(clock=c.clock)
             build(c)
-            runs.append((c.steps, list(c.clock.history)))
-        assert runs[0][1], "history must actually record the charges"
+            runs.append((c.steps, tracer.charges))
+        assert runs[0][1], "the tracer must actually record the charges"
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]  # same charges, same order, same labels
         assert runs[0][0] > 0
 
-    def test_history_labels_are_construct_namespaced(self):
+    def test_charge_labels_are_construct_namespaced(self):
         c = Construction(128)
-        c.clock.record_history = True
+        tracer = RecordingTracer(clock=c.clock)
         _build_kirk(c)
-        labels = {label for label, _ in c.clock.history}
+        labels = {label for label, _ in tracer.charges}
         assert labels <= set(CONSTRUCT_LABELS)
         assert "construct:sort" in labels
         assert "construct:independent-set" in labels

@@ -17,13 +17,6 @@ class TestCharge:
         with pytest.raises(ValueError):
             c.charge(-1)
 
-    def test_history_recording(self):
-        c = StepClock()
-        c.record_history = True
-        c.charge(2, "sort")
-        c.charge(3, "route")
-        assert c.history == [("sort", 2), ("route", 3)]
-
     def test_reset(self):
         c = StepClock()
         c.charge(5)

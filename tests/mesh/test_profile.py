@@ -3,17 +3,46 @@
 import numpy as np
 import pytest
 
+from repro.mesh.clock import StepClock
 from repro.mesh.engine import MeshEngine
-from repro.mesh.profile import CostProfile, profile, profiled
+from repro.mesh.profile import CostProfile, profiled
+from repro.mesh.trace import Tracer
+
+
+def profile(charges) -> CostProfile:
+    """Profile of ``(label, steps)`` charges made on a fresh traced clock."""
+    clock = StepClock()
+    tracer = Tracer(clock=clock)
+    for label, steps in charges:
+        clock.charge(steps, label)
+    return CostProfile.from_tracers([tracer])
 
 
 class TestProfile:
     def test_aggregates_labels(self):
-        history = [("sort", 10.0), ("route", 5.0), ("sort", 3.0)]
-        prof = profile(history)
+        prof = profile([("sort", 10.0), ("route", 5.0), ("sort", 3.0)])
         assert prof.by_label == {"sort": 13.0, "route": 5.0}
         assert prof.calls == {"sort": 2, "route": 1}
         assert prof.total == 18.0
+
+    def test_folds_every_span_of_every_tracer(self):
+        clock = StepClock()
+        first = Tracer(clock=clock)
+        clock.charge(1.0, "sort")
+        with first.span("a"):
+            clock.charge(2.0, "sort")
+            with first.span("b"):
+                clock.charge(4.0, "route")
+        second = Tracer(clock=clock)
+        with second.span("c"):
+            clock.charge(0.5, "xchip:sort")
+        prof = CostProfile.from_tracers([first, second])
+        assert prof.by_label == {"sort": 3.0, "route": 4.0, "xchip:sort": 0.5}
+        assert prof.calls == {"sort": 2, "route": 1, "xchip:sort": 1}
+        assert prof.total == first.total_steps + second.total_steps
+
+    def test_no_tracers_is_empty(self):
+        assert CostProfile.from_tracers([]) == CostProfile()
 
     def test_top(self):
         prof = profile([("a", 1.0), ("b", 9.0), ("c", 5.0)])
@@ -97,30 +126,48 @@ class TestProfiledContext:
         assert prof.by_label["my-scan"] == eng.clock.cost.scan * 8
         assert prof.total == eng.clock.time
 
-    def test_restores_flag(self):
+    def test_leaves_untraced_clock_untraced(self):
         eng = MeshEngine(8)
-        assert not eng.clock.record_history
+        assert eng.clock.tracer is None
         with profiled(eng.clock):
-            pass
-        assert not eng.clock.record_history
+            assert eng.clock.tracer is not None
+        assert eng.clock.tracer is None
 
-    def test_restores_flag_on_exception(self):
+    def test_detaches_on_exception(self):
         eng = MeshEngine(8)
         with pytest.raises(RuntimeError):
             with profiled(eng.clock) as prof:
                 eng.root.scan(np.arange(64), label="pre-crash")
                 raise RuntimeError("boom")
-        assert not eng.clock.record_history
+        assert eng.clock.tracer is None
         # charges up to the exception are still summarized
         assert prof.by_label["pre-crash"] == eng.clock.cost.scan * 8
 
-    def test_preserves_pre_enabled_flag_on_exception(self):
+    def test_outer_tracer_keeps_every_charge(self):
         eng = MeshEngine(8)
-        eng.clock.record_history = True
+        outer = Tracer(clock=eng.clock)
+        eng.root.sort_by(np.arange(64), label="before")
+        with profiled(eng.clock) as prof:
+            assert eng.clock.tracer is outer
+            eng.root.scan(np.arange(64), label="inside")
+        eng.root.scan(np.arange(64), label="after")
+        assert eng.clock.tracer is outer
+        assert prof.by_label == {"inside": eng.clock.cost.scan * 8}
+        assert outer.total_steps == eng.clock.time
+        assert CostProfile.from_tracers([outer]).calls == {
+            "before": 1, "inside": 1, "after": 1,
+        }
+
+    def test_outer_tracer_kept_on_exception(self):
+        eng = MeshEngine(8)
+        outer = Tracer(clock=eng.clock)
         with pytest.raises(ValueError):
             with profiled(eng.clock):
+                eng.root.scan(np.arange(64))
                 raise ValueError("boom")
-        assert eng.clock.record_history  # prior True restored, not clobbered
+        assert eng.clock.tracer is outer
+        assert outer.current_path == ("run",)  # the block's span closed
+        assert outer.total_steps == eng.clock.time
 
     def test_only_block_charges_counted(self):
         eng = MeshEngine(8)

@@ -1,4 +1,5 @@
-"""A served interval batch makes a bounded number of Python calls.
+"""A served batch makes a bounded number of Python calls and reads no
+environment variable.
 
 Wall-clock gates cannot tell a slower host from a slower program, but
 the number of Python calls a batch makes does not depend on the host:
@@ -8,11 +9,16 @@ and C call one ``IntervalCountService.run_batch`` makes on a restored
 8192-interval structure, after warm-up (packed records and
 Constrained-Multisearch constants are cached on first use).
 
-The ceiling sits about 10% above the current count (2696 at 1 and at 64
+The ceiling sits about 10% above the current count (2433 at 1 and at 64
 rows, Python 3.11 with numpy 2.4): interpreter and numpy versions that
 add or remove Python-level wrappers move the count by a few percent.
+
+With tracing off, the same batch (and a point-location batch) must make
+no ``os.environ`` lookup at all: a tracer-less clock's ``traced()`` spans
+cost an attribute check and a list check, never an environment read.
 """
 
+import os
 import sys
 
 import numpy as np
@@ -21,7 +27,7 @@ import pytest
 from repro.serve import restore_service, snapshot_intervals
 
 N_INTERVALS = 8192
-CALL_CEILING = 3000
+CALL_CEILING = 2680
 
 
 @pytest.fixture(scope="module")
@@ -34,12 +40,19 @@ def service(tmp_path_factory):
     return restore_service(path)
 
 
-def count_calls(fn) -> int:
+def _rows(m: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, 1000.0, m)
+    return np.stack([a, a + rng.exponential(2.0, m)], axis=1)
+
+
+def count_calls(fn, events=("call", "c_call"), code=None) -> int:
+    """Calls ``fn()`` makes: every one, or only those running ``code``."""
     calls = 0
 
     def profiler(frame, event, arg):
         nonlocal calls
-        if event in ("call", "c_call"):
+        if event in events and (code is None or frame.f_code is code):
             calls += 1
 
     sys.setprofile(profiler)
@@ -50,12 +63,16 @@ def count_calls(fn) -> int:
     return calls
 
 
+def count_env_reads(fn) -> int:
+    """``os.environ`` lookups ``fn()`` makes (``get``, ``in`` and ``[]``
+    all go through ``_Environ.__getitem__``)."""
+    return count_calls(fn, events=("call",), code=type(os.environ).__getitem__.__code__)
+
+
 @pytest.mark.parametrize("m", [1, 64])
 def test_run_batch_call_count(service, m, monkeypatch):
     monkeypatch.delenv("REPRO_TRACE", raising=False)
-    rng = np.random.default_rng(m)
-    a = rng.uniform(0.0, 1000.0, m)
-    q = np.stack([a, a + rng.exponential(2.0, m)], axis=1)
+    q = _rows(m, m)
 
     def batch():
         return service.run_batch(q, engine=service.make_engine(m, paranoid=False))
@@ -64,3 +81,29 @@ def test_run_batch_call_count(service, m, monkeypatch):
         batch()
     calls = count_calls(batch)
     assert calls <= CALL_CEILING, f"{calls} calls for one {m}-row batch"
+
+
+def test_env_read_probe_sees_reads(monkeypatch):
+    monkeypatch.setenv("REPRO_UNRELATED", "1")
+    assert count_env_reads(lambda: os.environ.get("REPRO_UNRELATED")) == 1
+    assert count_env_reads(lambda: "REPRO_UNRELATED" in os.environ) == 1
+
+
+@pytest.mark.parametrize("m", [1, 64])
+def test_interval_batch_reads_no_environment(service, m, monkeypatch):
+    # tracing off: an engine-carrying batch must not look at REPRO_TRACE
+    # (or any other variable) per call
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
+    q = _rows(m, m)
+    engine = service.make_engine(m, paranoid=False)
+    service.run_batch(q, engine=service.make_engine(m, paranoid=False))
+    assert count_env_reads(lambda: service.run_batch(q, engine=engine)) == 0
+
+
+def test_pointloc_batch_reads_no_environment(pointloc_env, monkeypatch):
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
+    svc = pointloc_env["service"]
+    q = pointloc_env["queries"]
+    engine = svc.make_engine(len(q), paranoid=False)
+    svc.run_batch(q, engine=svc.make_engine(len(q), paranoid=False))
+    assert count_env_reads(lambda: svc.run_batch(q, engine=engine)) == 0

@@ -49,7 +49,7 @@ class TestEnvironmentForwarding:
 
     def test_adopt_env_sets_and_unsets(self, monkeypatch):
         monkeypatch.setattr(
-            os, "environ", {"REPRO_TRACE": "1", "REPRO_PROFILE": "1", "PATH": "/bin"}
+            os, "environ", {"REPRO_TRACE": "1", "REPRO_UNRELATED": "1", "PATH": "/bin"}
         )
         _adopt_env({"REPRO_PARANOID": "1", "REPRO_TRACE": "0"})
         assert os.environ == {"REPRO_PARANOID": "1", "REPRO_TRACE": "0", "PATH": "/bin"}

@@ -31,8 +31,8 @@ from repro.geometry.dk3d import build_dk_hierarchy
 from repro.geometry.hull3d import convex_hull_3d
 from repro.mesh.engine import MeshEngine
 from repro.mesh.shard import MultiChipMesh, ShardedMeshEngine, ShardedRecordSet
-from repro.mesh.trace import Tracer
 from repro.util.rng import make_rng
+from tests.conftest import RecordingTracer
 
 #: one global mesh side shared by every engine in this suite, so flat and
 #: sharded runs always agree on geometry (32 = 1024 processors covers
@@ -50,12 +50,15 @@ def sharded_engine(k_chip: int, **kwargs) -> ShardedMeshEngine:
 
 
 def run_pair(run, k_chip: int):
-    """Run ``run(engine)`` on a flat and a sharded engine; return both sides."""
+    """Run ``run(engine)`` on a flat and a sharded engine; return both sides.
+
+    Both clocks carry a :class:`RecordingTracer`; the sharded one is
+    returned for its span sums.
+    """
     flat = flat_engine()
     sharded = sharded_engine(k_chip)
-    for eng in (flat, sharded):
-        eng.clock.record_history = True
-    tracer = Tracer(clock=sharded.clock)
+    RecordingTracer(clock=flat.clock)
+    tracer = RecordingTracer(clock=sharded.clock)
     flat_out = run(flat)
     sharded_out = run(sharded)
     return flat, flat_out, sharded, sharded_out, tracer
@@ -63,10 +66,11 @@ def run_pair(run, k_chip: int):
 
 def assert_xchip_behavior(flat, sharded, tracer, k_chip: int) -> None:
     """k=1: identical steps, no xchip labels.  k>1: xchip labels, exact spans."""
-    xchip = [lbl for lbl, _ in sharded.clock.history if lbl.startswith("xchip:")]
+    xchip = [lbl for lbl, _ in tracer.charges if lbl.startswith("xchip:")]
     if k_chip == 1:
         assert sharded.clock.time == flat.clock.time
-        assert sharded.clock.history == flat.clock.history
+        # same charges, same labels, same order
+        assert tracer.charges == flat.clock.tracer.charges
         assert not xchip
     else:
         assert xchip, "a spanning run must cross off-chip links"

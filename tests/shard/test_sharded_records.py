@@ -21,6 +21,7 @@ from repro.mesh.shard import (
     ShardedRecordSet,
     XChipCost,
 )
+from tests.conftest import RecordingTracer
 
 MESHES = [
     MultiChipMesh.square(1, 8),
@@ -108,21 +109,21 @@ class TestCharging:
     def test_single_shard_charges_flat(self):
         mesh = MultiChipMesh.square(1, 8)
         eng = ShardedMeshEngine(mesh)
-        eng.clock.record_history = True
+        tracer = RecordingTracer(clock=eng.clock)
         with ShardedRecordSet(make_columns(30), mesh, engine=eng) as rs:
             rs.sort_by("key")
-        labels = [lbl for lbl, _ in eng.clock.history]
+        labels = [lbl for lbl, _ in tracer.charges]
         assert "shard:sort" in labels
         assert not [lbl for lbl in labels if lbl.startswith("xchip:")]
 
     def test_multi_shard_charges_intra_plus_exchange(self):
         mesh = MultiChipMesh.square(2, 4)
         eng = ShardedMeshEngine(mesh)
-        eng.clock.record_history = True
+        tracer = RecordingTracer(clock=eng.clock)
         with ShardedRecordSet(make_columns(30), mesh, engine=eng) as rs:
             rs.sort_by("key")
             rs.scan("key")
-        labels = [lbl for lbl, _ in eng.clock.history]
+        labels = [lbl for lbl, _ in tracer.charges]
         assert "shard:sort" in labels and "shard:scan" in labels
         assert "xchip:sort" in labels and "xchip:scan" in labels
         assert eng.clock.time > 0
