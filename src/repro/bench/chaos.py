@@ -1,7 +1,8 @@
 """Chaos harness: seeded fault injection vs paranoid invariant checking.
 
 Runs the E1/E2 smoke problems, a synthetic primitive pipeline, structure
-construction, and the cycle-accurate VM programs (``vm_sort`` /
+construction, interval counting on a sharded multi-chip mesh (``xchip``),
+and the cycle-accurate VM programs (``vm_sort`` /
 ``vm_route`` / ``vm_scan`` / ``vm_broadcast``, each differential against
 its engine primitive — see :mod:`repro.mesh.vm_oracle`) under a matrix of
 fault plans (kind x seed), once with paranoid mode on and once off
@@ -228,32 +229,32 @@ def _scenario_vm(program: str, seed: int):
 def _scenario_xchip(paranoid: bool, injector: FaultInjector | None) -> str:
     """Sharded multi-chip mesh: the off-chip exchange fault surface.
 
-    A :class:`~repro.mesh.shard.ShardedRecordSet` over a 2x2 chip grid
-    runs the decomposed sort -> scan -> route pipeline; ``xchip_drop`` /
-    ``xchip_corrupt`` plans fire on the inter-chip exchanges, and the
-    paranoid merge-point checks (count + key-multiset conservation,
-    merged sortedness) are what stands between an off-chip fault and a
-    silently wrong global order.
+    E8 interval counting (two alpha rank multisearches, each running
+    Constrained-Multisearch) on a 2x2-chiplet
+    :class:`~repro.mesh.shard.ShardedMeshEngine`.  ``xchip_drop`` /
+    ``xchip_corrupt`` plans fire on the outputs of every chip-spanning
+    sort, route and transfer, and the paranoid merge-point checks
+    (record-count conservation, payload integrity) are what stands
+    between an off-chip fault and a silently wrong count.
     """
-    from repro.mesh.shard import MultiChipMesh, ShardedMeshEngine, ShardedRecordSet
+    from repro.apps.interval_search import (
+        count_intersections_mesh,
+        setup_interval_search,
+    )
+    from repro.bench.workloads import random_intervals
+    from repro.mesh.shard import MultiChipMesh, ShardedMeshEngine
 
-    mesh = MultiChipMesh.square(2, 4)
-    eng = ShardedMeshEngine(mesh, paranoid=paranoid)
+    eng = ShardedMeshEngine(MultiChipMesh.square(2, 16), paranoid=paranoid)
     if injector is not None:
         injector.install(eng)
+    lefts, rights = random_intervals(200, seed=23, domain=100.0, mean_len=6.0)
     rng = np.random.default_rng(23)
-    n = 96
-    columns = {
-        "key": rng.integers(0, 40, n),
-        "payload": rng.standard_normal(n),
-        "dest": rng.permutation(n).astype(np.int64),
-    }
-    with ShardedRecordSet(columns, mesh, engine=eng) as rs:
-        rs.sort_by("key")
-        scanned = rs.scan("key")
-        rs.route("dest")
-        out = rs.gather()
-    return _fingerprint(out["key"], out["payload"], scanned, eng.clock.time)
+    a = rng.uniform(0.0, 100.0, 64)
+    b = a + rng.uniform(0.1, 15.0, 64)
+    counts, steps = count_intersections_mesh(
+        setup_interval_search(lefts, rights), a, b, engine=eng
+    )
+    return _fingerprint(counts, steps)
 
 
 SCENARIOS = {

@@ -178,13 +178,18 @@ REGISTRY: dict[str, BenchSpec] = {
         _pts({"sites": 128, "queries": 256}, batch=[8, 32, 128, 512]),
         setup="sweep_setup",
     ),
-    # E15 holds the global mesh and record count fixed and sweeps only the
-    # chip decomposition: steps fall while intra-chip parallelism wins,
-    # then rise once off-chip exchanges dominate (the recorded crossover);
-    # the k_chip=1 row is the unsharded engine and anchors the curve
+    # E15 runs Algorithm 1, Constrained-Multisearch and interval counting
+    # on one fixed global mesh and sweeps only the chip decomposition and
+    # the off-chip link bandwidth; each driver's k_chip=1 rows are the
+    # unsharded engine and anchor its curves
     "e15_sharded": BenchSpec(
-        "bench_e15_sharded", "run_once",
-        _pts({"n": 2048}, k_chip=[1, 2, 4, 8], bandwidth=[1.0, 8.0]),
+        "bench_e15_sharded", "sweep_run",
+        _pts(
+            driver=["constrained", "hierdag", "intervals"],
+            k_chip=[1, 2, 4, 8],
+            bandwidth=[1.0, 8.0],
+        ),
+        setup="sweep_setup",
     ),
     "a4_twothree": BenchSpec(
         "bench_a4_twothree", "run_once",

@@ -25,7 +25,10 @@ executed as root-region primitives; the per-round submesh work is charged
 on the most-loaded physical submesh (the parallel max) while the data
 movement of all copies is executed as one vectorized batch — each copy
 only ever touches vertex records it owns, so the batch is observationally
-identical to the per-submesh RARs it accounts for.
+identical to the per-submesh RARs it accounts for.  Each phase charge
+carries the records it moves as its volume (the copied subgraph records,
+the marked queries, one block's share of the live queries per round),
+which a sharded engine prices as off-chip serialization.
 """
 
 from __future__ import annotations
@@ -174,8 +177,9 @@ def _constrained_multisearch(
         # the copy broadcast: executed as one root sort + route (records of
         # every G_i annotated with replica ids), charged as such.
         root.charge_local(1, label="cm:copy-plan")
-        engine.charge_phase(root.side, cost.sort, "cm:copy-sort")
-        engine.charge_phase(root.side, cost.route, "cm:copy-route")
+        copied = int(gamma @ splitting.sizes)
+        engine.charge_phase(root.side, cost.sort, "cm:copy-sort", volume=copied)
+        engine.charge_phase(root.side, cost.route, "cm:copy-route", volume=copied)
         # capacity honesty: the most loaded physical submesh (block 0, which
         # holds copies 0, n_phys, 2 n_phys, ...) must hold its share of
         # copied records within O(1) words per processor.
@@ -197,7 +201,9 @@ def _constrained_multisearch(
         )
         ranked = np.empty(qs.m, dtype=np.int64)
         ranked[order] = rank_sorted
-        engine.charge_phase(root.side, cost.route, "cm:query-route")
+        engine.charge_phase(
+            root.side, cost.route, "cm:query-route", volume=stats.marked
+        )
         li = np.flatnonzero(marked)
         comp_li = comp_of_cur[li]
         first_copy = np.cumsum(gamma) - gamma  # component -> its first copy id
@@ -231,7 +237,11 @@ def _constrained_multisearch(
         for _ in range(rounds):
             if not li.size:
                 break
-            engine.charge_phase(sub_side, round_constant, "cm:round", extra=round_extra)
+            # volume: one block's share of the live queries
+            engine.charge_phase(
+                sub_side, round_constant, "cm:round",
+                volume=-(-li.size // plan.n_phys), extra=round_extra,
+            )
             nxt, new_state = structure.successor(
                 cur_li, *vertices.gather(cur_li), key_li, state_li
             )
@@ -270,7 +280,9 @@ def _constrained_multisearch(
 
     # Step 7: discard copies; route the queries back to their home slots.
     with traced(engine.clock, "cm:return"):
-        engine.charge_phase(root.side, cost.route, "cm:return-route")
+        engine.charge_phase(
+            root.side, cost.route, "cm:return-route", volume=stats.marked
+        )
         # histogram of small non-negative ints: bincount + nonzero yields
         # the {value: count} dict in ascending order, in O(n)
         hist = np.bincount(np.concatenate(finished))

@@ -30,6 +30,10 @@ Implementation notes (cost honesty):
   fit in ``O(1)`` words per processor of the ideal submesh — this only
   happens at small ``n``, where the paper's asymptotic constants have not
   kicked in, and degrades cost, never correctness.
+* Every phase charge carries the records one submesh moves as its
+  volume (a band or band-prefix copy, or the submesh's share of the
+  queries), taken from plan sizes and the query count.  The flat engine
+  only counts it; a sharded engine prices its off-chip serialization.
 * Queries are advanced strictly level-synchronously; a query whose search
   path starts below ``L_0`` simply joins when its band is processed, and
   a query whose successor returns STOP drops out.
@@ -66,6 +70,8 @@ class BandPlan:
     sub_side: int
     #: side of one ``B_i^1``-submesh
     inner_side: int
+    #: vertices of ``B_i^1`` (0 when it is empty)
+    b1_vertices: int = 0
 
 
 @dataclass
@@ -113,15 +119,17 @@ def plan_hierdag(
         # inner grid for Phase 1
         q = 1
         inner_side = sub_side
+        b1_vertices = 0
         b1 = band.b1_levels
         if b1 is not None:
             ideal_q = band.n_levels
             q = max(1, min(ideal_q, sub_side))
-            rec1 = _records(level_sizes, b1[0], b1[1], rec_per_vertex)
+            b1_vertices = int(level_sizes[b1[0] : b1[1] + 1].sum())
+            rec1 = b1_vertices * rec_per_vertex
             while q > 1 and (sub_side // q) ** 2 * per_proc < rec1:
                 q -= 1
             inner_side = max(1, sub_side // q)
-        plans.append(BandPlan(band, g, q, sub_side, inner_side))
+        plans.append(BandPlan(band, g, q, sub_side, inner_side, b1_vertices))
         prev_g = g
     return HierDagPlan(deco, plans, mesh_side, rec_per_vertex)
 
@@ -331,7 +339,10 @@ def lemma1_band_steps(
     Charges: Phase 1 — one duplication of ``B_i^1`` (constant number of
     standard ops at submesh side) plus one RAR+local per ``B_i^1`` level
     at the inner side; Phase 2 — one RAR+local per ``B_i^2`` level at the
-    submesh side.  Returns the per-phase charges for diagnostics.
+    submesh side.  Each charge's volume is what one submesh moves: the
+    ``q^2`` copies of ``B_i^1`` for the duplication, and the submesh's
+    share of the (evenly spread) queries for a level step.  Returns the
+    per-phase charges for diagnostics.
     """
     clock = engine.clock
     cost = clock.cost
@@ -345,19 +356,23 @@ def lemma1_band_steps(
     if b1 is not None:
         with traced(clock, f"{label}:phase1"):
             detail["dup_b1"] += engine.charge_phase(
-                plan.sub_side, cost.sort + cost.route, f"{label}:dup-b1"
+                plan.sub_side, cost.sort + cost.route, f"{label}:dup-b1",
+                volume=plan.b1_vertices * plan.q * plan.q,
             )
+            inner_queries = -(-qs.m // (plan.g * plan.q) ** 2)
             for lvl in range(b1[0], b1[1] + 1):
                 detail["phase1"] += engine.charge_phase(
                     plan.inner_side, cost.route, f"{label}:phase1",
-                    extra=cost.local,
+                    volume=inner_queries, extra=cost.local,
                 )
                 step(lvl)
     lo2, hi2 = band.b2_levels
+    sub_queries = -(-qs.m // plan.g**2)
     with traced(clock, f"{label}:phase2"):
         for lvl in range(lo2, hi2 + 1):
             detail["phase2"] += engine.charge_phase(
-                plan.sub_side, cost.route, f"{label}:phase2", extra=cost.local
+                plan.sub_side, cost.route, f"{label}:phase2",
+                volume=sub_queries, extra=cost.local,
             )
             step(lvl)
     if local_advancer is not None:  # caller-owned advancers flush later
@@ -408,7 +423,7 @@ def hierdag_multisearch(
                 parent_side = plan.bands[j + 1].sub_side if j + 1 < len(plan.bands) else plan.mesh_side
                 setup += engine.charge_phase(
                     parent_side, cost.sort + cost.route + cost.scan,
-                    "hierdag:distribute",
+                    "hierdag:distribute", volume=bp.band.n_vertices,
                 )
             detail["setup"] = setup
 
@@ -418,7 +433,8 @@ def hierdag_multisearch(
             with traced(clock, f"hierdag:band{j}"):
                 parent_side = plan.bands[j + 1].sub_side if j + 1 < len(plan.bands) else plan.mesh_side
                 dup = engine.charge_phase(
-                    parent_side, cost.sort + cost.route, "hierdag:dup-band"
+                    parent_side, cost.sort + cost.route, "hierdag:dup-band",
+                    volume=bp.band.n_vertices,
                 )
                 detail[f"band{j}:dup"] = dup
                 d = lemma1_band_steps(engine, structure, qs, bp, advancer=advancer)
@@ -434,7 +450,8 @@ def hierdag_multisearch(
         with traced(clock, "hierdag:bstar"):
             for lvl in range(deco.bstar_lo, deco.h + 1):
                 bstar += engine.charge_phase(
-                    plan.mesh_side, cost.route, "hierdag:bstar", extra=cost.local
+                    plan.mesh_side, cost.route, "hierdag:bstar",
+                    volume=qs.m, extra=cost.local,
                 )
                 advancer.advance(lvl)
                 multisteps += 1

@@ -29,7 +29,11 @@ def signed_area2(polygons: np.ndarray, sizes) -> np.ndarray:
     """Twice the signed (shoelace) area of each polygon; > 0 for CCW.
 
     ``polygons`` is ``(H, K, 2)``; polygon ``h`` is its first
-    ``sizes[h]`` rows, the rest is padding and does not count.
+    ``sizes[h]`` rows, the rest is padding and does not count.  Each
+    polygon's terms are summed in vertex order (a running sum read at its
+    last vertex), so its area does not depend on the padding width ``K``
+    — a pairwise ``sum`` regroups the terms by ``K`` and can flip the sign
+    of a zero-area polygon's rounding error.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     pos = np.arange(polygons.shape[1])
@@ -38,15 +42,16 @@ def signed_area2(polygons: np.ndarray, sizes) -> np.ndarray:
     terms = x * np.take_along_axis(y, nxt, axis=1) - np.take_along_axis(
         x, nxt, axis=1
     ) * y
-    return np.where(pos < sizes[:, None], terms, 0.0).sum(axis=1)
+    running = np.cumsum(terms, axis=1)
+    return np.take_along_axis(running, sizes[:, None] - 1, axis=1)[:, 0]
 
 
 def ear_clip(polygon: np.ndarray, eps: float = 1e-12, construct=None) -> np.ndarray:
     """Triangulate a simple polygon given in counter-clockwise order.
 
     Returns ``(k-2, 3)`` vertex-index triples into ``polygon``.  Raises
-    ``ValueError`` if the polygon is not simple/CCW enough to clip.  The
-    one-polygon case of :func:`ear_clip_many`.
+    ``ValueError`` if the polygon is not simple/CCW enough to clip or its
+    area is not positive.  The one-polygon case of :func:`ear_clip_many`.
     """
     polygon = np.asarray(polygon, dtype=np.float64)
     return ear_clip_many(polygon[None], [polygon.shape[0]], eps, construct)
@@ -62,7 +67,8 @@ def ear_clip_many(
     ``(sum(sizes - 2), 3)`` vertex-index triples into each polygon's own
     rows, polygon after polygon, each polygon's triangles in the order
     :func:`ear_clip` gives them.  Raises ``ValueError`` if any polygon has
-    fewer than three vertices or is not simple/CCW enough to clip.
+    fewer than three vertices, a signed area that is not positive, or is
+    not simple enough to clip.
 
     With a :class:`repro.mesh.construct.Construction` attached, each
     polygon is one branch of a parallel section with its own
@@ -87,8 +93,8 @@ def ear_clip_many(
 
 
 def _ear_clip_many(polygons: np.ndarray, sizes: np.ndarray, eps: float) -> np.ndarray:
-    if (signed_area2(polygons, sizes) < 0).any():
-        raise ValueError("polygon must be counter-clockwise")
+    if (signed_area2(polygons, sizes) <= 0).any():
+        raise ValueError("polygon must be counter-clockwise with positive area")
     H, K = polygons.shape[:2]
     if H == 0:
         return np.zeros((0, 3), dtype=np.int64)

@@ -97,8 +97,9 @@ PROCESS_FAULT_KINDS = (
 )
 
 #: fault kinds injected on the off-chip links of the sharded multi-chip
-#: mesh (:mod:`repro.mesh.shard`), at inter-shard exchange boundaries
-#: (see :meth:`FaultInjector.on_xchip_exchange`)
+#: mesh (:mod:`repro.mesh.shard`): on the outputs of every engine
+#: primitive whose region spans chiplets (see
+#: :meth:`FaultInjector.on_xchip_exchange`)
 XCHIP_FAULT_KINDS = (
     "xchip_drop",     # an off-chip link loses a suffix of the exchanged records
     "xchip_corrupt",  # one exchanged word is corrupted crossing a chip boundary
@@ -487,15 +488,15 @@ class FaultInjector:
     ) -> tuple[np.ndarray, ...]:
         """Maybe corrupt records crossing an off-chip link (returns copies).
 
-        Called by the sharded record set at every inter-shard exchange
-        boundary (merge of per-shard sorted runs, redistribution, gather)
-        with the exchanged record arrays; site is the exchange's charge
-        label (``xchip:sort``, ``xchip:route``, ``xchip:gather``, ...).
+        Called by a :class:`~repro.mesh.shard.ShardedMeshEngine`'s fault
+        hooks with the outputs of every chip-spanning ``sort_by``,
+        ``argsort``, ``route`` and ``transfer``, after the flat hook of
+        the same site; site is ``xchip:<primitive label>``.
         ``xchip_drop`` truncates a suffix of every exchanged array (a
         lossy link), ``xchip_corrupt`` perturbs one word of one array (a
-        noisy link).  Both are detected by the sharded merge-point
-        paranoid checks: record-count conservation and merged
-        sortedness.
+        noisy link).  Both are detected by the sharded engine's paranoid
+        merge-point checks: record-count conservation and payload
+        integrity.
         """
         i = self._match("xchip_drop", site)
         if i is not None and arrays and arrays[0].shape[0] > 0:

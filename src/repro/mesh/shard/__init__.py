@@ -1,20 +1,17 @@
-"""Sharded multi-chip mesh: chip-grid topology, hierarchical charging,
-and per-chiplet record stores (host-resident numpy columns).
+"""Sharded multi-chip mesh: chip-grid topology and hierarchical charging.
 
-See DESIGN.md §9.  The single-chip degenerate case (``chip_rows ==
-chip_cols == 1``) is byte-identical — outputs *and* total charged steps
-— to the flat :class:`~repro.mesh.engine.MeshEngine`, which is the
-property suite's anchor (``tests/shard/``).
+See DESIGN.md §9.  :class:`ShardedMeshEngine` runs every engine
+primitive and multisearch phase unchanged and decomposes its charges per
+chiplet, plus an ``xchip:*`` charge for each off-chip exchange; the
+off-chip fault kinds (``xchip_drop`` / ``xchip_corrupt``) fire on the
+outputs of its chip-spanning primitives.  The single-chip degenerate
+case (``chip_rows == chip_cols == 1``) is byte-identical — outputs,
+total charged steps and the charge sequence — to the flat
+:class:`~repro.mesh.engine.MeshEngine`, which is the property suite's
+anchor (``tests/shard/``).
 """
 
 from repro.mesh.shard.engine import ShardedMeshEngine
-from repro.mesh.shard.records import HostShard, ShardedRecordSet
 from repro.mesh.shard.topology import MultiChipMesh, XChipCost
 
-__all__ = [
-    "MultiChipMesh",
-    "XChipCost",
-    "ShardedMeshEngine",
-    "HostShard",
-    "ShardedRecordSet",
-]
+__all__ = ["MultiChipMesh", "XChipCost", "ShardedMeshEngine"]

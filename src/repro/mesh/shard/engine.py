@@ -23,11 +23,20 @@ machinery, the tracer's parallel-fold bookkeeping keeps span sums equal
 to ``clock.time`` exactly, and :class:`~repro.mesh.profile.CostProfile`
 picks the ``xchip:*`` labels up with no changes — ``fraction("xchip:")``
 is the off-chip share of a run.
+
+The outputs of a chip-spanning ``sort_by`` / ``argsort`` / ``route`` /
+``transfer`` cross the off-chip links, so that is where the off-chip
+fault kinds fire: an installed
+:class:`~repro.mesh.faults.FaultInjector` is wrapped in
+:class:`_OffChipLinks`, which the primitives' ordinary fault hooks call.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.mesh.engine import MeshEngine
+from repro.mesh.faults import invariant
 from repro.mesh.shard.topology import MultiChipMesh, XChipCost
 from repro.mesh.topology import RegionSpec
 from repro.mesh.trace import traced
@@ -41,6 +50,18 @@ class ShardedMeshEngine(MeshEngine):
     def __init__(self, chips: MultiChipMesh, **kwargs) -> None:
         super().__init__(chips.shape, **kwargs)
         self.chips = chips
+        #: whether the last charged primitive spanned chiplets (its
+        #: outputs cross off-chip links)
+        self._spanning = False
+
+    @property
+    def faults(self):
+        """The installed injector, wrapped so off-chip faults fire too."""
+        return self._links
+
+    @faults.setter
+    def faults(self, injector) -> None:
+        self._links = None if injector is None else _OffChipLinks(self, injector)
 
     @classmethod
     def for_problem(  # type: ignore[override]
@@ -68,8 +89,10 @@ class ShardedMeshEngine(MeshEngine):
         if len(cover) == 1:
             # one chiplet covers the region: the flat charge IS the
             # hardware behavior (this is every charge at k_chip == 1)
+            self._spanning = False
             super().charge_primitive(spec, constant, label, volume=volume)
             return
+        self._spanning = True
         size = spec.size
         with self.clock.parallel() as section:
             for ci, cj, part in cover:
@@ -126,8 +149,10 @@ class ShardedMeshEngine(MeshEngine):
         hops = self.chips.chip_span(src, dst)
         if hops == 0:
             # source and destination share a chiplet: on-chip transfer
+            self._spanning = False
             super().charge_transfer(src, dst, label, volume=volume)
             return
+        self._spanning = True
         # drain to the chip boundary, cross off-chip, fill from the boundary
         cost = self.clock.cost.transfer
         with self.clock.parallel() as section:
@@ -139,3 +164,63 @@ class ShardedMeshEngine(MeshEngine):
             f"xchip:{label}",
             volume=volume,
         )
+
+
+class _OffChipLinks:
+    """The fault hooks a :class:`ShardedMeshEngine`'s primitives call.
+
+    Each hook first runs the injector's own hook, so the flat fault kinds
+    fire exactly as on the flat engine.  If the primitive that just
+    charged spanned chiplets, its outputs then cross the off-chip links
+    at site ``xchip:<label>``, where ``xchip_drop`` / ``xchip_corrupt``
+    fire; a paranoid engine checks at that merge point that every array
+    kept its record count and its bytes (the host holds both sides of
+    the exchange).  Every other attribute (``injected``, ``log()``, ...)
+    is the injector's.
+    """
+
+    def __init__(self, engine: ShardedMeshEngine, injector) -> None:
+        self._engine = engine
+        self.injector = injector
+
+    def __getattr__(self, name):
+        return getattr(self.injector, name)
+
+    def on_sort_keys(self, keys: np.ndarray, site: str) -> np.ndarray:
+        (keys,) = self._cross((self.injector.on_sort_keys(keys, site),), site)
+        return keys
+
+    def on_sort_order(self, order: np.ndarray, site: str) -> np.ndarray:
+        (order,) = self._cross((self.injector.on_sort_order(order, site),), site)
+        return order
+
+    def on_route_payload(self, outs: list, targets: np.ndarray, site: str) -> None:
+        self.injector.on_route_payload(outs, targets, site)
+        outs[:] = self._cross(tuple(outs), site)
+
+    def on_transfer(self, outs: tuple, site: str) -> tuple:
+        return self._cross(self.injector.on_transfer(outs, site), site)
+
+    def _cross(self, sent: tuple, label: str) -> tuple:
+        engine = self._engine
+        if not engine._spanning:
+            return sent
+        site = f"xchip:{label}"
+        arrived = self.injector.on_xchip_exchange(sent, site)
+        if engine.paranoid:
+            for i, (got, want) in enumerate(zip(arrived, sent)):
+                if got.shape[0] != want.shape[0]:
+                    raise invariant(
+                        "xchip:merge",
+                        f"array {i} arrived with {got.shape[0]} of "
+                        f"{want.shape[0]} records at {site}",
+                        clock=engine.clock,
+                    )
+                if got.tobytes() != want.tobytes():
+                    raise invariant(
+                        "xchip:merge",
+                        f"array {i} content changed crossing off-chip "
+                        f"links at {site}",
+                        clock=engine.clock,
+                    )
+        return arrived

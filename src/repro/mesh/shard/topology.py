@@ -105,32 +105,6 @@ class MultiChipMesh:
         """The global node mesh every ``RegionSpec`` addresses."""
         return MeshShape(self.chip_rows * self.k_node, self.chip_cols * self.k_node)
 
-    @property
-    def k_chip(self) -> int:
-        """Chip-grid side (cost-dominant dimension of the chip grid)."""
-        return max(self.chip_rows, self.chip_cols)
-
-    @property
-    def num_chips(self) -> int:
-        return self.chip_rows * self.chip_cols
-
-    def chip_spec(self, ci: int, cj: int) -> RegionSpec:
-        """Chiplet ``(ci, cj)``'s aligned region of the global mesh."""
-        if not (0 <= ci < self.chip_rows and 0 <= cj < self.chip_cols):
-            raise ValueError(
-                f"chip ({ci}, {cj}) outside {self.chip_rows}x{self.chip_cols} grid"
-            )
-        k = self.k_node
-        return RegionSpec(ci * k, cj * k, k, k)
-
-    def chip_specs(self) -> list[RegionSpec]:
-        """All chiplet regions, row-major chip-grid order."""
-        return [
-            self.chip_spec(ci, cj)
-            for ci in range((self.chip_rows))
-            for cj in range(self.chip_cols)
-        ]
-
     # -- region decomposition ----------------------------------------------
 
     def chip_bbox(self, spec: RegionSpec) -> tuple[int, int, int, int]:

@@ -1,10 +1,14 @@
 """The committed E15 blob is live: steps reproduce and show the crossover.
 
-``BENCH_e15_sharded.json`` records modelled steps only — a pure cost
-model with no wall-clock component — so this gate can re-run every
-sweep point (milliseconds each) and demand *exact* agreement, then
-assert the acceptance criterion itself: off-chip exchange cost
-overtakes the intra-chip parallelism win as ``k_chip`` grows.
+``BENCH_e15_sharded.json`` records modelled steps of three of the paper's
+multisearch drivers (Algorithm 1, Constrained-Multisearch, interval
+counting) on a sharded mesh — a pure cost model with no wall-clock
+component in its steps — so this gate can re-run every sweep point
+(milliseconds each) and demand *exact* agreement, check that each
+driver's ``k_chip=1`` rows are the flat engine, then assert the recorded
+shape: with unit-bandwidth links off-chip exchanges overtake the
+intra-chip parallelism win past ``k_chip=4``, while 8x wider links keep
+the curve falling through ``k_chip=8``.
 """
 
 import json
@@ -13,6 +17,8 @@ import sys
 import pytest
 
 from repro.bench.runner import BENCH_DIR, REGISTRY, REPO_ROOT, point_result
+from repro.mesh.engine import MeshEngine
+from repro.mesh.shard import MultiChipMesh, ShardedMeshEngine
 
 BLOB = REPO_ROOT / "BENCH_e15_sharded.json"
 
@@ -29,18 +35,19 @@ def points():
 
 
 @pytest.fixture(scope="module")
-def run_once():
+def bench():
     sys.path.insert(0, str(BENCH_DIR))
     try:
-        from bench_e15_sharded import run_once
+        import bench_e15_sharded
     finally:
         sys.path.remove(str(BENCH_DIR))
-    return run_once
+    return bench_e15_sharded
 
 
 def _by_params(points):
     return {
-        (p["params"]["bandwidth"], p["params"]["k_chip"]): point_result(p)["mesh_steps"]
+        (p["params"]["driver"], p["params"]["bandwidth"], p["params"]["k_chip"]):
+        point_result(p)["mesh_steps"]
         for p in points
     }
 
@@ -50,24 +57,39 @@ def test_blob_covers_the_registered_sweep(points):
     assert recorded == [dict(pt) for pt in REGISTRY["e15_sharded"].points]
 
 
-def test_steps_reproduce_exactly(points, run_once):
+def test_steps_reproduce_exactly(points, bench):
     # deterministic cost model: any drift is a real accounting change
     # and must come with a regenerated blob
     for p in points:
-        assert run_once(**p["params"]) == point_result(p)["mesh_steps"], p["params"]
+        assert bench.run_once(**p["params"]) == point_result(p)["mesh_steps"], p["params"]
 
 
-def test_crossover_recorded(points):
+@pytest.mark.parametrize("driver", ["constrained", "hierdag", "intervals"])
+def test_one_chip_rows_are_the_flat_engine(points, bench, driver):
+    ctx = bench.sweep_setup(driver, 1, 1.0)
+    flat_steps, flat_out = bench.drive(ctx, MeshEngine(bench.SIDE))
+    one_chip = ShardedMeshEngine(MultiChipMesh.square(1, bench.SIDE))
+    steps, out = bench.drive(ctx, one_chip)
+    assert steps == flat_steps
+    assert out.tobytes() == flat_out.tobytes()
+    recorded = _by_params(points)
+    assert recorded[(driver, 1.0, 1)] == recorded[(driver, 8.0, 1)] == flat_steps
+
+
+@pytest.mark.parametrize("driver", ["constrained", "hierdag", "intervals"])
+def test_crossover_recorded(points, driver):
     steps = _by_params(points)
-    for bandwidth in (1.0, 8.0):
-        anchor = steps[(bandwidth, 1)]
-        # sharding pays off at first...
-        assert steps[(bandwidth, 2)] < anchor
-        # ...and the curve turns once exchanges dominate
-        assert steps[(bandwidth, 8)] > min(
-            steps[(bandwidth, k)] for k in (2, 4)
-        )
-    # narrow links: by k_chip=8 sharding costs MORE than not sharding
-    assert steps[(1.0, 8)] > steps[(1.0, 1)]
-    # 8x wider links move the minimum out to k_chip=4
-    assert steps[(8.0, 4)] == min(steps[(8.0, k)] for k in (1, 2, 4, 8))
+
+    def curve(bandwidth):
+        return [steps[(driver, bandwidth, k)] for k in (1, 2, 4, 8)]
+
+    narrow, wide = curve(1.0), curve(8.0)
+    # sharding pays off at first, at either bandwidth
+    assert narrow[1] < narrow[0] and wide[1] < wide[0]
+    # wider links never cost more once exchanges exist
+    assert all(w < n for w, n in zip(wide[1:], narrow[1:]))
+    # unit-bandwidth links: the curve turns after k_chip=4, once the
+    # off-chip serialization of the multisearch's volume dominates...
+    assert min(narrow) == narrow[2] < narrow[3]
+    # ...while 8x wider links keep it falling through k_chip=8
+    assert wide == sorted(wide, reverse=True)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.primitives import orient2d
-from repro.geometry.triangulate import ear_clip, ear_clip_many
+from repro.geometry.triangulate import ear_clip, ear_clip_many, signed_area2
 
 
 def total_area(polygon: np.ndarray, tris: np.ndarray) -> float:
@@ -93,14 +93,12 @@ class TestEarClip:
 def _sequential_ear_clip(polygon: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     """Reference: one polygon, one ear at a time, in plain Python loops."""
     k = polygon.shape[0]
-    area2 = float(
-        np.sum(
-            polygon[:, 0] * np.roll(polygon[:, 1], -1)
-            - np.roll(polygon[:, 0], -1) * polygon[:, 1]
-        )
-    )
-    if area2 < 0:
-        raise ValueError("polygon must be counter-clockwise")
+    area2 = 0.0
+    for i in range(k):  # in vertex order, as signed_area2 sums
+        (x0, y0), (x1, y1) = polygon[i], polygon[(i + 1) % k]
+        area2 += x0 * y1 - x1 * y0
+    if area2 <= 0:
+        raise ValueError("polygon must be counter-clockwise with positive area")
     idx = list(range(k))
     triangles = []
     while len(idx) > 3:
@@ -175,15 +173,42 @@ class TestLockstepMatchesSequential:
         else:
             assert got.tobytes() == np.concatenate(want).tobytes()
 
+    def test_zero_area_polygon_refused_alone_and_in_a_batch(self):
+        # a repeated vertex gives zero area; its shoelace sum rounds to
+        # -2.2e-16, and a padding-dependent summation used to read 0.0
+        # (accepted) when it was batched next to an 8-gon
+        zero = np.array(
+            [[1.4717, 1.2719], [-0.4864, 0.5771], [-1.2310, 0.3095], [-0.4864, 0.5771]]
+        )
+        theta = np.linspace(0, 2 * np.pi, 8, endpoint=False)
+        octagon = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        padded = np.zeros((2, 8, 2))
+        padded[0, :4] = zero
+        padded[1] = octagon
+        alone = signed_area2(zero[None], [4])[0]
+        assert signed_area2(padded, [4, 8])[0] == alone
+        with pytest.raises(ValueError, match="positive area"):
+            ear_clip(zero)
+        with pytest.raises(ValueError, match="positive area"):
+            ear_clip_many(padded, [4, 8])
+        assert ear_clip_many(padded[1:], [8]).shape == (6, 3)
+
     def test_degenerate_polygons_raise(self):
         line = np.stack([np.arange(5.0), np.arange(5.0)], axis=1)
-        with pytest.raises(ValueError, match="stuck"):
+        with pytest.raises(ValueError, match="positive area"):
             ear_clip(line)
+        # positive area, but every ear is thinner than eps
+        sliver = np.array([[0, 0], [1, 0], [2, 0], [3, 0], [1.5, 1e-14]])
+        with pytest.raises(ValueError, match="stuck"):
+            ear_clip(sliver)
         square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float)
         padded = np.zeros((2, 5, 2))
         padded[0, :4] = square
-        padded[1] = line
+        padded[1] = sliver
         with pytest.raises(ValueError, match="stuck"):
+            ear_clip_many(padded, [4, 5])
+        padded[1] = line
+        with pytest.raises(ValueError, match="positive area"):
             ear_clip_many(padded, [4, 5])
         with pytest.raises(ValueError, match="counter-clockwise"):
             ear_clip_many(padded[:, ::-1], [5, 5])

@@ -1,4 +1,4 @@
-"""Sharded vs. single-mesh byte-identity across all six app drivers.
+"""Sharded vs. single-mesh byte-identity across the engine-taking drivers.
 
 The anchor property of :mod:`repro.mesh.shard`: at ``k_chip == 1`` the
 sharded engine *is* the flat engine — byte-identical outputs AND total
@@ -6,17 +6,12 @@ charged steps — and at ``k_chip > 1`` outputs stay byte-identical while
 the charges decompose into per-chiplet phases plus ``xchip:*``
 exchanges whose span sums still equal ``clock.time`` exactly.
 
-Engine-taking drivers (linepoly, pointloc, interval count/report) run
-with explicit engines of one global shape; host-only drivers
-(hullmerge, separation, tangent) have their inputs round-tripped
-through a :class:`ShardedRecordSet` (one-shard, multi-chip, and
-non-square chip grids) which must be lossless.
+The drivers (linepoly, pointloc, interval count/report) run with
+explicit engines of one global shape.
 """
 
-import numpy as np
 import pytest
 
-from repro.apps.hullmerge import convex_hull_divide_conquer
 from repro.apps.interval_search import (
     count_intersections_mesh,
     report_intersections_mesh,
@@ -24,13 +19,10 @@ from repro.apps.interval_search import (
 )
 from repro.apps.linepoly import line_polyhedron_queries
 from repro.apps.pointloc import locate_points_mesh
-from repro.apps.separation import separate_polyhedra
-from repro.apps.tangent import tangent_cones
 from repro.bench.workloads import random_intervals, random_lines, sphere_points
 from repro.geometry.dk3d import build_dk_hierarchy
-from repro.geometry.hull3d import convex_hull_3d
 from repro.mesh.engine import MeshEngine
-from repro.mesh.shard import MultiChipMesh, ShardedMeshEngine, ShardedRecordSet
+from repro.mesh.shard import MultiChipMesh, ShardedMeshEngine
 from repro.util.rng import make_rng
 from tests.conftest import RecordingTracer
 
@@ -161,64 +153,3 @@ class TestEngineTakingDrivers:
             assert ss == fs
         assert_xchip_behavior(flat, sharded, tracer, k_chip)
 
-
-# -- host-only drivers: lossless sharded storage round-trip -------------------
-
-#: degenerate shapes ride along here: one shard, a multi-chip square
-#: grid, and a non-square chip grid
-ROUNDTRIP_MESHES = [
-    MultiChipMesh.square(1, 8),
-    MultiChipMesh.square(2, 4),
-    MultiChipMesh(2, 3, 4),
-]
-
-
-def roundtrip(points: np.ndarray, mesh: MultiChipMesh) -> np.ndarray:
-    with ShardedRecordSet({"pts": points}, mesh) as rs:
-        out = rs.gather()["pts"]
-    assert out.tobytes() == points.tobytes()
-    return out
-
-
-@pytest.mark.parametrize("mesh", ROUNDTRIP_MESHES, ids=lambda m: f"{m.chip_rows}x{m.chip_cols}")
-class TestHostOnlyDrivers:
-    def test_hullmerge(self, mesh):
-        pts = sphere_points(150, seed=5)
-        direct = convex_hull_divide_conquer(pts, leaf_size=40)
-        via_shards = convex_hull_divide_conquer(roundtrip(pts, mesh), leaf_size=40)
-        assert via_shards.faces.tobytes() == direct.faces.tobytes()
-        assert via_shards.volume() == direct.volume()
-
-    def test_separation(self, mesh):
-        A = sphere_points(100, seed=0)
-        B = sphere_points(100, seed=1000, center=(3.0, 0.0, 0.0))
-        direct = separate_polyhedra(
-            build_dk_hierarchy(A, seed=1), build_dk_hierarchy(B, seed=2)
-        )
-        via = separate_polyhedra(
-            build_dk_hierarchy(roundtrip(A, mesh), seed=1),
-            build_dk_hierarchy(roundtrip(B, mesh), seed=2),
-        )
-        assert via.separated == direct.separated
-        assert via.iterations == direct.iterations
-        assert via.plane.tobytes() == direct.plane.tobytes()
-
-    def test_tangent(self, mesh):
-        pts = sphere_points(80, seed=7)
-        queries = sphere_points(10, seed=9) * 3.0
-        direct = tangent_cones(convex_hull_3d(pts), queries)
-        via = tangent_cones(
-            convex_hull_3d(roundtrip(pts, mesh)), roundtrip(queries, mesh)
-        )
-        assert len(via) == len(direct)
-        for got, want in zip(via, direct):
-            assert got.inside == want.inside
-            assert got.planes.tobytes() == want.planes.tobytes()
-            assert got.contacts.tobytes() == want.contacts.tobytes()
-
-
-def test_empty_shards_roundtrip():
-    """n < num_chips leaves shards empty without losing a record."""
-    mesh = MultiChipMesh.square(4, 2)  # 16 shards
-    pts = sphere_points(5, seed=11)
-    assert roundtrip(pts, mesh).shape == pts.shape
