@@ -1,12 +1,12 @@
 """E15 — the paper's multisearches on a sharded multi-chip mesh.
 
 A :class:`repro.mesh.shard.MultiChipMesh` splits one global mesh into a
-``k_chip x k_chip`` grid of chiplets.  Chiplets run intra-chip phases
-concurrently (the clock folds their spans as a parallel section), so a
-finer grid shrinks the per-phase critical path — but every primitive or
-phase whose region spans chips also charges an off-chip exchange whose
-cost grows with the chip-grid span (hop latency) and with the records it
-moves over link bandwidth (serialization).
+``k_chip x k_chip`` grid of chiplets: the flat mesh with its
+chip-boundary links made slower.  Every primitive or phase pays the flat
+engine's charge, and one whose region (or worst tile) spans chips also
+pays an off-chip exchange whose cost grows with the chip-grid span (hop
+latency) and with the records it moves over link bandwidth
+(serialization).  So the sweep measures what chiplets cost.
 
 The sweep holds the global mesh (side 64) and each problem fixed and
 varies only the decomposition and the link bandwidth, for three drivers:

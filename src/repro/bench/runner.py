@@ -181,7 +181,7 @@ REGISTRY: dict[str, BenchSpec] = {
     # E15 runs Algorithm 1, Constrained-Multisearch and interval counting
     # on one fixed global mesh and sweeps only the chip decomposition and
     # the off-chip link bandwidth; each driver's k_chip=1 rows are the
-    # unsharded engine and anchor its curves
+    # unsharded engine and the floor of its curves
     "e15_sharded": BenchSpec(
         "bench_e15_sharded", "sweep_run",
         _pts(

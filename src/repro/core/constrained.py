@@ -71,7 +71,9 @@ class _Plan:
     rounds: int
     #: queries per subgraph copy, ``ceil(n^delta)``
     cap: int
-    #: physical submeshes: the mesh is cut into ``g x g`` blocks
+    #: the mesh is cut into ``g x g`` blocks (physical submeshes)
+    g: int
+    #: physical submeshes, ``g * g``
     n_phys: int
     #: block 0 of the grid: its side prices a round, and copies are dealt
     #: to the blocks round-robin, so it is also the most loaded block
@@ -90,6 +92,7 @@ def _plan(root: RegionSpec, n: int, delta: float) -> _Plan:
     return _Plan(
         rounds=max(1, math.ceil(math.log2(max(n, 2)))),
         cap=max(1, int(math.ceil(float(n) ** delta))),
+        g=g,
         n_phys=g * g,
         block0=block_spec(root, g, g, 0, 0),
     )
@@ -241,6 +244,7 @@ def _constrained_multisearch(
             engine.charge_phase(
                 sub_side, round_constant, "cm:round",
                 volume=-(-li.size // plan.n_phys), extra=round_extra,
+                grid=plan.g,
             )
             nxt, new_state = structure.successor(
                 cur_li, *vertices.gather(cur_li), key_li, state_li

@@ -357,13 +357,14 @@ def lemma1_band_steps(
         with traced(clock, f"{label}:phase1"):
             detail["dup_b1"] += engine.charge_phase(
                 plan.sub_side, cost.sort + cost.route, f"{label}:dup-b1",
-                volume=plan.b1_vertices * plan.q * plan.q,
+                volume=plan.b1_vertices * plan.q * plan.q, grid=plan.g,
             )
             inner_queries = -(-qs.m // (plan.g * plan.q) ** 2)
             for lvl in range(b1[0], b1[1] + 1):
                 detail["phase1"] += engine.charge_phase(
                     plan.inner_side, cost.route, f"{label}:phase1",
                     volume=inner_queries, extra=cost.local,
+                    grid=plan.g * plan.q,
                 )
                 step(lvl)
     lo2, hi2 = band.b2_levels
@@ -372,7 +373,7 @@ def lemma1_band_steps(
         for lvl in range(lo2, hi2 + 1):
             detail["phase2"] += engine.charge_phase(
                 plan.sub_side, cost.route, f"{label}:phase2",
-                volume=sub_queries, extra=cost.local,
+                volume=sub_queries, extra=cost.local, grid=plan.g,
             )
             step(lvl)
     if local_advancer is not None:  # caller-owned advancers flush later
@@ -415,26 +416,28 @@ def hierdag_multisearch(
         # passes; Step 2 per band i is a constant number of standard ops per
         # B_{i+1}-submesh (distribute B_i among label-i processors, replicate
         # the union of earlier bands into each B_i-submesh), all submeshes in
-        # parallel -> charged at the B_{i+1}-submesh side.
+        # parallel -> charged at the B_{i+1}-submesh side, on their grid (the
+        # whole mesh for the last band).
+        parents = [(bp.sub_side, bp.g) for bp in plan.bands[1:]]
+        parents.append((plan.mesh_side, 1))
         with traced(clock, "hierdag:setup"):
             clock.charge(cost.local * max(1, len(plan.bands)), "hierdag:labels")
             setup = 0.0
-            for j, bp in enumerate(plan.bands):
-                parent_side = plan.bands[j + 1].sub_side if j + 1 < len(plan.bands) else plan.mesh_side
+            for bp, (parent_side, parent_g) in zip(plan.bands, parents):
                 setup += engine.charge_phase(
                     parent_side, cost.sort + cost.route + cost.scan,
                     "hierdag:distribute", volume=bp.band.n_vertices,
+                    grid=parent_g,
                 )
             detail["setup"] = setup
 
         # Step 3: per band, duplicate B_i into each B_i-submesh, then Lemma 1.
         multisteps = 0
-        for j, bp in enumerate(plan.bands):
+        for j, (bp, (parent_side, parent_g)) in enumerate(zip(plan.bands, parents)):
             with traced(clock, f"hierdag:band{j}"):
-                parent_side = plan.bands[j + 1].sub_side if j + 1 < len(plan.bands) else plan.mesh_side
                 dup = engine.charge_phase(
                     parent_side, cost.sort + cost.route, "hierdag:dup-band",
-                    volume=bp.band.n_vertices,
+                    volume=bp.band.n_vertices, grid=parent_g,
                 )
                 detail[f"band{j}:dup"] = dup
                 d = lemma1_band_steps(engine, structure, qs, bp, advancer=advancer)

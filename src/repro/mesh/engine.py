@@ -141,10 +141,9 @@ class MeshEngine:
 
         The single point where primitive constants meet the clock:
         ``constant * spec.side`` steps, exactly as the paper charges a
-        submesh.  Hierarchical engines (:mod:`repro.mesh.shard`) override
-        this to decompose a flat charge into per-chiplet intra-chip
-        phases plus a costed off-chip exchange, without touching the
-        primitives themselves.
+        submesh.  The sharded engine (:mod:`repro.mesh.shard`) adds an
+        off-chip exchange to a charge whose region spans chiplets,
+        without touching the primitives themselves.
         """
         self.clock.charge(constant * spec.side, label, volume=volume)
 
@@ -158,16 +157,17 @@ class MeshEngine:
 
     def charge_phase(
         self, side: int, constant: float, label: str, volume: int = 0,
-        extra: float = 0.0,
+        extra: float = 0.0, grid: int = 1,
     ) -> float:
         """Charge a global algorithm phase proportional to a submesh side.
 
         The multisearch cores (hierdag, constrained) compute charges at
         phase granularity — ``constant * side + extra`` for a phase run
-        on submeshes of the given side — rather than through a Region
-        primitive.  Returns the flat-equivalent steps so callers can
-        keep per-phase accounting.  Hierarchical engines override this
-        to decompose phases whose submeshes span chip boundaries.
+        on submeshes of the given side, the tiles of a ``grid x grid``
+        tiling of the root — rather than through a Region primitive.
+        Returns the flat steps so callers can keep per-phase
+        accounting.  The flat charge ignores ``grid``; the sharded
+        engine adds the off-chip exchange of the worst tile.
         """
         steps = constant * side + extra
         self.clock.charge(steps, label, volume=volume)

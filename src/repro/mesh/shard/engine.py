@@ -1,28 +1,28 @@
-"""Hierarchical charging engine over a :class:`MultiChipMesh`.
+"""Charging engine over a :class:`MultiChipMesh`.
 
 :class:`ShardedMeshEngine` is a :class:`~repro.mesh.engine.MeshEngine`
 whose *cost model* knows about chip boundaries.  Data execution is
 untouched — every primitive computes byte-identical outputs through the
-same kernels — but the charging hooks decompose each flat
-``constant * side`` charge the way the hardware would run it:
+same kernels — and every charge follows one rule: the flat charge
+(``super()``'s), plus one ``xchip:<label>`` exchange of
+:meth:`MultiChipMesh.exchange_steps` when the work spans chiplets.  A
+primitive spans chiplets when its region does, a transfer when its
+source and destination together do, and a phase of a multisearch core
+pays the exchange of the worst tile of the ``grid x grid`` tiling of
+the root its caller derives from its plan
+(:meth:`MultiChipMesh.tile_span`, worked out once per grid).
 
-* a region inside **one chiplet** charges exactly as the flat engine
-  does (same steps, same label, same volume) — at ``k_chip == 1`` every
-  region is such a region, so charges, trace spans and ``clock.time``
-  are byte-identical to the flat engine;
-* a region **spanning chiplets** becomes a ``clock.parallel()`` section
-  with one branch per covered chiplet (each charging ``constant *
-  intersection.side`` inside a ``chip:i,j`` trace span — the chiplets
-  run their intra-chip phases concurrently), followed by one
-  ``xchip:<label>`` charge for the inter-chip exchange the primitive
-  needs to act globally, costed by
-  :meth:`MultiChipMesh.exchange_steps`.
+The flat charge stays whole because a chiplet mesh is the flat global
+grid with its chip-boundary links made slower (chiplet-network-sim's
+``MultiChipMesh`` wires each boundary node straight to its neighbour
+on the adjacent chip): no schedule runs faster on it than on the flat
+mesh.  The exchange does not charge on-chip transit a second time: the
+flat charge is already a schedule that crosses the whole region, and
+only the boundary links are slower.
 
-Because the decomposition rides the ordinary ``clock.parallel()``
-machinery, the tracer's parallel-fold bookkeeping keeps span sums equal
-to ``clock.time`` exactly, and :class:`~repro.mesh.profile.CostProfile`
-picks the ``xchip:*`` labels up with no changes — ``fraction("xchip:")``
-is the off-chip share of a run.
+At ``k_chip == 1`` nothing spans, so charges, trace spans and
+``clock.time`` are byte-identical to the flat engine.
+``CostProfile.fraction("xchip:")`` is the off-chip share of a run.
 
 The outputs of a chip-spanning ``sort_by`` / ``argsort`` / ``route`` /
 ``transfer`` cross the off-chip links, so that is where the off-chip
@@ -39,20 +39,21 @@ from repro.mesh.engine import MeshEngine
 from repro.mesh.faults import invariant
 from repro.mesh.shard.topology import MultiChipMesh, XChipCost
 from repro.mesh.topology import RegionSpec
-from repro.mesh.trace import traced
 
 __all__ = ["ShardedMeshEngine"]
 
 
 class ShardedMeshEngine(MeshEngine):
-    """A mesh engine charging per-chiplet phases plus off-chip exchanges."""
+    """A mesh engine charging flat steps plus off-chip exchanges."""
 
     def __init__(self, chips: MultiChipMesh, **kwargs) -> None:
         super().__init__(chips.shape, **kwargs)
         self.chips = chips
-        #: whether the last charged primitive spanned chiplets (its
-        #: outputs cross off-chip links)
+        #: whether the last charge spanned chiplets (a primitive's
+        #: outputs then cross off-chip links)
         self._spanning = False
+        #: tiling grid -> chip span of its worst tile
+        self._tile_spans: dict[int, int] = {}
 
     @property
     def faults(self):
@@ -80,90 +81,41 @@ class ShardedMeshEngine(MeshEngine):
             **kwargs,
         )
 
-    # -- hierarchical charging ---------------------------------------------
+    # -- charging: the flat charge plus the off-chip exchange ----------------
 
     def charge_primitive(
         self, spec: RegionSpec, constant: float, label: str, volume: int = 0
     ) -> None:
-        cover = self.chips.chips_covering(spec)
-        if len(cover) == 1:
-            # one chiplet covers the region: the flat charge IS the
-            # hardware behavior (this is every charge at k_chip == 1)
-            self._spanning = False
-            super().charge_primitive(spec, constant, label, volume=volume)
-            return
-        self._spanning = True
-        size = spec.size
-        with self.clock.parallel() as section:
-            for ci, cj, part in cover:
-                with section.branch():
-                    with traced(self.clock, f"chip:{ci},{cj}"):
-                        self.clock.charge(
-                            constant * part.side,
-                            label,
-                            volume=(volume * part.size) // size,
-                        )
-        hops = self.chips.chip_span(spec)
-        self.clock.charge(
-            self.chips.exchange_steps(hops, volume),
-            f"xchip:{label}",
-            volume=volume,
-        )
+        super().charge_primitive(spec, constant, label, volume=volume)
+        self._exchange(self.chips.chip_span(spec), label, volume)
 
     def charge_phase(
         self, side: int, constant: float, label: str, volume: int = 0,
-        extra: float = 0.0,
+        extra: float = 0.0, grid: int = 1,
     ) -> float:
-        # phases are root-anchored for covering purposes (clamped to the
-        # mesh so non-square chip grids stay in-bounds); a phase whose
-        # submeshes fit one chiplet charges flat, a spanning phase
-        # decomposes like a spanning primitive
-        spec = RegionSpec(
-            0, 0, min(side, self.shape.rows), min(side, self.shape.cols)
-        )
-        cover = self.chips.chips_covering(spec)
-        if len(cover) == 1:
-            return super().charge_phase(
-                side, constant, label, volume=volume, extra=extra
-            )
-        size = spec.size
-        with self.clock.parallel() as section:
-            for ci, cj, part in cover:
-                with section.branch():
-                    with traced(self.clock, f"chip:{ci},{cj}"):
-                        self.clock.charge(
-                            constant * part.side + extra,
-                            label,
-                            volume=(volume * part.size) // size,
-                        )
-        self.clock.charge(
-            self.chips.exchange_steps(self.chips.chip_span(spec), volume),
-            f"xchip:{label}",
-            volume=volume,
-        )
-        return constant * side + extra
+        steps = super().charge_phase(side, constant, label, volume=volume, extra=extra)
+        hops = self._tile_spans.get(grid)
+        if hops is None:
+            hops = self._tile_spans[grid] = self.chips.tile_span(grid)
+        self._exchange(hops, label, volume)
+        return steps
 
     def charge_transfer(
         self, src: RegionSpec, dst: RegionSpec, label: str, volume: int = 0
     ) -> None:
-        hops = self.chips.chip_span(src, dst)
-        if hops == 0:
-            # source and destination share a chiplet: on-chip transfer
-            self._spanning = False
-            super().charge_transfer(src, dst, label, volume=volume)
-            return
-        self._spanning = True
-        # drain to the chip boundary, cross off-chip, fill from the boundary
-        cost = self.clock.cost.transfer
-        with self.clock.parallel() as section:
-            for spec in (src, dst):
-                with section.branch():
-                    self.clock.charge(cost * spec.side, label, volume=volume)
-        self.clock.charge(
-            self.chips.exchange_steps(hops, volume),
-            f"xchip:{label}",
-            volume=volume,
-        )
+        super().charge_transfer(src, dst, label, volume=volume)
+        self._exchange(self.chips.chip_span(src, dst), label, volume)
+
+    def _exchange(self, hops: int, label: str, volume: int) -> None:
+        """Charge the off-chip exchange that follows a flat charge spanning
+        ``hops`` chip-grid hops (none when the work stays on one chiplet)."""
+        self._spanning = hops > 0
+        if self._spanning:
+            self.clock.charge(
+                self.chips.exchange_steps(hops, volume),
+                f"xchip:{label}",
+                volume=volume,
+            )
 
 
 class _OffChipLinks:

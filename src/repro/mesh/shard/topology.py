@@ -11,15 +11,15 @@ that, as pure geometry plus an off-chip cost rule:
   k_node)`` node grid — every existing :class:`~repro.mesh.topology.
   RegionSpec` addresses it unchanged;
 * each **chiplet** is an aligned ``k_node x k_node`` region of the
-  global mesh, so any region decomposes exactly into per-chip
-  intersections (:meth:`chips_covering`);
+  global mesh, so a region spans the chip-grid hops of its bounding
+  box (:meth:`chip_span`);
 * an **off-chip exchange** costs ``hop * (chip-grid hops)`` for latency
   plus ``volume / (k_node * bandwidth)`` for serialization: a chip
   boundary exposes ``k_node`` link lanes, each moving ``bandwidth``
   records per step (:meth:`exchange_steps`).
 
 The single-chip degenerate case ``chip_rows == chip_cols == 1`` is the
-paper's flat mesh: every region is covered by the one chip and no
+paper's flat mesh: every region lies on the one chip and no
 exchange is ever charged, which is what makes the sharded engine
 byte-identical to :class:`~repro.mesh.engine.MeshEngine` there.
 """
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.mesh.topology import MeshShape, RegionSpec
+from repro.mesh.topology import MeshShape, RegionSpec, block_partition
 
 __all__ = ["XChipCost", "MultiChipMesh"]
 
@@ -105,7 +105,7 @@ class MultiChipMesh:
         """The global node mesh every ``RegionSpec`` addresses."""
         return MeshShape(self.chip_rows * self.k_node, self.chip_cols * self.k_node)
 
-    # -- region decomposition ----------------------------------------------
+    # -- chip spans ----------------------------------------------------------
 
     def chip_bbox(self, spec: RegionSpec) -> tuple[int, int, int, int]:
         """Inclusive chip-grid bounding box ``(ci_lo, ci_hi, cj_lo, cj_hi)``."""
@@ -118,28 +118,6 @@ class MultiChipMesh:
             spec.col0 // k,
             (spec.col_end - 1) // k,
         )
-
-    def chips_covering(
-        self, spec: RegionSpec
-    ) -> list[tuple[int, int, RegionSpec]]:
-        """Chiplets ``spec`` touches, with the exact per-chip intersections.
-
-        The intersections partition ``spec`` (chip regions tile the
-        global mesh), row-major chip order.
-        """
-        ci_lo, ci_hi, cj_lo, cj_hi = self.chip_bbox(spec)
-        out: list[tuple[int, int, RegionSpec]] = []
-        k = self.k_node
-        for ci in range(ci_lo, ci_hi + 1):
-            for cj in range(cj_lo, cj_hi + 1):
-                row0 = max(spec.row0, ci * k)
-                col0 = max(spec.col0, cj * k)
-                row_end = min(spec.row_end, (ci + 1) * k)
-                col_end = min(spec.col_end, (cj + 1) * k)
-                out.append(
-                    (ci, cj, RegionSpec(row0, col0, row_end - row0, col_end - col0))
-                )
-        return out
 
     def chip_span(self, *specs: RegionSpec) -> int:
         """Chip-grid Manhattan span of the union bounding box of ``specs``.
@@ -158,6 +136,21 @@ class MultiChipMesh:
         cj_hi = max(b[3] for b in boxes)
         return (ci_hi - ci_lo) + (cj_hi - cj_lo)
 
+    def tile_span(self, grid: int) -> int:
+        """Chip span of the worst tile of the ``grid x grid`` tiling
+        (:func:`~repro.mesh.topology.block_partition`) of the global mesh.
+
+        A tile's row and column extents are independent, so the worst
+        tile pairs the widest row band with the widest column band.  A
+        grid finer than an axis leaves one-node bands on it.
+        """
+        root = RegionSpec(0, 0, self.shape.rows, self.shape.cols)
+        bands = block_partition(root, min(grid, root.rows), 1)
+        rows = max(hi - lo for lo, hi, _, _ in map(self.chip_bbox, bands))
+        bands = block_partition(root, 1, min(grid, root.cols))
+        cols = max(hi - lo for _, _, lo, hi in map(self.chip_bbox, bands))
+        return rows + cols
+
     # -- off-chip cost rule --------------------------------------------------
 
     def exchange_steps(self, hops: int, volume: int) -> float:
@@ -166,8 +159,8 @@ class MultiChipMesh:
         ``hop * hops`` latency for crossing ``hops`` chip boundaries,
         plus ``volume / (k_node * bandwidth)`` to serialize ``volume``
         records through a boundary's ``k_node`` lanes.  Zero when
-        ``hops`` is zero: an exchange inside one chiplet is on-chip and
-        already charged by the intra-chip phase.
+        ``hops`` is zero: an exchange inside one chiplet is on-chip, and
+        the flat charge already holds it.
         """
         if hops <= 0:
             return 0.0

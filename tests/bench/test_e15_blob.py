@@ -1,4 +1,4 @@
-"""The committed E15 blob is live: steps reproduce and show the crossover.
+"""The committed E15 blob is live: steps reproduce and never beat flat.
 
 ``BENCH_e15_sharded.json`` records modelled steps of three of the paper's
 multisearch drivers (Algorithm 1, Constrained-Multisearch, interval
@@ -6,9 +6,9 @@ counting) on a sharded mesh — a pure cost model with no wall-clock
 component in its steps — so this gate can re-run every sweep point
 (milliseconds each) and demand *exact* agreement, check that each
 driver's ``k_chip=1`` rows are the flat engine, then assert the recorded
-shape: with unit-bandwidth links off-chip exchanges overtake the
-intra-chip parallelism win past ``k_chip=4``, while 8x wider links keep
-the curve falling through ``k_chip=8``.
+shape: a chiplet mesh is the flat mesh with slower boundary links, so
+no ``k_chip > 1`` row is below its flat anchor, finer chip grids never
+cost less, and wider links never cost more.
 """
 
 import json
@@ -77,19 +77,18 @@ def test_one_chip_rows_are_the_flat_engine(points, bench, driver):
 
 
 @pytest.mark.parametrize("driver", ["constrained", "hierdag", "intervals"])
-def test_crossover_recorded(points, driver):
+def test_chiplets_never_beat_the_flat_mesh(points, driver):
     steps = _by_params(points)
 
     def curve(bandwidth):
         return [steps[(driver, bandwidth, k)] for k in (1, 2, 4, 8)]
 
     narrow, wide = curve(1.0), curve(8.0)
-    # sharding pays off at first, at either bandwidth
-    assert narrow[1] < narrow[0] and wide[1] < wide[0]
-    # wider links never cost more once exchanges exist
-    assert all(w < n for w, n in zip(wide[1:], narrow[1:]))
-    # unit-bandwidth links: the curve turns after k_chip=4, once the
-    # off-chip serialization of the multisearch's volume dominates...
-    assert min(narrow) == narrow[2] < narrow[3]
-    # ...while 8x wider links keep it falling through k_chip=8
-    assert wide == sorted(wide, reverse=True)
+    for row in (narrow, wide):
+        # every sharded row pays at least its flat anchor...
+        assert all(k_steps >= row[0] for k_steps in row[1:])
+        # ...and a finer chip grid (nested boundaries, fewer lanes per
+        # boundary) never costs less
+        assert row == sorted(row)
+    # wider links never cost more
+    assert all(w <= n for w, n in zip(wide, narrow))

@@ -1,16 +1,24 @@
 """ShardedMeshEngine: off-chip charges and off-chip faults.
 
 Chip-spanning primitives compute byte-identical outputs to the flat
-engine.  Spanning primitives and phases charge per-chiplet work plus one
-``xchip:<label>`` exchange priced by hop latency and by volume over link
-bandwidth; their outputs cross the off-chip links, where both off-chip
-fault kinds fire and the paranoid merge-point checks must catch them.
+engine.  Spanning primitives, transfers and phases charge the flat
+engine's steps plus one ``xchip:<label>`` exchange priced by hop latency
+and by volume over link bandwidth, so no sharded charge is ever below
+the flat one; their outputs cross the off-chip links, where both
+off-chip fault kinds fire and the paranoid merge-point checks must
+catch them.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.pointloc import locate_points_mesh
+from repro.core.constrained import constrained_multisearch
+from repro.core.model import QuerySet
+from repro.core.splitters import splitting_from_labels
+from repro.graphs.adapters import ktree_directed_structure
+from repro.graphs.ktree import build_balanced_search_tree
 from repro.mesh.engine import MeshEngine
 from repro.mesh.faults import (
     XCHIP_FAULT_KINDS,
@@ -19,6 +27,7 @@ from repro.mesh.faults import (
     InvariantViolation,
 )
 from repro.mesh.shard import MultiChipMesh, ShardedMeshEngine, XChipCost
+from repro.mesh.topology import RegionSpec, block_partition
 from repro.util.rng import make_rng
 from tests.conftest import RecordingTracer
 
@@ -106,14 +115,23 @@ class TestCharging:
         labels = [lbl for lbl, _ in tracer.charges]
         assert labels == ["sort"]
 
-    def test_spanning_primitive_charges_chips_plus_exchange(self):
-        eng = ShardedMeshEngine(MultiChipMesh.square(2, 4))
+    def test_spanning_primitive_charges_flat_plus_exchange(self):
+        chips = MultiChipMesh.square(2, 4)
+        eng = ShardedMeshEngine(chips)
+        flat = MeshEngine(chips.shape)
         tracer = RecordingTracer(clock=eng.clock)
-        eng.root.sort_by(make_keys(30))
-        eng.root.scan(make_keys(30))
-        labels = [lbl for lbl, _ in tracer.charges]
-        assert labels.count("sort") == 4 and labels.count("scan") == 4
-        assert "xchip:sort" in labels and "xchip:scan" in labels
+        for engine in (eng, flat):
+            engine.root.sort_by(make_keys(30))
+            engine.root.scan(make_keys(30))
+        assert [lbl for lbl, _ in tracer.charges] == [
+            "sort", "xchip:sort", "scan", "xchip:scan"
+        ]
+        # the flat charges are the flat engine's; the root spans 2 hops
+        assert tracer.charges[0::2] == [
+            ("sort", flat.clock.cost.sort * 8), ("scan", flat.clock.cost.scan * 8)
+        ]
+        exchange = chips.exchange_steps(2, 30)
+        assert eng.clock.time == pytest.approx(flat.clock.time + 2 * exchange)
         assert tracer.total_steps == pytest.approx(eng.clock.time, abs=1e-9)
 
     def test_on_chip_subregion_charges_flat(self):
@@ -139,6 +157,99 @@ class TestCharging:
 
         assert xchip_steps(1.0, 0) == xchip_steps(8.0, 0)
         assert xchip_steps(1.0, 512) > xchip_steps(8.0, 512)
+
+
+@st.composite
+def chips_and_regions(draw):
+    """A chip grid with link costs, two regions of its global mesh, and
+    a phase (side, grid) within it."""
+    chips = MultiChipMesh(
+        draw(st.integers(1, 4)),
+        draw(st.integers(1, 4)),
+        draw(st.integers(1, 6)),
+        XChipCost(
+            hop=draw(st.floats(0.0, 8.0)),
+            bandwidth=draw(st.sampled_from([0.5, 1.0, 8.0, 64.0, 1e6])),
+        ),
+    )
+    rows, cols = chips.shape.rows, chips.shape.cols
+
+    def region():
+        row0 = draw(st.integers(0, rows - 1))
+        col0 = draw(st.integers(0, cols - 1))
+        return RegionSpec(
+            row0, col0,
+            draw(st.integers(1, rows - row0)), draw(st.integers(1, cols - col0)),
+        )
+
+    side = max(rows, cols)
+    phase = (draw(st.integers(1, side)), draw(st.integers(1, side)))
+    return chips, region(), region(), phase
+
+
+class TestNeverBelowFlat:
+    """A chiplet mesh is the flat mesh with slower boundary links, so no
+    schedule runs faster on it: every sharded charge is at least the
+    flat engine's charge for the same call."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=chips_and_regions(),
+        volume=st.integers(0, 5000),
+        constant=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+        extra=st.sampled_from([0.0, 1.0]),
+    )
+    def test_every_charge_at_least_flat(self, case, volume, constant, extra):
+        chips, src, dst, (side, grid) = case
+        calls = [
+            lambda e: e.charge_primitive(src, constant, "p", volume=volume),
+            lambda e: e.charge_phase(
+                side, constant, "ph", volume=volume, extra=extra, grid=grid
+            ),
+            lambda e: e.charge_transfer(src, dst, "t", volume=volume),
+        ]
+        for call in calls:
+            sharded, flat = ShardedMeshEngine(chips), MeshEngine(chips.shape)
+            call(sharded)
+            call(flat)
+            assert sharded.clock.time >= flat.clock.time
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=chips_and_regions())
+def test_tile_span_is_the_worst_tile(case):
+    chips, _, _, (_, grid) = case
+    root = RegionSpec(0, 0, chips.shape.rows, chips.shape.cols)
+    tiles = block_partition(root, min(grid, root.rows), min(grid, root.cols))
+    assert chips.tile_span(grid) == max(chips.chip_span(t) for t in tiles)
+
+
+def test_spanning_cm_block_pays_an_exchange():
+    """Constrained-Multisearch's rounds run on its ``g x g`` blocks; at
+    k_chip=4 (side-32 mesh, blocks of side 5-6) some blocks straddle a
+    chip boundary, so every round pays ``xchip:cm:round``.  A block is
+    narrower than a chiplet, so the worst one crosses one boundary per
+    axis: 2 hops, not the root's 6."""
+    t = build_balanced_search_tree(2, 8, seed=1)
+    structure = ktree_directed_structure(t)
+    splitting = splitting_from_labels(t.alpha_splitter().comp, t.children, 0.5)
+    keys = np.random.default_rng(2).uniform(t.leaf_keys[0], t.leaf_keys[-1], 200)
+
+    def run(engine):
+        tracer = RecordingTracer(clock=engine.clock)
+        qs = QuerySet.start(keys, 0)
+        constrained_multisearch(engine, structure, qs, splitting)
+        return qs.current, tracer.charges
+
+    # latency-only links: an exchange costs ``hop`` per chip-grid hop
+    chips = MultiChipMesh.square(4, 8, XChipCost(hop=100.0, bandwidth=1e12))
+    got, charges = run(ShardedMeshEngine(chips))
+    want, flat_charges = run(MeshEngine(chips.shape))
+    assert got.tobytes() == want.tobytes()
+    rounds = [lbl for lbl, _ in flat_charges].count("cm:round")
+    exchanges = [s for lbl, s in charges if lbl == "xchip:cm:round"]
+    assert rounds and len(exchanges) == rounds
+    assert exchanges == pytest.approx([200.0] * rounds)
 
 
 def test_hierdag_offchip_charges_see_bandwidth():
