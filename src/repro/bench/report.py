@@ -6,7 +6,8 @@ read:
 
 * ``python -m repro.bench.report BENCH_e1_hierdag.json`` — per-point
   wall/steps table plus, when the run was collected with
-  ``--trace``, the per-label mesh-step breakdown;
+  ``--trace``, the per-label mesh-step breakdown (the runner prints
+  the same rendering after each sweep);
 * ``python -m repro.bench.report --diff OLD.json NEW.json`` — per-point
   wall-clock and mesh-step deltas, per-label profile deltas when both
   documents carry profiles, and the same regression verdict as the
@@ -22,9 +23,7 @@ read:
   step regression above the tolerance).
 
 Missing or malformed input files exit with status 2 (distinct from the
-regression exit 1), so CI can tell "worse" from "broken".  Bench
-documents of either schema render and diff (see
-:func:`repro.bench.runner.point_result`).
+regression exit 1), so CI can tell "worse" from "broken".
 """
 
 from __future__ import annotations
@@ -34,12 +33,7 @@ import json
 import pathlib
 import sys
 
-from repro.bench.runner import (
-    REGRESSION_TOLERANCE,
-    compare,
-    error_kind_of,
-    point_result,
-)
+from repro.bench.runner import REGRESSION_TOLERANCE, _params_key, compare
 from repro.mesh.profile import CostProfile
 from repro.mesh.trace import Span
 
@@ -107,14 +101,6 @@ def span_paths(doc: dict) -> dict[tuple[str, ...], float]:
     return out
 
 
-def _params_key(point: dict) -> str:
-    # same numeric normalization as the runner's checkpoint/compare key,
-    # so 4096 and 4096.0 pair up across documents
-    from repro.bench.runner import _params_key as _runner_params_key
-
-    return _runner_params_key(point["params"])
-
-
 def _params_txt(point: dict) -> str:
     return ", ".join(f"{k}={v}" for k, v in point["params"].items())
 
@@ -127,43 +113,32 @@ def _fmt_delta(old: float, new: float) -> str:
 
 def render_doc(doc: dict) -> str:
     """Per-phase breakdown of one bench run."""
+    total = doc.get("wall_s_total")
+    took = "" if total is None else f" in {total:.1f}s"
     lines = [
         f"bench {doc['bench']}  (created {doc.get('created', '?')}, "
-        f"{len(doc['points'])} points, repeats={doc.get('repeats', '?')})"
+        f"{len(doc['points'])} points{took}, repeats={doc.get('repeats', '?')})"
     ]
     prov = doc.get("provenance")
     if prov:
         versions = prov.get("versions", {})
-        ver_txt = ", ".join(
-            f"{k} {v}" for k, v in versions.items() if v is not None
+        lines.append(
+            "  environment: " + ", ".join(f"{k} {v}" for k, v in versions.items())
         )
-        absent = [k for k, v in versions.items() if v is None]
-        if absent:
-            ver_txt += "; absent: " + ", ".join(absent)
-        # documents written before the kernel backends were removed also
-        # record which backend ran them
-        backend_txt = ""
-        if "backend" in prov:
-            backend_txt = f"backend={prov['backend']}"
-            if prov.get("backend_native") is False:
-                backend_txt += f" (fallback: {prov.get('backend_fallback_reason')})"
-            backend_txt += "  "
-        lines.append(f"  environment: {backend_txt}{ver_txt}")
         if prov.get("cpu"):
             lines.append(f"  cpu: {prov['cpu']} ({prov.get('platform', '?')})")
     errored = [p for p in doc["points"] if "error" in p]
     for point in doc["points"]:
         if "error" in point:
             lines.append(
-                f"  [{_params_txt(point)}] ERROR({error_kind_of(point)}) after "
+                f"  [{_params_txt(point)}] ERROR({point['error_kind']}) after "
                 f"{point.get('attempts', '?')} attempt(s): {point['error']}"
             )
             continue
-        result = point_result(point)
-        steps = result.get("mesh_steps")
+        steps = point.get("mesh_steps")
         steps_txt = "-" if steps is None else f"{steps:.0f}"
         lines.append(
-            f"  [{_params_txt(point)}] wall={result['wall_s_min'] * 1e3:.2f}ms "
+            f"  [{_params_txt(point)}] wall={point['wall_s_min'] * 1e3:.2f}ms "
             f"steps={steps_txt} rss={point.get('peak_rss_kb', 0) / 1024:.0f}MB"
         )
         for warning in point.get("warnings", ()):
@@ -174,7 +149,7 @@ def render_doc(doc: dict) -> str:
     if errored:
         kinds: dict[str, int] = {}
         for p in errored:
-            kinds[error_kind_of(p)] = kinds.get(error_kind_of(p), 0) + 1
+            kinds[p["error_kind"]] = kinds.get(p["error_kind"], 0) + 1
         kind_txt = ", ".join(f"{k}={n}" for k, n in sorted(kinds.items()))
         lines.append(
             f"ERRORS: {len(errored)} of {len(doc['points'])} points failed "
@@ -261,12 +236,12 @@ def render_diff(old: dict, new: dict, tolerance: float) -> tuple[str, list[str]]
             + ", ".join(f"{k}: {op.get(k)} -> {np_.get(k)}" for k in changed)
             + ") — wall-clock deltas may reflect the environment, not the code"
         )
-    old_by_params = {_params_key(p): p for p in old["points"]}
+    old_by_params = {_params_key(p["params"]): p for p in old["points"]}
     for point in new["points"]:
-        base = old_by_params.get(_params_key(point))
+        base = old_by_params.get(_params_key(point["params"]))
         if "error" in point:
             lines.append(
-                f"  [{_params_txt(point)}] ERROR({error_kind_of(point)}): "
+                f"  [{_params_txt(point)}] ERROR({point['error_kind']}): "
                 f"{point['error']}"
             )
             continue
@@ -276,12 +251,11 @@ def render_diff(old: dict, new: dict, tolerance: float) -> tuple[str, list[str]]
         if "error" in base:
             lines.append(
                 f"  [{_params_txt(point)}] baseline point errored "
-                f"({error_kind_of(base)} — {base['error']}); no comparison"
+                f"({base['error_kind']} — {base['error']}); no comparison"
             )
             continue
-        old_res, new_res = point_result(base), point_result(point)
-        ow, nw = old_res["wall_s_min"], new_res["wall_s_min"]
-        os_, ns = old_res.get("mesh_steps"), new_res.get("mesh_steps")
+        ow, nw = base["wall_s_min"], point["wall_s_min"]
+        os_, ns = base.get("mesh_steps"), point.get("mesh_steps")
         steps_txt = "steps=-"
         if os_ is not None and ns is not None:
             steps_txt = f"steps {os_:.0f} -> {ns:.0f} ({_fmt_delta(os_, ns)})"
@@ -289,12 +263,10 @@ def render_diff(old: dict, new: dict, tolerance: float) -> tuple[str, list[str]]
             f"  [{_params_txt(point)}] wall {ow * 1e3:.2f}ms -> "
             f"{nw * 1e3:.2f}ms ({_fmt_delta(ow, nw)})  {steps_txt}"
         )
-    dropped = [
-        p for key, p in old_by_params.items()
-        if key not in {_params_key(q) for q in new["points"]}
-    ]
-    for point in dropped:
-        lines.append(f"  [{_params_txt(point)}] dropped (only in baseline)")
+    new_keys = {_params_key(q["params"]) for q in new["points"]}
+    for key, point in old_by_params.items():
+        if key not in new_keys:
+            lines.append(f"  [{_params_txt(point)}] dropped (only in baseline)")
     if "profile" in old and "profile" in new:
         oldp = CostProfile.from_dict(old["profile"])
         newp = CostProfile.from_dict(new["profile"])

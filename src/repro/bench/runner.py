@@ -24,12 +24,9 @@ machine-readable, parallel alternative:
   Errored points always surface as failures (exit code 1), never as a
   silent pass.
 
-Document schema 2 (current): each point is ``{params, wall_s_min,
-repeats, mesh_steps, peak_rss_kb, ...}``.  Schema-1 documents, written
-while the engine still had two host paths, nest the first two measures
-in per-mode ``fast``/``slow`` dicts; :func:`point_result` reads either,
-taking schema 1's ``fast`` column (the default path then), so committed
-documents diff and compare unchanged.
+Document schema 2: each point is ``{params, wall_s_min, repeats,
+mesh_steps, peak_rss_kb, ...}``; an errored point is ``{params, error,
+error_kind, traceback, attempts, ...}``.
 
 Usage::
 
@@ -41,7 +38,8 @@ Usage::
     python -m repro.bench.runner e3_alpha --timeout 120 --resume
 
 ``python -m repro.bench.report`` renders one BENCH JSON's per-phase
-breakdown and diffs two of them (same regression rule as ``--compare``).
+breakdown (the same rendering the runner prints after each sweep) and
+diffs two of them (same regression rule as ``--compare``).
 
 ``bench_figures.py`` (plot aggregation over other benches' saved tables)
 is intentionally not in the registry — it has no sweep of its own.
@@ -69,8 +67,6 @@ from repro.util.child import ensure_child_path
 __all__ = [
     "REGISTRY",
     "BenchSpec",
-    "error_kind_of",
-    "point_result",
     "provenance",
     "run_bench",
     "run_point",
@@ -82,13 +78,6 @@ BENCH_DIR = REPO_ROOT / "benchmarks"
 SCHEMA_VERSION = 2
 #: --compare fails when wall time exceeds baseline by this factor
 REGRESSION_TOLERANCE = 0.10
-
-
-def point_result(point: dict) -> dict:
-    """A successful point's measures (``wall_s_min``, ``mesh_steps``,
-    ``repeats``): the record itself in schema 2, its ``fast`` column in
-    schema 1."""
-    return point.get("fast", point)
 
 
 @dataclass(frozen=True)
@@ -435,28 +424,8 @@ def _params_key(params: dict) -> str:
     return json.dumps({k: norm(v) for k, v in params.items()}, sort_keys=True)
 
 
-def error_kind_of(point: dict) -> str:
-    """The failure kind of an errored point record.
-
-    New documents carry ``error_kind`` explicitly; older ones are
-    classified from the fields they do have (``timed_out`` flags a
-    deadline kill, the ``worker crashed`` message a dead process), so
-    diffs against pre-``error_kind`` baselines still render the
-    distinction.
-    """
-    kind = point.get("error_kind")
-    if kind:
-        return str(kind)
-    error = str(point.get("error", ""))
-    if point.get("timed_out") or error.startswith("timed out"):
-        return "timeout"
-    if error.startswith("worker crashed"):
-        return "crash"
-    return "exception"
-
-
 def _error_record(
-    job: "_Job", error: str, tb: str | None = None, kind: str = "exception", **extra
+    job: "_Job", error: str, tb: str | None = None, kind: str = "exception"
 ) -> dict:
     """A failed point's record.  ``kind`` distinguishes *how* it failed:
 
@@ -479,7 +448,6 @@ def _error_record(
     }
     if job.notes:
         rec["notes"] = list(job.notes)
-    rec.update(extra)
     return rec
 
 
@@ -499,10 +467,10 @@ def _write_checkpoint(path: pathlib.Path, config: dict, done: dict) -> None:
 def _load_checkpoint(path: pathlib.Path | None, config: dict) -> dict[str, dict]:
     """Successfully completed records from a prior partial run, by params key.
 
-    Only records carrying a real measurement (a numeric ``wall_s_min``,
-    read through :func:`point_result`) are resumed; errored records — and
-    any malformed record missing its results, e.g. from a checkpoint
-    truncated mid-write — are dropped so they rerun (with the full ``--retries`` budget).  A
+    Only records carrying a real measurement (a numeric ``wall_s_min``)
+    are resumed; errored records — and any malformed record missing its
+    results, e.g. from a checkpoint truncated mid-write — are dropped so
+    they rerun (with the full ``--retries`` budget).  A
     checkpoint whose recorded config differs from this run's is ignored
     with a warning — its numbers were measured under different settings.
     """
@@ -523,9 +491,7 @@ def _load_checkpoint(path: pathlib.Path | None, config: dict) -> dict[str, dict]
     return {
         _params_key(r["params"]): r
         for r in doc.get("points", [])
-        if "error" not in r
-        and isinstance(point_result(r), dict)
-        and _is_number(point_result(r).get("wall_s_min"))
+        if "error" not in r and _is_number(r.get("wall_s_min"))
     }
 
 
@@ -668,10 +634,7 @@ def run_bench(
                 finish(
                     job,
                     _error_record(
-                        job,
-                        f"timed out after {timeout:.1f}s",
-                        kind="timeout",
-                        timed_out=True,
+                        job, f"timed out after {timeout:.1f}s", kind="timeout"
                     ),
                 )
 
@@ -711,10 +674,9 @@ def compare(doc: dict, baseline: dict, tolerance: float = REGRESSION_TOLERANCE) 
 
     Mesh steps are exact: a point whose numeric ``mesh_steps`` differs
     from the baseline's fails whatever its wall clock.  ``wall_s_min``
-    fails beyond ``tolerance``.  Either document may be schema 1 or 2
-    (see :func:`point_result`).  Errored points
-    — in either document — surface as explicit failures: a point that
-    crashed or timed out must never read as a silent pass.
+    fails beyond ``tolerance``.  Errored points — in either document —
+    surface as explicit failures: a point that crashed or timed out must
+    never read as a silent pass.
     """
     failures: list[str] = []
     base_by_params = {_params_key(p["params"]): p for p in baseline["points"]}
@@ -724,7 +686,7 @@ def compare(doc: dict, baseline: dict, tolerance: float = REGRESSION_TOLERANCE) 
         if "error" in point:
             failures.append(
                 f"{doc['bench']} {point['params']}: "
-                f"{error_kind_of(point)} — {point['error']}"
+                f"{point['error_kind']} — {point['error']}"
             )
             continue
         base = base_by_params.get(key)
@@ -733,10 +695,9 @@ def compare(doc: dict, baseline: dict, tolerance: float = REGRESSION_TOLERANCE) 
         if "error" in base:
             failures.append(
                 f"{doc['bench']} {point['params']}: baseline point errored "
-                f"({error_kind_of(base)} — {base['error']}); no comparison possible"
+                f"({base['error_kind']} — {base['error']}); no comparison possible"
             )
             continue
-        base, point = point_result(base), point_result(point)
         old_steps = base.get("mesh_steps")
         new_steps = point.get("mesh_steps")
         if _is_number(old_steps) and _is_number(new_steps) and old_steps != new_steps:
@@ -752,28 +713,6 @@ def compare(doc: dict, baseline: dict, tolerance: float = REGRESSION_TOLERANCE) 
                 f"vs baseline {old * 1e3:.2f}ms (+{(new / old - 1):.0%} > {tolerance:.0%})"
             )
     return failures
-
-
-def _render_bench(doc: dict) -> str:
-    lines = [f"{doc['bench']}: {len(doc['points'])} points in {doc['wall_s_total']:.1f}s"]
-    for point in doc["points"]:
-        params = ", ".join(f"{k}={v}" for k, v in point["params"].items())
-        if "error" in point:
-            lines.append(
-                f"  [{params}] ERROR({error_kind_of(point)}) after "
-                f"{point.get('attempts', '?')} attempt(s): {point['error']}"
-            )
-            continue
-        result = point_result(point)
-        steps = result.get("mesh_steps")
-        steps_txt = "-" if steps is None else f"{steps:.0f}"
-        lines.append(
-            f"  [{params}] wall={result['wall_s_min'] * 1e3:.2f}ms "
-            f"steps={steps_txt} rss={point['peak_rss_kb'] / 1024:.0f}MB"
-        )
-        for warning in point.get("warnings", ()):
-            lines.append(f"    WARNING {warning}")
-    return "\n".join(lines)
 
 
 def _at_least(lo: int):
@@ -845,6 +784,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--tolerance", type=float, default=REGRESSION_TOLERANCE)
     args = parser.parse_args(argv)
+    # report imports this module, so its renderer is imported late
+    from repro.bench.report import render_doc
 
     if args.list:
         for name, spec in REGISTRY.items():
@@ -890,7 +831,7 @@ def main(argv: list[str] | None = None) -> int:
                     folded + "\n"
                 )
                 print(f"  wrote {tpath}", flush=True)
-        print(_render_bench(doc), flush=True)
+        print(render_doc(doc), flush=True)
         if args.compare is not None:
             path = args.compare
             if path.is_dir():
@@ -916,10 +857,6 @@ def main(argv: list[str] | None = None) -> int:
                 )
             else:
                 checkpoint.unlink()
-        if "profile" in doc:
-            from repro.mesh.profile import CostProfile
-
-            print(CostProfile.from_dict(doc["profile"]).render(), flush=True)
 
     if failures:
         print("\nFAILURES:", file=sys.stderr)

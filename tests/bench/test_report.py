@@ -5,31 +5,26 @@ import json
 import pytest
 
 from repro.bench import report
-from repro.bench.runner import compare, point_result
+from repro.bench.runner import REPO_ROOT, compare
 
 
-def _point(params, wall, steps, schema):
-    measures = {"wall_s_min": wall, "repeats": 3, "mesh_steps": steps}
-    if schema == 2:
-        return {"params": dict(params), **measures, "peak_rss_kb": 4096}
-    # schema 1: one measure dict per engine mode, the fast one headlining
+def _point(params, wall, steps):
     return {
         "params": dict(params),
-        "fast": measures,
-        "slow": dict(measures, wall_s_min=wall * 2),
-        "mesh_steps_equal": True,
-        "speedup": 2.0,
+        "wall_s_min": wall,
+        "repeats": 3,
+        "mesh_steps": steps,
         "peak_rss_kb": 4096,
     }
 
 
-def _doc(bench, points, profile=None, schema=2):
+def _doc(bench, points, profile=None):
     doc = {
-        "schema": schema,
+        "schema": 2,
         "bench": bench,
         "created": "2026-01-01T00:00:00Z",
         "repeats": 3,
-        "points": [_point(*pt, schema=schema) for pt in points],
+        "points": [_point(*pt) for pt in points],
     }
     if profile is not None:
         doc["profile"] = profile
@@ -79,18 +74,6 @@ class TestDiff:
         assert report.main(["--diff", old, new]) == 0
         out = capsys.readouterr().out
         assert "no mesh-step change and no wall regression" in out
-
-    def test_schema1_baseline_diffs_against_schema2(self, capsys, tmp_path):
-        legacy = _doc(
-            "demo", [({"n": 1}, 0.010, 100.0), ({"n": 2}, 0.020, 200.0)], schema=1
-        )
-        old = _write(tmp_path, "old.json", legacy)
-        assert report.main([old]) == 0
-        assert "wall=10.00ms steps=100" in capsys.readouterr().out
-        assert report.main(["--diff", old, _write(tmp_path, "new.json", SAME)]) == 0
-        assert "wall 10.00ms -> 10.10ms" in capsys.readouterr().out
-        new = _write(tmp_path, "new.json", REGRESSED)
-        assert report.main(["--diff", old, new]) == 1
 
     def test_regression_exits_nonzero(self, capsys, tmp_path):
         old = _write(tmp_path, "old.json", BASE)
@@ -155,39 +138,19 @@ class TestDiff:
         assert report.main(["--diff", old, hollow]) == 2
         assert "malformed bench document" in capsys.readouterr().err
 
-    def test_committed_bench_jsons_diff_clean_against_themselves(self):
-        # the two BENCH blobs committed at the repo root are valid report
-        # inputs and self-diff to exit 0 (acceptance criterion artifact)
-        from repro.bench.runner import REPO_ROOT
-
-        for name in (
-            "BENCH_e1_hierdag.json",
-            "BENCH_e2_constrained.json",
-            "BENCH_e11_construct.json",
-            "BENCH_e13_serving.json",
-            "BENCH_e15_sharded.json",
-        ):
-            path = REPO_ROOT / name
-            assert path.exists()
-            assert report.main(["--diff", str(path), str(path)]) == 0
-
     def test_committed_e11_blob_shows_sqrt_construction(self):
         # the E11 acceptance criterion: per pipeline, modelled construction
         # steps normalised by sqrt(n) stay in a bounded band across a 64x
         # size sweep — construction is O(sqrt(n)) in the cost model
         import math
 
-        from repro.bench.runner import REPO_ROOT
-
         doc = json.loads((REPO_ROOT / "BENCH_e11_construct.json").read_text())
         ratios: dict[str, list[float]] = {}
         spans: dict[str, list[int]] = {}
         for p in doc["points"]:
             assert "error" not in p
-            # schema-1 blobs also record that both engine modes agreed
-            assert p.get("mesh_steps_equal") is not False
             n = p["params"]["n"]
-            steps = point_result(p)["mesh_steps"]
+            steps = p["mesh_steps"]
             assert steps > 0
             ratios.setdefault(p["params"]["pipeline"], []).append(
                 steps / math.sqrt(n)

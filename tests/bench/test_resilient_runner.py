@@ -61,7 +61,6 @@ class TestCrashIsolation:
         by_mode = {p["params"]["mode"]: p for p in doc["points"]}
         assert "error" not in by_mode["ok"]
         assert "timed out after 2.0s" in by_mode["hang"]["error"]
-        assert by_mode["hang"]["timed_out"] is True
         assert by_mode["hang"]["error_kind"] == "timeout"
 
 
@@ -112,7 +111,7 @@ class TestCheckpointResume:
         """
         _selftest_points(monkeypatch, ["ok"])
         config = {"bench": "selftest", "repeats": 1, "warmup": 0,
-                  "smoke": False, "profile": False, "trace": False}
+                  "smoke": False, "trace": False}
         ckpt = tmp_path / "BENCH_selftest.partial.json"
         ckpt.write_text(json.dumps({
             "config": config, "partial": True,
@@ -131,7 +130,7 @@ class TestCheckpointResume:
         ckpt = tmp_path / "BENCH_selftest.partial.json"
         run_bench("selftest", jobs=1, repeats=1, warmup=0, checkpoint=ckpt)
         config = {"bench": "selftest", "repeats": 2, "warmup": 0,
-                  "smoke": False, "profile": False, "trace": False}
+                  "smoke": False, "trace": False}
         assert _load_checkpoint(ckpt, config) == {}
 
     def test_unreadable_checkpoint_ignored(self, tmp_path):
@@ -139,15 +138,18 @@ class TestCheckpointResume:
         ckpt.write_text("{not json")
         assert _load_checkpoint(ckpt, {"bench": "x"}) == {}
 
-    def test_main_deletes_checkpoint_on_success(self, monkeypatch, tmp_path):
+    def test_main_deletes_checkpoint_on_success(self, monkeypatch, tmp_path, capsys):
         _selftest_points(monkeypatch, ["ok"])
         rc = runner.main(
             ["selftest", "--jobs", "1", "--repeats", "1", "--warmup", "0",
              "--out-dir", str(tmp_path)]
         )
         assert rc == 0
-        assert (tmp_path / "BENCH_selftest.json").exists()
+        written = json.loads((tmp_path / "BENCH_selftest.json").read_text())
         assert not (tmp_path / "BENCH_selftest.partial.json").exists()
+        # the sweep is printed by report's renderer, the same as a later
+        # `python -m repro.bench.report` of the written document
+        assert report.render_doc(written) in capsys.readouterr().out
 
     def test_main_keeps_checkpoint_and_fails_on_error(self, monkeypatch, tmp_path):
         _selftest_points(monkeypatch, ["fail", "ok"])
@@ -186,6 +188,7 @@ class TestErrorAwareCompareAndReport:
     ERR_POINT = {
         "params": {"n": 1},
         "error": "timed out after 2.0s",
+        "error_kind": "timeout",
         "traceback": None,
         "attempts": 1,
     }
@@ -211,23 +214,14 @@ class TestErrorAwareCompareAndReport:
         assert len(failures) == 1
         assert "baseline point errored" in failures[0]
 
-    def test_render_bench_shows_error(self):
-        doc = {
-            "bench": "demo", "wall_s_total": 1.0,
-            "points": [self.ERR_POINT, self.OK_POINT],
-        }
-        text = runner._render_bench(doc)
-        # pre-error_kind record: the kind is inferred from the message
-        assert "ERROR(timeout) after 1 attempt(s): timed out" in text
-        assert "wall=1000.00ms steps=5" in text
-
     def test_report_render_doc_shows_error(self):
         doc = {
             "bench": "demo", "repeats": 1,
             "points": [self.ERR_POINT, self.OK_POINT],
         }
         text = report.render_doc(doc)
-        assert "ERROR(timeout) after 1 attempt(s)" in text
+        assert "ERROR(timeout) after 1 attempt(s): timed out" in text
+        assert "wall=1000.00ms steps=5" in text
         assert "ERRORS: 1 of 2 points failed (timeout=1)" in text
 
     def test_report_render_diff_handles_errors(self):
@@ -240,18 +234,6 @@ class TestErrorAwareCompareAndReport:
         assert "baseline point errored" in text
         assert any("baseline point errored" in f for f in failures)
 
-    def test_error_kind_classification(self):
-        """Explicit error_kind wins; legacy records classify from their
-        fields so old baselines still render the distinction."""
-        assert runner.error_kind_of({"error_kind": "timeout"}) == "timeout"
-        assert runner.error_kind_of({"error": "x", "timed_out": True}) == "timeout"
-        assert runner.error_kind_of({"error": "timed out after 2.0s"}) == "timeout"
-        assert (
-            runner.error_kind_of({"error": "worker crashed (exit code -9)"})
-            == "crash"
-        )
-        assert runner.error_kind_of({"error": "ValueError: nope"}) == "exception"
-
     def test_render_distinguishes_crash_from_timeout(self):
         crash_point = {
             "params": {"n": 3},
@@ -261,12 +243,11 @@ class TestErrorAwareCompareAndReport:
             "attempts": 2,
         }
         doc = {
-            "bench": "demo", "wall_s_total": 1.0, "repeats": 1,
+            "bench": "demo", "repeats": 1,
             "points": [self.ERR_POINT, crash_point],
         }
-        text = runner._render_bench(doc)
-        assert "ERROR(timeout)" in text and "ERROR(crash)" in text
         rep = report.render_doc(doc)
+        assert "ERROR(timeout) after 1 attempt(s)" in rep
         assert "ERROR(crash) after 2 attempt(s)" in rep
         assert "(crash=1, timeout=1)" in rep
         base = {"bench": "demo", "points": []}

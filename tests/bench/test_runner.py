@@ -14,7 +14,6 @@ from repro.bench.runner import (
     _pts,
     compare,
     main,
-    point_result,
     provenance,
     run_point,
 )
@@ -94,15 +93,9 @@ class TestExtractSteps:
         assert _extract_steps({"sort": 2.0, "note": "hi"}) is None
 
 
-def _doc(wall_by_params, schema=2):
-    """A bench document; schema 1 nests the measures in a ``fast`` dict."""
-
-    def point(p, w):
-        if schema == 1:
-            return {"params": dict(p), "fast": {"wall_s_min": w}}
-        return {"params": dict(p), "wall_s_min": w}
-
-    return {"bench": "demo", "points": [point(p, w) for p, w in wall_by_params]}
+def _doc(wall_by_params):
+    points = [{"params": dict(p), "wall_s_min": w} for p, w in wall_by_params]
+    return {"bench": "demo", "points": points}
 
 
 class TestCompare:
@@ -125,19 +118,8 @@ class TestCompare:
     @staticmethod
     def _with_steps(doc, *steps):
         for point, s in zip(doc["points"], steps):
-            point_result(point)["mesh_steps"] = s
+            point["mesh_steps"] = s
         return doc
-
-    def test_schema1_baseline_against_schema2_run(self):
-        # committed BENCH_*.json files predate schema 2; their fast column
-        # is the baseline for a one-mode run
-        base = self._with_steps(_doc([({"n": 1}, 1.0), ({"n": 2}, 1.0)], schema=1), 7, 8)
-        doc = self._with_steps(_doc([({"n": 1}, 1.05), ({"n": 2}, 1.5)]), 7, 9)
-        failures = compare(doc, base, tolerance=0.10)
-        assert len(failures) == 2
-        assert "mesh steps 9 vs baseline 8" in failures[0]
-        assert "wall 1500.00ms vs baseline 1000.00ms" in failures[1]
-        assert compare(base, base, tolerance=0.10) == []
 
     def test_changed_steps_fail_at_equal_wall(self):
         base = self._with_steps(_doc([({"n": 1}, 1.0), ({"n": 2}, 2.0)]), 100, 200)
@@ -178,7 +160,6 @@ class TestRunPoint:
         assert record["repeats"] == 1
         assert record["mesh_steps"] > 0
         assert record["peak_rss_kb"] > 0
-        assert point_result(record) is record
 
     def test_trace_record(self):
         record = run_point(
@@ -259,26 +240,7 @@ class TestProvenance:
         }
         text = render_doc(doc)
         assert "environment: python" in text
-        assert "backend=" not in text
         assert "numpy" in text
-
-    def test_report_renders_legacy_backend_fields(self):
-        # documents written while kernel backends existed carry these
-        from repro.bench.report import render_doc
-
-        prov = {
-            "backend": "array_api",
-            "backend_native": False,
-            "backend_fallback_reason": "ImportError: stub",
-            "versions": {"python": "3.12.0", "numpy": "2.0.0", "jax": None},
-            "platform": "linux",
-            "cpu": None,
-        }
-        text = render_doc({"bench": "demo", "provenance": prov, "points": []})
-        assert (
-            "environment: backend=array_api (fallback: ImportError: stub)"
-            "  python 3.12.0, numpy 2.0.0; absent: jax"
-        ) in text
 
 
 class TestMain:
@@ -409,11 +371,10 @@ class TestParamsKey:
         assert runner._params_key({"b": True}) != runner._params_key({"b": 1})
         assert runner._params_key({"s": "4096"}) != runner._params_key({"n": 4096})
 
-    @pytest.mark.parametrize("schema", [1, 2])
-    def test_checkpoint_resume_across_numeric_spelling(self, tmp_path, schema):
+    def test_checkpoint_resume_across_numeric_spelling(self, tmp_path):
         path = tmp_path / "ck.partial.json"
         config = {"repeats": 1}
-        record = _doc([({"n": 4096.0}, 1.0)], schema=schema)["points"][0]
+        record = _doc([({"n": 4096.0}, 1.0)])["points"][0]
         runner._write_checkpoint(path, config, {0: record})
         done = runner._load_checkpoint(path, config)
         assert runner._params_key({"n": 4096}) in done

@@ -1,15 +1,19 @@
-"""Committed mesh steps replay exactly.
+"""Committed bench documents are current and their mesh steps replay exactly.
 
 ``mesh_steps`` is the paper's cost measure and a pure function of the
 code and the sweep point, so every committed point of these BENCH
-documents is re-run in process (one call each, no timing) and must
-reproduce its recorded count exactly.  E1 is Algorithm 1 and the
-synchronous baseline, E2 the Constrained-Multisearch procedure, E11 the
-modelled construction of the Kirkpatrick and Dobkin–Kirkpatrick
-structures, E13 the batching front end over a restored point-location
-structure.  Wall times
-in the same documents are not checked here: they belong to the runner's
-``--compare`` gate.
+documents is re-run in process (one call each, no timing, through the
+bench's registered entry point) and must reproduce its recorded count
+exactly.  E1 is Algorithm 1 and the synchronous baseline, E2 the
+Constrained-Multisearch procedure, E11 the modelled construction of the
+Kirkpatrick and Dobkin–Kirkpatrick structures, E13 the batching front
+end over a restored point-location structure, E15 three of the paper's
+multisearch drivers on a sharded mesh.  Wall times in the same documents
+are not checked here: they belong to the runner's ``--compare`` gate.
+
+Every committed document of a registered bench is also the current
+schema, written by the runner (it carries ``provenance``), and renders
+and self-diffs cleanly through ``repro.bench.report``.
 """
 
 import importlib
@@ -18,9 +22,23 @@ import sys
 
 import pytest
 
-from repro.bench.runner import BENCH_DIR, REGISTRY, REPO_ROOT, _extract_steps, point_result
+from repro.bench import report
+from repro.bench.runner import (
+    BENCH_DIR,
+    REGISTRY,
+    REPO_ROOT,
+    SCHEMA_VERSION,
+    _extract_steps,
+)
 
-BENCHES = ("e1_hierdag", "e2_constrained", "e11_construct", "e13_serving")
+BENCHES = ("e1_hierdag", "e2_constrained", "e11_construct", "e13_serving", "e15_sharded")
+
+#: every ``BENCH_<name>.json`` at the repo root whose name is a runner bench
+COMMITTED = sorted(
+    path
+    for path in REPO_ROOT.glob("BENCH_*.json")
+    if path.stem.removeprefix("BENCH_") in REGISTRY
+)
 
 
 def _points(bench):
@@ -47,6 +65,19 @@ def bench_modules():
         sys.path.remove(str(BENCH_DIR))
 
 
+def test_every_committed_document_is_replayed():
+    assert sorted(p.stem.removeprefix("BENCH_") for p in COMMITTED) == sorted(BENCHES)
+
+
+@pytest.mark.parametrize("path", COMMITTED, ids=lambda p: p.stem)
+def test_committed_document_is_current(path):
+    doc = json.loads(path.read_text())
+    assert doc["schema"] == SCHEMA_VERSION
+    assert doc["provenance"]
+    assert report.main([str(path)]) == 0
+    assert report.main(["--diff", str(path), str(path)]) == 0
+
+
 @pytest.mark.parametrize("bench", BENCHES)
 def test_blob_covers_the_registered_sweep(bench):
     recorded = [p["params"] for p in _points(bench)]
@@ -64,4 +95,4 @@ def test_steps_replay_exactly(bench, point, bench_modules):
         result = entry(getattr(module, spec.setup)(**params), **params)
     else:
         result = entry(**params)
-    assert _extract_steps(result) == point_result(point)["mesh_steps"]
+    assert _extract_steps(result) == point["mesh_steps"]

@@ -1,8 +1,8 @@
 """Tier-2 smoke check: every registered bench runs under the parallel runner.
 
-Each bench's *smallest* sweep point is measured once per engine mode; the
-runner exits non-zero if any point's fast/slow mesh-step counts diverge.
-The whole sweep stays well under a minute on a few cores.
+Each bench's *smallest* sweep point is measured once; the runner exits
+non-zero if any point errors.  The whole sweep stays well under a minute
+on a few cores.
 
 Deselected from the default (tier-1) run by the ``smoke`` marker; run it
 with::
