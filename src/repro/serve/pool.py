@@ -4,9 +4,10 @@ One hung flush or one crashed interpreter must not take the service
 down.  This module splits serving across OS-process failure domains:
 
 * **Workers** (:func:`_worker_main`): each process is forked from a
-  ``forkserver`` that imported the serving modules once
-  (:data:`FORKSERVER_PRELOAD`), takes the supervisor's ``REPRO_*``
-  environment, restores a
+  ``forkserver`` that imported, once, every module a restore and its
+  batches need (:data:`FORKSERVER_PRELOAD`), and starts without
+  re-running the caller's ``__main__`` (:class:`_WorkerProcess`); it
+  takes the supervisor's ``REPRO_*`` environment, restores a
   :class:`~repro.serve.service.MultisearchService` from the
   content-addressed snapshot (construction-free, hash-validated with the
   supervisor's expected id) and answers batches one at a time.  A
@@ -37,8 +38,9 @@ down.  This module splits serving across OS-process failure domains:
     work or memory is committed.
 
 The forkserver outlives any one pool, so restarts and later pools skip
-the interpreter start and imports; an exit hook closes every open pool
-and reaps the server, so no process outlives the supervisor.
+the interpreter start and imports: a warm start is one fork plus the
+hash-checked snapshot read.  An exit hook closes every open pool and
+reaps the server, so no process outlives the supervisor.
 
 Supervision is pure host-side bookkeeping: no engine exists in the
 supervisor process, so zero mesh steps are charged unless a worker runs
@@ -57,6 +59,8 @@ per-generation derived seeds) and fire inside the worker loop.
 from __future__ import annotations
 
 import atexit
+import functools
+import io
 import os
 import signal
 import threading
@@ -67,6 +71,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from multiprocessing import forkserver, get_context
 from multiprocessing.connection import wait as _conn_wait
+from multiprocessing.context import ForkServerProcess
 
 import numpy as np
 
@@ -91,18 +96,29 @@ _GENERATION_STRIDE = 9173    # per-restart-generation stride
 
 #: workers are forks of a forkserver: a clean interpreter that imported
 #: :data:`FORKSERVER_PRELOAD` and never held supervisor state, so each
-#: worker is still its own failure domain but skips interpreter start
-#: and imports
+#: worker is still its own failure domain but skips interpreter start,
+#: imports and the caller's ``__main__`` (:class:`_WorkerProcess`)
 START_METHOD = "forkserver"
-#: what the forkserver imports once, before it forks any worker
-FORKSERVER_PRELOAD = ("repro.serve.pool", "repro.serve.service", "repro.serve.snapshot")
+#: what the forkserver imports once, before it forks any worker: the
+#: pool, the snapshot reader, and the ``repro.apps`` modules behind every
+#: service kind, so that no restore and no batch imports a ``repro``
+#: module in the worker (scipy stays out: only construction imports it)
+FORKSERVER_PRELOAD = (
+    "repro.serve.pool",
+    "repro.serve.service",
+    "repro.serve.snapshot",
+    "repro.apps.pointloc",
+    "repro.apps.linepoly",
+    "repro.apps.interval_search",
+)
 #: a forked worker holds the forkserver's environment from when the
 #: server started, so the supervisor's variables with this prefix (set
 #: and unset alike) travel with every start
 ENV_PREFIX = "REPRO_"
-#: silence a starting worker may keep before it is declared frozen
-#: (the fork and snapshot restore; a process's first start also pays the
-#: forkserver's interpreter start and imports)
+#: silence a starting worker may keep before it is declared frozen (a
+#: warm start is the fork and the snapshot read, milliseconds; a
+#: process's first start also pays the forkserver's interpreter start
+#: and preload imports)
 READY_TIMEOUT_S = 60.0
 
 #: pools not yet closed; the exit hook closes them before it stops the
@@ -231,6 +247,60 @@ def _worker_main(
 
 
 # -- supervisor side ---------------------------------------------------------
+
+
+@functools.cache
+def _worker_popen() -> type:
+    """The stdlib forkserver launcher, minus re-running ``__main__``.
+
+    ``spawn.prepare`` re-executes the caller's script (or ``-m`` module)
+    in every child that is told its path, and the forkserver's own
+    ``'__main__'`` preload cannot stop it (CPython 3.8–3.13 filter for a
+    ``main_path`` key the preparation data no longer has).  A worker's
+    target and arguments live in preloaded modules, so its preparation
+    data drops the two entries that name the caller's script or module;
+    the rest of ``_launch`` is the stdlib one, unchanged across those
+    versions.  Built on the first start, where ``ForkServerProcess``
+    imports its own launcher, so the supervisor imports what a stdlib
+    start would, when it would (importing it with the pool moved the
+    supervisor's peak RSS by about 0.8 MB).
+    """
+    from multiprocessing import popen_forkserver, reduction, spawn, util
+    from multiprocessing.context import set_spawning_popen
+
+    class WorkerPopen(popen_forkserver.Popen):
+        def _launch(self, process_obj):
+            prep_data = spawn.get_preparation_data(process_obj._name)
+            prep_data.pop("init_main_from_path", None)
+            prep_data.pop("init_main_from_name", None)
+            buf = io.BytesIO()
+            set_spawning_popen(self)
+            try:
+                reduction.dump(prep_data, buf)
+                reduction.dump(process_obj, buf)
+            finally:
+                set_spawning_popen(None)
+            self.sentinel, w = forkserver.connect_to_new_process(self._fds)
+            # the write end's duplicate tells the child its parent is alive
+            _parent_w = os.dup(w)
+            self.finalizer = util.Finalize(self, util.close_fds, (_parent_w, self.sentinel))
+            with open(w, "wb", closefd=True) as f:
+                f.write(buf.getbuffer())
+            self.pid = forkserver.read_signed(self.sentinel)
+
+    return WorkerPopen
+
+
+class _WorkerProcess(ForkServerProcess):
+    """A pool worker: a forkserver process started by :func:`_worker_popen`.
+
+    Scoped to the pool's own workers; every other process, started by
+    the caller or by another thread meanwhile, keeps the stdlib launch.
+    """
+
+    @staticmethod
+    def _Popen(process_obj):
+        return _worker_popen()(process_obj)
 
 
 @dataclass
@@ -488,7 +558,7 @@ class WorkerPool:
             )
             for p in self.fault_plans
         ]
-        proc = self._ctx.Process(
+        proc = _WorkerProcess(
             target=_worker_main,
             args=(
                 child_conn,

@@ -1,11 +1,13 @@
-"""Worker start from the preloaded forkserver: environment and lifecycle.
+"""Worker start from the preloaded forkserver: environment, lifecycle, cost.
 
 A forkserver child inherits the server's environment from when the
 server started, not the supervisor's current one, and the server
-outlives every pool.  These tests pin the two guarantees the pool adds
-on top: each worker runs under the supervisor's ``REPRO_*`` variables
-as they are when the worker starts, and no server or worker process
-outlives the interpreter that started them, closed pool or not.
+outlives every pool.  These tests pin the guarantees the pool adds on
+top: each worker runs under the supervisor's ``REPRO_*`` variables as
+they are when the worker starts, and no server or worker process
+outlives the interpreter that started them, closed pool or not.  They
+also pin what a warm start costs: no worker re-runs the caller's script,
+and the preload holds every module a restore and its first batch import.
 """
 
 import json
@@ -76,6 +78,16 @@ _CHILD = textwrap.dedent(
 )
 
 
+def _python(*args, timeout: float = 120, cwd=None) -> subprocess.CompletedProcess:
+    """Run a child interpreter that imports ``repro`` from this checkout."""
+    src = pathlib.Path(repro.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, *map(str, args)],
+        capture_output=True, text=True, timeout=timeout, cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+
+
 def _running(pid: int) -> bool:
     try:
         os.kill(pid, 0)
@@ -89,12 +101,7 @@ class TestForkserverLifecycle:
     def test_nothing_outlives_the_interpreter(self, pointloc_env, tmp_path, ending):
         script = tmp_path / "child.py"
         script.write_text(_CHILD)
-        src = pathlib.Path(repro.__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [sys.executable, str(script), str(pointloc_env["path"]), ending],
-            capture_output=True, text=True, timeout=60,
-            env=dict(os.environ, PYTHONPATH=str(src)),
-        )
+        proc = _python(script, pointloc_env["path"], ending, timeout=60)
         returned_at = time.monotonic()
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -102,3 +109,94 @@ class TestForkserverLifecycle:
         assert not [pid for pid in report["pids"] if _running(pid)]
         # the exit hook closes an open pool and reaps the server promptly
         assert returned_at - report["exit_at"] < 5.0
+
+
+#: top level appends this interpreter's pid to a marker file, so every
+#: process that re-runs the script leaves one line
+_MARKED_CHILD = textwrap.dedent(
+    """
+    import os, signal, sys, time
+
+    with open(sys.argv[2], "a") as marker:
+        marker.write(f"{os.getpid()}\\n")
+
+    import numpy as np
+
+    from repro.serve import WorkerPool
+
+    if __name__ == "__main__":
+        with WorkerPool(sys.argv[1], workers=2) as pool:
+            pool.submit_batch(np.array([[0.3, 0.4]])).result(timeout=60)
+            os.kill(pool._workers[0].process.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 60
+            while not (
+                pool.stats["restarts"] == 1
+                and set(pool.worker_states().values()) == {"idle"}
+            ):
+                assert time.monotonic() < deadline, pool.worker_states()
+                time.sleep(0.01)
+            pool.submit_batch(np.array([[0.3, 0.4]])).result(timeout=60)
+        print(os.getpid())
+    """
+)
+
+
+class TestCallerScriptRunsOnce:
+    @pytest.mark.parametrize("run_as", ["script", "module"])
+    def test_workers_and_restarts_do_not_rerun_the_script(
+        self, pointloc_env, tmp_path, run_as
+    ):
+        """Two workers and one restart leave one marker line, the script's
+        own: no worker start re-executes the caller's ``__main__``, run
+        as a file (``init_main_from_path``) or with ``-m``
+        (``init_main_from_name``)."""
+        script = tmp_path / "marked.py"
+        script.write_text(_MARKED_CHILD)
+        marker = tmp_path / "marker.txt"
+        main = [script] if run_as == "script" else ["-m", "marked"]
+        proc = _python(*main, pointloc_env["path"], marker, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert marker.read_text().splitlines() == [proc.stdout.strip()]
+
+
+#: in a fresh interpreter: import the preload and nothing else, then
+#: restore the snapshot and serve one batch, and list every ``repro``
+#: or scipy module that the restore and the batch imported
+_RESTORE_IMPORTS = textwrap.dedent(
+    """
+    import importlib, json, sys
+
+    from repro.serve.pool import FORKSERVER_PRELOAD
+
+    for name in FORKSERVER_PRELOAD:
+        importlib.import_module(name)
+    import numpy as np
+
+    from repro.serve.service import restore_service
+    from repro.serve.snapshot import read_snapshot
+
+    preloaded = set(sys.modules)
+    service = restore_service(read_snapshot(sys.argv[1]))
+    restored = set(sys.modules)
+    service.run_batch(np.load(sys.argv[2]))
+    served = set(sys.modules)
+
+    def ours(names):
+        return sorted(n for n in names if n.split(".")[0] in ("repro", "scipy"))
+
+    print(json.dumps({
+        "restore": ours(restored - preloaded), "batch": ours(served - restored)
+    }))
+    """
+)
+
+
+class TestPreload:
+    @pytest.mark.parametrize("kind", ["pointloc", "linepoly", "interval"])
+    def test_restore_and_first_batch_import_nothing_more(self, all_envs, tmp_path, kind):
+        env = all_envs[kind]
+        queries = tmp_path / "queries.npy"
+        np.save(queries, env["queries"])
+        proc = _python("-c", _RESTORE_IMPORTS, env["path"], queries)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"restore": [], "batch": []}
