@@ -65,11 +65,30 @@ def _final_triangles(finals: np.ndarray, structure) -> np.ndarray:
     keeps the finalize step hierarchy-free, which is what lets a
     snapshot-restored structure serve queries without the hierarchy.
     """
-    level = np.asarray(structure.level)
-    h = int(level.max(initial=0))
-    start_h = int(np.searchsorted(level, h))
-    ok = (finals >= 0) & (level[np.clip(finals, 0, None)] == h)
-    return np.where(ok, finals - start_h, -1)
+    bottom, start_h = _bottom_level(structure)
+    # finals are vertex ids or -1, which reads the last entry and is masked
+    return np.where((finals >= 0) & bottom[finals], finals - start_h, -1)
+
+
+def _bottom_level(structure) -> tuple[np.ndarray, int]:
+    """Which vertices sit on the DAG's bottom level, and the first of them.
+
+    Cached on the structure, guarded by the identity of its level array
+    (as the Algorithm 1 plan is): every batch over a served structure
+    reads the same answer.
+    """
+    level = structure.level
+    cached = getattr(structure, "_repro_bottom", None)
+    if cached is not None and cached[0] is level:
+        return cached[1]
+    level_arr = np.asarray(level)
+    h = int(level_arr.max(initial=0))
+    bottom = (level_arr == h, int(np.searchsorted(level_arr, h)))
+    try:
+        structure._repro_bottom = (level, bottom)
+    except (AttributeError, TypeError):  # frozen/slotted structures: no cache
+        pass
+    return bottom
 
 
 def locate_on_structure(

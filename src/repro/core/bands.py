@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +39,11 @@ __all__ = ["Band", "BandDecomposition", "compute_bands"]
 
 @dataclass(frozen=True)
 class Band:
-    """One band ``B_i``: levels ``[lo_level, hi_level]`` inclusive."""
+    """One band ``B_i``: levels ``[lo_level, hi_level]`` inclusive.
+
+    Its level counts and ranges are worked out on first use and kept: a
+    plan cached on a structure reads them on every batch.
+    """
 
     index: int
     lo_level: int
@@ -49,12 +54,12 @@ class Band:
     #: ``B_i^1`` covers levels ``[lo_level, hi_level - m]`` (may be empty).
     m: int
 
-    @property
+    @cached_property
     def n_levels(self) -> int:
         """The paper's ``Delta h_i``."""
         return self.hi_level - self.lo_level + 1
 
-    @property
+    @cached_property
     def b1_levels(self) -> tuple[int, int] | None:
         """Level range of ``B_i^1`` = ``[lo, hi - 1 - m]``, or None if empty."""
         hi = self.hi_level - 1 - self.m
@@ -62,7 +67,7 @@ class Band:
             return None
         return (self.lo_level, hi)
 
-    @property
+    @cached_property
     def b2_levels(self) -> tuple[int, int]:
         """Level range of ``B_i^2`` = ``[hi - m, hi]`` (clamped to the band)."""
         return (max(self.lo_level, self.hi_level - self.m), self.hi_level)

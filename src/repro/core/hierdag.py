@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -86,6 +87,23 @@ class HierDagPlan:
     @property
     def grids(self) -> list[int]:
         return [bp.g for bp in self.bands]
+
+    @cached_property
+    def schedule(self) -> list[tuple[BandPlan, int, int, str, tuple[str, ...]]]:
+        """Step 3's per-band constants, worked out once per plan.
+
+        Per band: its plan; the side and grid of the ``B_{i+1}``-submeshes
+        it is distributed and duplicated in (the whole mesh for the last
+        band); its span name; and its ``detail`` keys, the band's copy
+        charge then :func:`lemma1_band_steps`'s three, in that order.
+        """
+        parents = [(bp.sub_side, bp.g) for bp in self.bands[1:]]
+        parents.append((self.mesh_side, 1))
+        return [
+            (bp, side, g, f"hierdag:band{j}",
+             tuple(f"band{j}:{k}" for k in ("dup", "phase1", "phase2", "dup_b1")))
+            for j, (bp, (side, g)) in enumerate(zip(self.bands, parents))
+        ]
 
 
 def _records(level_sizes: np.ndarray, lo: int, hi: int, rec_per_vertex: int) -> int:
@@ -158,16 +176,18 @@ def _cached_plan(
 
 
 def _unit_level_steps(structure: SearchStructure) -> bool:
-    """True when every edge drops exactly one level (cached on the structure).
+    """True when every edge drops exactly one level.
 
-    When it holds, an advancing query's new level is ``old + 1`` (or ``-1``
-    on STOP), so the advancer can skip the random ``level[nxt]`` gather.
+    Cached on the structure, guarded by the identity of its adjacency and
+    level arrays: replacing either re-checks.  When it holds, an advancing
+    query's new level is ``old + 1`` (or ``-1`` on STOP), so the advancer
+    can skip the random ``level[nxt]`` gather.
     """
-    cached = getattr(structure, "_repro_unit_levels", None)
-    if cached is not None and cached[0] is structure.adjacency:
-        return cached[1]
     adj = structure.adjacency
     lvl = structure.level
+    cached = getattr(structure, "_repro_unit_levels", None)
+    if cached is not None and cached[0] is adj and cached[1] is lvl:
+        return cached[2]
     valid = adj >= 0
     ok = bool(
         np.array_equal(
@@ -175,7 +195,7 @@ def _unit_level_steps(structure: SearchStructure) -> bool:
         )
     )
     try:
-        structure._repro_unit_levels = (structure.adjacency, ok)
+        structure._repro_unit_levels = (adj, lvl, ok)
     except (AttributeError, TypeError):  # frozen/slotted structures: no cache
         pass
     return ok
@@ -197,6 +217,10 @@ class _Advancer:
     :class:`QuerySet` by :meth:`flush` — required after the last advance.
     Successor inputs are column *views* of the gathered rows (the
     Section 2 contract already makes them read-only to successors).
+    While every query sits on one level of a unit-level structure (a
+    point-location batch until its first STOP), that level is one integer:
+    an advance there takes the whole block without selecting rows, and
+    its steps are one scalar that :meth:`flush` adds to every query.
     With ``record_trace`` on, ``qs.current`` must stay live at every
     visit, so the advancer operates on ``qs`` directly and logs a visit
     after every level that has an active query.
@@ -218,6 +242,8 @@ class _Advancer:
         self.prev = np.full(qs.m, STOP, dtype=np.int64)
         self._unit = _unit_level_steps(structure)
         self._owned = not qs.record_trace
+        #: the level every query sits on, or None: then ``levels`` is live
+        self._shared = None
         if self._owned:
             m = qs.m
             self._key_1d = qs.key.ndim == 1
@@ -230,6 +256,10 @@ class _Advancer:
             self.qblk = np.concatenate(
                 [qs.current[:, None], qs.steps[:, None], key, state], axis=1
             )
+            #: whole-block advances not yet in the block's steps column
+            self._steps = 0
+            if self._unit and m and levels[0] >= 0 and (levels == levels[0]).all():
+                self._shared = int(levels[0])
 
     def flush(self) -> None:
         """Write the owned query block back into the :class:`QuerySet`."""
@@ -237,7 +267,7 @@ class _Advancer:
             return
         qs = self.qs
         qs.current[:] = self.qblk[:, 0]
-        qs.steps[:] = self.qblk[:, 1]
+        qs.steps[:] = self.qblk[:, 1] + self._steps
         qs.state[...] = (
             self.qblk[:, self._sc : self._sc + self._sw]
             .view(np.float64)
@@ -263,10 +293,16 @@ class _Advancer:
         """Advance every active query currently at ``level`` by one step."""
         if not self._owned:
             return self._advance_traced(level)
-        sel = np.flatnonzero(self.levels == level)
-        if sel.size == 0:
-            return 0  # log_visit is a no-op without tracing
-        full = sel.size == self.levels.shape[0]
+        shared = self._shared
+        if shared is not None:
+            if level != shared:
+                return 0
+            full = True
+        else:
+            sel = np.flatnonzero(self.levels == level)
+            if sel.size == 0:
+                return 0  # log_visit is a no-op without tracing
+            full = sel.size == self.levels.shape[0]
         qrow = self.qblk if full else self.qblk[sel]
         cs = qrow[:, 0]
         payload, adjacency, vlevel = self.vertices.gather(cs)
@@ -278,29 +314,32 @@ class _Advancer:
         nxt, new_state = self.structure.successor(
             cs, payload, adjacency, vlevel, key, st
         )
-        lv = self._next_levels(nxt, vlevel)
-        if full:  # sel is arange(m): write whole columns, rebind levels
+        if full:  # every query: write whole columns
             self.prev[:] = cs  # before cs, a view of column 0, is overwritten
             self.qblk[:, 0] = nxt
-            self.qblk[:, 1] += 1
+            self._steps += 1
             if new_state is not st:
                 self.qblk[:, self._sc : self._sc + self._sw] = (
                     np.ascontiguousarray(new_state, dtype=np.float64)
                     .reshape(nxt.shape[0], -1)
                     .view(np.int64)
                 )
-            self.levels = lv
-        else:
-            self.prev[sel] = cs
-            self.qblk[sel, 0] = nxt
-            self.qblk[sel, 1] = qrow[:, 1] + 1
-            if new_state is not st:
-                self.qblk[sel, self._sc : self._sc + self._sw] = (
-                    np.ascontiguousarray(new_state, dtype=np.float64)
-                    .reshape(nxt.shape[0], -1)
-                    .view(np.int64)
-                )
-            self.levels[sel] = lv
+            if shared is not None and np.minimum.reduce(nxt) >= 0:
+                self._shared = shared + 1  # nobody stopped: still one level
+            else:
+                self._shared = None
+                self.levels = self._next_levels(nxt, vlevel)
+            return nxt.shape[0]
+        self.prev[sel] = cs
+        self.qblk[sel, 0] = nxt
+        self.qblk[sel, 1] = qrow[:, 1] + 1
+        if new_state is not st:
+            self.qblk[sel, self._sc : self._sc + self._sw] = (
+                np.ascontiguousarray(new_state, dtype=np.float64)
+                .reshape(nxt.shape[0], -1)
+                .view(np.int64)
+            )
+        self.levels[sel] = self._next_levels(nxt, vlevel)
         return int(sel.size)
 
     def _advance_traced(self, level: int) -> int:
@@ -331,7 +370,6 @@ def lemma1_band_steps(
     structure: SearchStructure,
     qs: QuerySet,
     plan: BandPlan,
-    label: str = "hierdag",
     advancer: _Advancer | None = None,
 ) -> dict[str, float]:
     """Lemma 1: solve the multisearch for one band on its submeshes.
@@ -354,25 +392,25 @@ def lemma1_band_steps(
     band = plan.band
     b1 = band.b1_levels
     if b1 is not None:
-        with traced(clock, f"{label}:phase1"):
+        with traced(clock, "hierdag:phase1"):
             detail["dup_b1"] += engine.charge_phase(
-                plan.sub_side, cost.sort + cost.route, f"{label}:dup-b1",
+                plan.sub_side, cost.sort + cost.route, "hierdag:dup-b1",
                 volume=plan.b1_vertices * plan.q * plan.q, grid=plan.g,
             )
             inner_queries = -(-qs.m // (plan.g * plan.q) ** 2)
             for lvl in range(b1[0], b1[1] + 1):
                 detail["phase1"] += engine.charge_phase(
-                    plan.inner_side, cost.route, f"{label}:phase1",
+                    plan.inner_side, cost.route, "hierdag:phase1",
                     volume=inner_queries, extra=cost.local,
                     grid=plan.g * plan.q,
                 )
                 step(lvl)
     lo2, hi2 = band.b2_levels
     sub_queries = -(-qs.m // plan.g**2)
-    with traced(clock, f"{label}:phase2"):
+    with traced(clock, "hierdag:phase2"):
         for lvl in range(lo2, hi2 + 1):
             detail["phase2"] += engine.charge_phase(
-                plan.sub_side, cost.route, f"{label}:phase2",
+                plan.sub_side, cost.route, "hierdag:phase2",
                 volume=sub_queries, extra=cost.local, grid=plan.g,
             )
             step(lvl)
@@ -418,12 +456,11 @@ def hierdag_multisearch(
         # the union of earlier bands into each B_i-submesh), all submeshes in
         # parallel -> charged at the B_{i+1}-submesh side, on their grid (the
         # whole mesh for the last band).
-        parents = [(bp.sub_side, bp.g) for bp in plan.bands[1:]]
-        parents.append((plan.mesh_side, 1))
+        schedule = plan.schedule
         with traced(clock, "hierdag:setup"):
             clock.charge(cost.local * max(1, len(plan.bands)), "hierdag:labels")
             setup = 0.0
-            for bp, (parent_side, parent_g) in zip(plan.bands, parents):
+            for bp, parent_side, parent_g, _, _ in schedule:
                 setup += engine.charge_phase(
                     parent_side, cost.sort + cost.route + cost.scan,
                     "hierdag:distribute", volume=bp.band.n_vertices,
@@ -433,20 +470,18 @@ def hierdag_multisearch(
 
         # Step 3: per band, duplicate B_i into each B_i-submesh, then Lemma 1.
         multisteps = 0
-        for j, (bp, (parent_side, parent_g)) in enumerate(zip(plan.bands, parents)):
-            with traced(clock, f"hierdag:band{j}"):
+        for bp, parent_side, parent_g, name, keys in schedule:
+            with traced(clock, name):
                 dup = engine.charge_phase(
                     parent_side, cost.sort + cost.route, "hierdag:dup-band",
                     volume=bp.band.n_vertices, grid=parent_g,
                 )
-                detail[f"band{j}:dup"] = dup
                 d = lemma1_band_steps(engine, structure, qs, bp, advancer=advancer)
-                for k, v in d.items():
-                    detail[f"band{j}:{k}"] = v
+                detail.update(zip(keys, (dup, *d.values())))
                 multisteps += bp.band.n_levels
                 # paranoid: re-check the structure at each band boundary
                 # (the queries' live state is flushed only at the end)
-                paranoid_boundary(engine, f"hierdag:band{j}", structure=structure)
+                paranoid_boundary(engine, name, structure=structure)
 
         # Step 4: B* level by level on the whole mesh (O(1) levels).
         bstar = 0.0

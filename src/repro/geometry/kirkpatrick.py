@@ -433,13 +433,13 @@ def kirkpatrick_successor(h: int):
 
     def successor(vid, vpayload, vadjacency, vlevel, qkey, qstate):
         internal = vlevel < h
-        q = np.asarray(qkey)
-        if internal.all():  # a level-synchronous advance: the usual case
-            return _descend(q, vadjacency, vpayload), qstate
+        n_internal = np.count_nonzero(internal)
+        if n_internal == internal.shape[0]:  # level-synchronous: the usual case
+            return _descend(qkey, vadjacency, vpayload), qstate
         nxt = np.full(vid.shape[0], STOP, dtype=np.int64)
-        if internal.any():
+        if n_internal:
             nxt[internal] = _descend(
-                q[internal], vadjacency[internal], vpayload[internal]
+                np.asarray(qkey)[internal], vadjacency[internal], vpayload[internal]
             )
         return nxt, qstate
 
@@ -447,12 +447,14 @@ def kirkpatrick_successor(h: int):
 
 
 def _descend(q: np.ndarray, adj: np.ndarray, pl: np.ndarray) -> np.ndarray:
-    """The first child triangle of each node that contains its point."""
-    m = q.shape[0]
-    ok = in_child_triangles(q, pl[:, 6:].reshape(m, 3 * MAX_CHILDREN, 2))
+    """The first child triangle of each node that contains its point.
+
+    A row with no such child reads its first slot, which is then not
+    ``ok``: the one ``where`` puts STOP there.
+    """
+    ok = in_child_triangles(q, pl[:, 6:])
     ok &= adj >= 0
-    first = ok.argmax(axis=1)
-    return np.where(ok.any(axis=1), adj[np.arange(m), first], STOP)
+    return np.where(ok, adj, STOP)[np.arange(q.shape[0]), ok.argmax(axis=1)]
 
 
 #: each corner's successor a -> b -> c -> a within its triangle, as a flat
@@ -460,6 +462,11 @@ def _descend(q: np.ndarray, adj: np.ndarray, pl: np.ndarray) -> np.ndarray:
 _NEXT_CORNER = (
     np.arange(3 * MAX_CHILDREN).reshape(MAX_CHILDREN, 3)[:, [1, 2, 0]].ravel()
 )
+#: for word ``2k`` (``x``) of corner ``k``, the ``y`` word of its
+#: successor, and for word ``2k + 1`` (``y``) the successor's ``x`` word
+_NEXT_SWAPPED = np.stack([2 * _NEXT_CORNER + 1, 2 * _NEXT_CORNER], axis=1).ravel()
+#: the ``x``, ``y`` word of a query, spread over a row's corner words
+_XY = np.tile([0, 1], 3 * MAX_CHILDREN)
 #: boundary tolerance of the child test, ``point_in_triangle``'s default
 _EPS = 1e-12
 
@@ -468,29 +475,39 @@ def in_child_triangles(q: np.ndarray, corners: np.ndarray) -> np.ndarray:
     """Which child triangles contain each point, boundary included.
 
     ``q`` is ``(m, 2)``; ``corners`` is ``(m, 3 * MAX_CHILDREN, 2)``, row
-    ``i``'s triangle ``j`` being ``corners[i, 3j : 3j + 3]``.  Returns the
-    ``(m, MAX_CHILDREN)`` mask.  All ``3 * MAX_CHILDREN`` orientations of
-    a row are one broadcast: with ``d = corner - q``, the orientation of
-    ``(q, a, b)`` is ``dx_a * dy_b - dy_a * dx_b``, the same floating-point
-    operations in the same order as :func:`orient2d`, so for finite input
-    the mask equals :func:`point_in_triangle` element-wise.  A triangle
-    contains ``q`` when its three orientations are all ``>= -1e-12`` or
-    all ``<= 1e-12``; a NaN orientation fails both, so a non-finite point
+    ``i``'s triangle ``j`` being ``corners[i, 3j : 3j + 3]``, or the same
+    words flattened to ``(m, 6 * MAX_CHILDREN)``.  Returns the
+    ``(m, MAX_CHILDREN)`` mask.
+
+    All ``3 * MAX_CHILDREN`` orientations of a row come from one gather
+    of its flattened words ``d = corner - q``: ``prod = d *
+    d[:, _NEXT_SWAPPED]`` holds ``dx_a * dy_b`` and ``dy_a * dx_b`` side
+    by side for each corner ``a`` and its successor ``b``, and the
+    orientation of ``(q, a, b)`` is ``prod[:, 0::2] - prod[:, 1::2]``.
+    These are the same two rounded differences per corner, the same two
+    rounded products and the one rounded subtraction that
+    :func:`orient2d` performs, so for finite input the mask equals
+    :func:`point_in_triangle` element-wise, boundary ties included.
+
+    A triangle contains ``q`` when the least of its three orientations is
+    ``>= -1e-12`` or the greatest is ``<= 1e-12`` (all three on one side,
+    as ``point_in_triangle`` asks).  ``minimum`` and ``maximum`` carry a
+    NaN through, and a NaN fails both compares, so a non-finite point
     lies in no triangle.  That point's ``inf - inf`` is expected and does
     not warn, so a served batch answers its row ``-1`` and every other
     row as usual.
     """
-    d = corners - q[:, None, :]
-    dx, dy = d[..., 0], d[..., 1]
+    m = q.shape[0]
+    d = corners.reshape(m, 6 * MAX_CHILDREN) - q[:, _XY]
     with np.errstate(invalid="ignore"):
-        o = (dx * dy[:, _NEXT_CORNER] - dy * dx[:, _NEXT_CORNER]).reshape(
-            q.shape[0], MAX_CHILDREN, 3
+        prod = d * d[:, _NEXT_SWAPPED]
+        o = prod[:, 0::2] - prod[:, 1::2]
+        # each triangle's three orientations, unrolled (a reduction over
+        # a length-3 axis is slow)
+        a, b, c = o[:, 0::3], o[:, 1::3], o[:, 2::3]
+        return (np.minimum(np.minimum(a, b), c) >= -_EPS) | (
+            np.maximum(np.maximum(a, b), c) <= _EPS
         )
-    ge, le = o >= -_EPS, o <= _EPS
-    # all over the last axis, unrolled (a short-axis reduction is slow)
-    return (ge[..., 0] & ge[..., 1] & ge[..., 2]) | (
-        le[..., 0] & le[..., 1] & le[..., 2]
-    )
 
 
 def kirkpatrick_snapshot_arrays(

@@ -5,8 +5,14 @@ import pytest
 
 from repro.apps.pointloc import final_vertices
 from repro.core.baseline import synchronous_multisearch
-from repro.core.hierdag import hierdag_multisearch, lemma1_band_steps, plan_hierdag
-from repro.core.model import STOP, QuerySet, run_reference
+from repro.core.hierdag import (
+    _Advancer,
+    _unit_level_steps,
+    hierdag_multisearch,
+    lemma1_band_steps,
+    plan_hierdag,
+)
+from repro.core.model import STOP, QuerySet, SearchStructure, run_reference
 from repro.geometry.kirkpatrick import build_kirkpatrick, kirkpatrick_structure
 from repro.graphs.adapters import hierdag_search_structure
 from repro.graphs.hierarchical import build_mu_ary_search_dag
@@ -108,6 +114,118 @@ class TestFinalVertex:
         keys = np.vstack([rng.uniform(0, 1, (40, 2)), sites[:10], [[1e6, 1e6]]])
         want = self.check(st, keys, 0, mu, max(st.size, keys.shape[0]))
         assert want[-1] == 0  # outside the bounding triangle: stops at the root
+
+
+class TestSharedLevel:
+    """While a point-location batch sits on one level it advances as a
+    whole; leaving that level (a row stops at the root, or starts
+    elsewhere) must not change anything the search reports."""
+
+    @pytest.fixture(scope="class")
+    def kirk(self):
+        rng = np.random.default_rng(11)
+        sites = rng.uniform(0, 1, (150, 2))
+        hier = build_kirkpatrick(sites, seed=0)
+        st, mu = kirkpatrick_structure(hier)
+        tri = hier.points[hier.base_triangles]
+        mids = (tri[:, 0] + tri[:, 1]) / 2  # on base-triangle edges
+        return st, mu, np.vstack([sites, mids])
+
+    @staticmethod
+    def batch(kirk, m, mix):
+        st, mu, special = kirk
+        rng = np.random.default_rng(m)
+        keys = rng.uniform(0, 1, (m, 2))
+        keys[1::4] = special[rng.integers(0, len(special), keys[1::4].shape[0])]
+        starts = np.zeros(m, dtype=np.int64)
+        level3 = np.searchsorted(st.level, [3, 4])  # the vertices of level 3
+        if mix == "stop-at-root":  # the batch leaves the shared level at 0
+            bad = [[np.nan, 0.5], [0.5, np.inf], [-np.inf, np.nan], [1e9, 1e9]]
+            keys[::3] = np.resize(bad, keys[::3].shape)
+        elif mix == "mid-level":  # one shared level, below the root
+            starts[:] = rng.integers(*level3, m)
+        elif mix == "mixed-starts":
+            starts[::2] = rng.integers(*level3, starts[::2].size)
+            starts[::3] = STOP
+        return st, mu, keys, starts
+
+    @staticmethod
+    def run(st, mu, keys, starts, record_trace):
+        # the paranoid entry check refuses non-finite keys, which a served
+        # point-location batch answers -1: compare the searches unchecked
+        eng = MeshEngine.for_problem(max(st.size, keys.shape[0]), paranoid=False)
+        qs = QuerySet.start(keys, starts, record_trace=record_trace)
+        return qs, hierdag_multisearch(eng, st, qs, mu=mu, c=2)
+
+    @pytest.mark.parametrize(
+        "mix", ["root", "stop-at-root", "mid-level", "mixed-starts"]
+    )
+    @pytest.mark.parametrize("m", [1, 2, 64])
+    def test_matches_traced_advance_and_reference(self, kirk, m, mix):
+        st, mu, keys, starts = self.batch(kirk, m, mix)
+        qs, res = self.run(st, mu, keys, starts, record_trace=False)
+        tqs, tres = self.run(st, mu, keys, starts, record_trace=True)
+        ref = run_reference(st, keys, starts)
+        for other in (tqs, ref):
+            assert qs.current.tobytes() == other.current.tobytes()
+            assert qs.steps.tobytes() == other.steps.tobytes()
+            assert qs.state.tobytes() == other.state.tobytes()
+        assert res.final.tobytes() == tres.final.tobytes()
+        assert res.final.tolist() == final_vertices(ref).tolist()
+        assert res.mesh_steps == tres.mesh_steps
+        assert res.detail == tres.detail
+        assert list(res.detail) == list(tres.detail)
+
+    @pytest.mark.parametrize(
+        "mix,shared", [("root", 0), ("mid-level", 3), ("mixed-starts", None)]
+    )
+    def test_shared_level_taken_when_all_rows_share_one(self, kirk, mix, shared):
+        st, _, keys, starts = self.batch(kirk, 64, mix)
+        assert _Advancer(st, QuerySet.start(keys, starts))._shared == shared
+        # the traced advance keeps every row's level live
+        traced_qs = QuerySet.start(keys, starts, record_trace=True)
+        assert _Advancer(st, traced_qs)._shared is None
+
+
+def _chain(level):
+    """The DAG 0 -> 1 -> 2 whose successor follows the one edge."""
+
+    def successor(vid, vpayload, vadjacency, vlevel, qkey, qstate):
+        return vadjacency[:, 0].copy(), qstate
+
+    return SearchStructure(
+        adjacency=np.array([[1], [2], [-1]], dtype=np.int64),
+        payload=np.zeros((3, 1)),
+        level=np.array(level, dtype=np.int64),
+        successor=successor,
+    )
+
+
+class TestUnitLevelCache:
+    def test_replacing_the_level_array_rechecks(self):
+        st = _chain([0, 1, 2])
+        assert _unit_level_steps(st)
+        st.level = np.array([0, 2, 3], dtype=np.int64)
+        assert not _unit_level_steps(st)
+        assert not _unit_level_steps(_chain([0, 2, 3]))  # a fresh check agrees
+        # the advancer follows the new levels: vertex 1 now sits on level 2
+        adv = _Advancer(st, QuerySet.start(np.zeros(1), 0))
+        assert adv.advance(0) == 1
+        assert adv.advance(1) == 0
+        assert adv.advance(2) == 1
+        adv.flush()
+        assert adv.qs.current.tolist() == [2] and adv.qs.steps.tolist() == [2]
+
+    def test_relevelled_chain_matches_reference(self):
+        st = _chain([0, 1, 2])
+        eng = MeshEngine.for_problem(16)
+        hierdag_multisearch(eng, st, QuerySet.start(np.zeros(4), 0), mu=2.0, c=2)
+        st.level = np.array([0, 2, 3], dtype=np.int64)
+        ref = run_reference(st, np.zeros(4), 0)
+        qs = QuerySet.start(np.zeros(4), 0)
+        res = hierdag_multisearch(MeshEngine.for_problem(16), st, qs, mu=2.0, c=2)
+        assert qs.steps.tolist() == ref.steps.tolist() == [3] * 4
+        assert res.final.tolist() == final_vertices(ref).tolist() == [2] * 4
 
 
 class TestPlanning:
