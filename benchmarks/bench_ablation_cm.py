@@ -36,7 +36,7 @@ M = 1024
 def alpha_with_rounds(engine, structure, qs, splitting, rounds, limit=10_000):
     """Algorithm 2 with an explicit CM round budget."""
     store = GraphStore.load(engine.root, structure)
-    start = engine.clock.current
+    start = engine.clock.time
     phases = 0
     while qs.active.any():
         if phases >= limit:
@@ -47,7 +47,7 @@ def alpha_with_rounds(engine, structure, qs, splitting, rounds, limit=10_000):
         advance_queries(store, structure, qs, label="logphase:step3")
         constrained_multisearch(engine, structure, qs, splitting, rounds=rounds)
         phases += 1
-    return engine.clock.current - start, phases
+    return engine.clock.time - start, phases
 
 
 def run_once(scale: float):

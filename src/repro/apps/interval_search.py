@@ -166,7 +166,7 @@ def count_on_structures(
     size = max(st_l.size, st_r.size, m)
     if engine is None:
         engine = MeshEngine(MeshShape.for_size(size).side)
-    t0 = engine.clock.current
+    t0 = engine.clock.time
 
     with traced(engine.clock, "intervals:count"):
         with traced(engine.clock, "intervals:count:rank-le-b"):
@@ -180,7 +180,7 @@ def count_on_structures(
             rank_lt_a = qs2.state[:, 0]
 
     counts = (rank_le_b - rank_lt_a).astype(np.int64)
-    return counts, engine.clock.current - t0
+    return counts, engine.clock.time - t0
 
 
 def interval_count_snapshot_arrays(setup: IntervalSearchSetup):
@@ -271,7 +271,7 @@ def report_intersections_mesh(
     size = max(tree.size, istruct.size, m)
     if engine is None:
         engine = MeshEngine(MeshShape.for_size(size).side)
-    t0 = engine.clock.current
+    t0 = engine.clock.time
 
     with traced(engine.clock, "intervals:report"):
         # leg 1: range walk over left endpoints for l in [a, b].  The walker
@@ -310,4 +310,4 @@ def report_intersections_mesh(
                 np.unique(np.concatenate([l1, l2])).astype(np.int64)
                 for l1, l2 in zip(leg1, leg2)
             ]
-    return reports, engine.clock.current - t0
+    return reports, engine.clock.time - t0

@@ -145,10 +145,10 @@ def line_queries_on_structure(
         engine = MeshEngine(MeshShape.for_size(max(structure.size, 2 * m)).side)
     qs = QuerySet.start(all_keys, 0, state_width=1)
     qs.state[:, 0] = sides
-    t0 = engine.clock.current
+    t0 = engine.clock.time
     with traced(engine.clock, "linepoly:search"):
         finals = hierdag_multisearch(engine, structure, qs, mu=mu, c=c).final
-    mesh_steps = engine.clock.current - t0
+    mesh_steps = engine.clock.time - t0
 
     cand = original[finals]  # point ids of candidate tangent vertices
 

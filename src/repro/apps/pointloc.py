@@ -115,7 +115,7 @@ def locate_on_structure(
     # Algorithm 1 reports each query's final vertex itself; the baseline
     # leaves it in the visit log
     qs = QuerySet.start(queries, 0, record_trace=method == "baseline")
-    t0 = engine.clock.current
+    t0 = engine.clock.time
     with traced(engine.clock, "pointloc:search"):
         if method == "hierdag":
             finals = hierdag_multisearch(engine, structure, qs, mu=mu, c=c).final
@@ -125,7 +125,7 @@ def locate_on_structure(
         if method == "baseline":
             finals = final_vertices(qs)
         triangle = _final_triangles(finals, structure)
-    return triangle, engine.clock.current - t0
+    return triangle, engine.clock.time - t0
 
 
 def locate_points_mesh(
@@ -204,7 +204,7 @@ def locate_faces_mesh(
             MeshShape.for_size(max(structure.size, queries.shape[0])).side
         )
     qs = QuerySet.start(queries, 0)
-    t0 = engine.clock.current
+    t0 = engine.clock.time
     with traced(engine.clock, "pointloc:search"):
         finals = hierdag_multisearch(engine, structure, qs, mu=mu, c=c).final
     with traced(engine.clock, "pointloc:finalize"):
@@ -220,5 +220,5 @@ def locate_faces_mesh(
         hierarchy=hier,
         face=face,
         triangle=triangle,
-        mesh_steps=engine.clock.current - t0,
+        mesh_steps=engine.clock.time - t0,
     )

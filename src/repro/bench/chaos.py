@@ -371,42 +371,46 @@ def _blind_key(cell: dict) -> str:
     return f"{cell['mode']}:{cell['scenario']}:{cell['kind']}"
 
 
+def _spots(cells) -> dict[str, str]:
+    """Blind-spot cells as a baseline fragment: key -> first sighting."""
+    spots: dict[str, str] = {}
+    for cell in cells:
+        spots.setdefault(
+            _blind_key(cell), f"{cell['outcome']} (first seen seed={cell['seed']})"
+        )
+    return spots
+
+
+def _undetected(report: dict) -> list[dict]:
+    """Paranoid cells whose injected fault was neither detected nor crashed."""
+    return [
+        cell
+        for cell in report["results"]
+        if cell["mode"] == "paranoid"
+        and cell["injected"]
+        and cell["outcome"] in ("silent_corruption", "no_effect")
+    ]
+
+
 def gate(report: dict, baseline: dict | None) -> list[str]:
     """Undetected paranoid-mode injections not documented as blind spots.
 
-    A paranoid cell whose fault was injected but neither detected nor
-    crashed must appear in the baseline's ``blind_spots`` map, else it is
-    a gate failure (the chaos CI job exits 1).
+    Every :func:`blind_spots` key must appear in the baseline's
+    ``blind_spots`` map, else each of its cells is a gate failure (the
+    chaos CI job exits 1).
     """
     known = (baseline or {}).get("blind_spots", {})
-    failures = []
-    for cell in report["results"]:
-        if cell["mode"] != "paranoid" or not cell["injected"]:
-            continue
-        if cell["outcome"] in ("silent_corruption", "no_effect"):
-            key = _blind_key(cell)
-            if key not in known:
-                failures.append(
-                    f"{key} seed={cell['seed']}: injected fault went "
-                    f"{cell['outcome']} and is not in the blind-spot baseline"
-                )
-    return failures
+    return [
+        f"{_blind_key(cell)} seed={cell['seed']}: injected fault went "
+        f"{cell['outcome']} and is not in the blind-spot baseline"
+        for cell in _undetected(report)
+        if _blind_key(cell) not in known
+    ]
 
 
 def blind_spots(report: dict) -> dict[str, str]:
     """The report's undetected paranoid cells, as a baseline fragment."""
-    spots: dict[str, str] = {}
-    for cell in report["results"]:
-        if (
-            cell["mode"] == "paranoid"
-            and cell["injected"]
-            and cell["outcome"] in ("silent_corruption", "no_effect")
-        ):
-            spots.setdefault(
-                _blind_key(cell),
-                f"{cell['outcome']} (first seen seed={cell['seed']})",
-            )
-    return spots
+    return _spots(_undetected(report))
 
 
 # -- process suite: the supervised serving layer under worker faults --------
@@ -613,40 +617,38 @@ def run_process_matrix(seeds, kinds=None, tmpdir=None) -> dict:
     }
 
 
+def _broken(report: dict) -> list[dict]:
+    """Process cells other than ``recovered`` / ``detected`` /
+    ``no_opportunity``: each broke a supervision invariant."""
+    return [
+        cell
+        for cell in report["results"]
+        if cell["outcome"] not in ("recovered", "detected", "no_opportunity")
+    ]
+
+
 def gate_process(report: dict, baseline: dict | None) -> list[str]:
     """Process-suite cells that broke a supervision invariant.
 
-    Anything other than ``recovered`` / ``detected`` /
-    ``no_opportunity`` must be documented in the baseline's
-    ``process_blind_spots`` map, else the chaos job exits 1.
+    Every :func:`process_blind_spots` key must be documented in the
+    baseline's ``process_blind_spots`` map, else each of its cells is a
+    failure and the chaos job exits 1.
     """
     known = (baseline or {}).get("process_blind_spots", {})
-    failures = []
-    for cell in report["results"]:
-        if cell["outcome"] in ("recovered", "detected", "no_opportunity"):
-            continue
-        key = f"{cell['mode']}:{cell['scenario']}:{cell['kind']}"
-        if key not in known:
-            failures.append(
-                f"{key} seed={cell['seed']}: {cell['outcome']} "
-                f"(wrong={cell['wrong_answers']} "
-                f"polluted={cell['cache_polluted']} "
-                f"untyped={cell['untyped_errors']}) — not in the "
-                "process blind-spot baseline"
-            )
-    return failures
+    return [
+        f"{_blind_key(cell)} seed={cell['seed']}: {cell['outcome']} "
+        f"(wrong={cell['wrong_answers']} "
+        f"polluted={cell['cache_polluted']} "
+        f"untyped={cell['untyped_errors']}) — not in the "
+        "process blind-spot baseline"
+        for cell in _broken(report)
+        if _blind_key(cell) not in known
+    ]
 
 
 def process_blind_spots(report: dict) -> dict[str, str]:
     """The process report's invariant breaks, as a baseline fragment."""
-    spots: dict[str, str] = {}
-    for cell in report["results"]:
-        if cell["outcome"] not in ("recovered", "detected", "no_opportunity"):
-            spots.setdefault(
-                f"{cell['mode']}:{cell['scenario']}:{cell['kind']}",
-                f"{cell['outcome']} (first seen seed={cell['seed']})",
-            )
-    return spots
+    return _spots(_broken(report))
 
 
 def _render_process(report: dict) -> str:

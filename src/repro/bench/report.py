@@ -72,7 +72,7 @@ def _is_trace_doc(doc: dict) -> bool:
 
 
 def span_paths(doc: dict) -> dict[tuple[str, ...], float]:
-    """Flatten a TRACE sidecar: span path -> net self steps (fold applied).
+    """Flatten a TRACE sidecar: span path -> self steps.
 
     Aggregates across the document's tracers; values sum to the traced
     run's ``clock.time``.  Raises :class:`ReportError` when the document
@@ -88,7 +88,7 @@ def span_paths(doc: dict) -> dict[tuple[str, ...], float]:
 
     def walk(span: Span, prefix: tuple[str, ...]) -> None:
         path = prefix + (span.name,)
-        out[path] = out.get(path, 0.0) + span.steps_self
+        out[path] = out.get(path, 0.0) + span.steps
         for child in span.children:
             walk(child, path)
 
@@ -177,14 +177,14 @@ def render_trace_doc(doc: dict) -> str:
 def render_trace_diff(old: dict, new: dict, tolerance: float) -> tuple[str, list[str]]:
     """Structural span-tree delta of two TRACE sidecars + regressions.
 
-    Per common span path, the net self-step delta; paths only in one
+    Per common span path, the self-step delta; paths only in one
     document are reported as added/removed.  A common path whose steps
     grew by more than ``tolerance`` is a regression (exit 1 in the CLI,
     matching ``runner --compare``'s convention).
     """
     old_paths = span_paths(old)
     new_paths = span_paths(new)
-    lines = ["trace diff (net per-span steps, parallel folds applied):"]
+    lines = ["trace diff (per-span self steps):"]
     failures: list[str] = []
     for path in sorted(set(old_paths) | set(new_paths)):
         name = ";".join(path)

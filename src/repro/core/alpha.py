@@ -103,7 +103,7 @@ def alpha_multisearch(
             engine, "alpha:entry", structure=structure, qs=qs, splitting=splitting
         )
         store = GraphStore.load(engine.root, structure)
-        start = engine.clock.current
+        start = engine.clock.time
         phases: list[LogPhaseStats] = []
         limit = max_phases if max_phases is not None else 4 * structure.n_vertices + 16
         phase = 0
@@ -118,7 +118,7 @@ def alpha_multisearch(
         total_advanced = int(qs.steps.sum())
     return MultisearchResult(
         queries=qs,
-        mesh_steps=engine.clock.current - start,
+        mesh_steps=engine.clock.time - start,
         multisteps=int(qs.steps.max(initial=0)),
         detail={
             "log_phases": float(phase),

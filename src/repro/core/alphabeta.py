@@ -47,7 +47,7 @@ def alphabeta_multisearch(
         )
         paranoid_boundary(engine, "alphabeta:entry2", splitting=splitting2)
         store = GraphStore.load(engine.root, structure)
-        start = engine.clock.current
+        start = engine.clock.time
         phases: list[LogPhaseStats] = []
         limit = max_phases if max_phases is not None else 4 * structure.n_vertices + 16
         phase = 0
@@ -63,7 +63,7 @@ def alphabeta_multisearch(
         paranoid_boundary(engine, "alphabeta:exit", structure=structure, qs=qs)
     return MultisearchResult(
         queries=qs,
-        mesh_steps=engine.clock.current - start,
+        mesh_steps=engine.clock.time - start,
         multisteps=int(qs.steps.max(initial=0)),
         detail={
             "log_phases": float(phase),

@@ -33,7 +33,7 @@ def synchronous_multisearch(
 ) -> MultisearchResult:
     """Advance all queries in lockstep, one full-mesh RAR per multistep."""
     store = GraphStore.load(engine.root, structure)
-    start = engine.clock.current
+    start = engine.clock.time
     limit = max_steps if max_steps is not None else 4 * structure.n_vertices + 16
     multisteps = 0
     while qs.active.any():
@@ -43,7 +43,7 @@ def synchronous_multisearch(
         multisteps += 1
     return MultisearchResult(
         queries=qs,
-        mesh_steps=engine.clock.current - start,
+        mesh_steps=engine.clock.time - start,
         multisteps=multisteps,
         detail={"multisteps": float(multisteps)},
     )

@@ -439,7 +439,7 @@ def hierdag_multisearch(
     if plan is None:
         plan = _cached_plan(structure, engine.shape.rows, mu, c)
     deco = plan.decomposition
-    start_time = clock.current
+    start_time = clock.time
     detail: dict[str, float] = {}
 
     with traced(clock, "hierdag"):
@@ -499,7 +499,7 @@ def hierdag_multisearch(
         paranoid_boundary(engine, "hierdag:exit", structure=structure, qs=qs)
     return MultisearchResult(
         queries=qs,
-        mesh_steps=clock.current - start_time,
+        mesh_steps=clock.time - start_time,
         multisteps=multisteps,
         detail=detail,
         final=advancer.final(),

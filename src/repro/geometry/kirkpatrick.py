@@ -230,7 +230,7 @@ def _remove(
     rev = np.where(pos < sizes[:, None], sizes[:, None] - 1 - pos, pos)
     cycles = np.where(flip[:, None], np.take_along_axis(cycles, rev, axis=1), cycles)
     # the holes of one independent set are disjoint: retriangulate them
-    # in parallel, the round pays the costliest hole
+    # at once, the round pays the costliest hole (one charge)
     local = ear_clip_many(pts[cycles], sizes, construct=construct)
     hole = np.repeat(np.arange(H), sizes - 2)
     new = cycles[hole[:, None], local]

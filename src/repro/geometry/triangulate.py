@@ -70,11 +70,11 @@ def ear_clip_many(
     fewer than three vertices, a signed area that is not positive, or is
     not simple enough to clip.
 
-    With a :class:`repro.mesh.construct.Construction` attached, each
-    polygon is one branch of a parallel section with its own
-    ``triangulate:ear-clip`` span charging ``k`` modelled local steps —
-    clipping a constant-size star-shaped hole is O(1) local work per
-    incident processor, and the batch pays for its largest polygon.
+    With a :class:`repro.mesh.construct.Construction` attached, the
+    batch is one ``triangulate:ear-clip`` span charging ``max(sizes)``
+    modelled local steps: the polygons are clipped at once on disjoint
+    submeshes, clipping a ``k``-gon is ``k`` local steps, so the batch
+    pays for its largest polygon (an empty batch charges nothing).
     Standalone calls (``construct=None``) are one host-only ambient
     ``triangulate:ear-clip`` span.
     """
@@ -85,10 +85,9 @@ def ear_clip_many(
     if construct is None:
         with traced(None, "triangulate:ear-clip"):
             return _ear_clip_many(polygons, sizes, eps)
-    with construct.parallel() as par:
-        for k in sizes.tolist():
-            with par.branch(), construct.span("triangulate:ear-clip"):
-                construct.local(k)
+    if sizes.size:
+        with construct.span("triangulate:ear-clip"):
+            construct.local(int(sizes.max()))
     return _ear_clip_many(polygons, sizes, eps)
 
 

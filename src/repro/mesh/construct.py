@@ -39,8 +39,6 @@ with or without a construction attached (gated by
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from typing import Iterator
 
 import numpy as np
 
@@ -88,22 +86,11 @@ class Construction:
         """Total modelled construction steps charged so far."""
         return self.clock.time
 
-    # -- span / parallel plumbing -------------------------------------------
+    # -- spans ---------------------------------------------------------------
 
     def span(self, name: str):
         """Span context on this construction's clock (see :func:`traced`)."""
         return traced(self.clock, name)
-
-    @contextmanager
-    def parallel(self) -> Iterator:
-        """Parallel section: branch charges fold by max (clock semantics).
-
-        Builders wrap independent per-item work (e.g. retriangulating the
-        holes of one independent set) in branches; the round then costs
-        the *maximum* branch, as it would on a partitioned mesh.
-        """
-        with self.clock.parallel() as section:
-            yield section
 
     # -- region sizing --------------------------------------------------------
 

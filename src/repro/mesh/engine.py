@@ -25,17 +25,13 @@ number of standard mesh operations"):
 ``compress``   pack the records selected by a mask into a prefix
 =============  =======================================================
 
-Honest-parallelism enforcement: inside ``engine.parallel(...)`` branches,
-only operations on (sub)regions of the declared branch region are legal,
-and the declared regions must be pairwise disjoint.  Memory honesty:
-``check_capacity`` asserts the O(1)-records-per-processor invariant at the
-points where the paper's proofs claim it.
+Memory honesty: ``check_capacity`` asserts the O(1)-records-per-processor
+invariant at the points where the paper's proofs claim it.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -108,7 +104,6 @@ class MeshEngine:
         #: boundary a validator covers.
         self.faults = None
         self.root = Region(self, RegionSpec(0, 0, shape.rows, shape.cols))
-        self._branch_region: RegionSpec | None = None
 
     @classmethod
     def for_problem(
@@ -173,33 +168,6 @@ class MeshEngine:
         self.clock.charge(steps, label, volume=volume)
         return steps
 
-    # -- parallel sections -------------------------------------------------
-
-    @contextmanager
-    def parallel(self, regions: Sequence["Region | RegionSpec"]) -> Iterator["_EngineParallel"]:
-        """Open a parallel section over pairwise-disjoint regions.
-
-        Branch bodies may only operate on regions contained in the branch's
-        declared region; the elapsed time of the section is the max over
-        branches (charged via :meth:`StepClock.parallel`).
-        """
-        specs = [r.spec if isinstance(r, Region) else r for r in regions]
-        for i in range(len(specs)):
-            for j in range(i + 1, len(specs)):
-                if specs[i].overlaps(specs[j]):
-                    raise ValueError(
-                        f"parallel regions overlap: {specs[i]} and {specs[j]}"
-                    )
-        if self._branch_region is not None:
-            for spec in specs:
-                if not self._branch_region.contains(spec):
-                    raise ValueError(
-                        f"nested parallel region {spec} escapes enclosing "
-                        f"branch region {self._branch_region}"
-                    )
-        with self.clock.parallel() as section:
-            yield _EngineParallel(self, section)
-
     # -- inter-region data movement ----------------------------------------
 
     def transfer(
@@ -214,8 +182,6 @@ class MeshEngine:
         The records are assumed packed (a prefix of ``src``); they arrive
         packed in ``dst``.  Capacity of the destination is checked.
         """
-        self._check_scope(src.spec)
-        self._check_scope(dst.spec)
         out: list[np.ndarray] = []
         for arr in arrays:
             a = np.asarray(arr)
@@ -240,36 +206,6 @@ class MeshEngine:
                         clock=self.clock,
                     )
         return result
-
-    def _check_scope(self, spec: RegionSpec) -> None:
-        if self._branch_region is not None and not self._branch_region.contains(spec):
-            raise RuntimeError(
-                f"operation on {spec} outside active parallel branch "
-                f"{self._branch_region}"
-            )
-
-
-class _EngineParallel:
-    """Yielded by :meth:`MeshEngine.parallel`."""
-
-    def __init__(self, engine: MeshEngine, section) -> None:
-        self._engine = engine
-        self._section = section
-
-    @contextmanager
-    def branch(self, region: "Region | RegionSpec") -> Iterator[None]:
-        spec = region.spec if isinstance(region, Region) else region
-        outer = self._engine._branch_region
-        with self._section.branch():
-            self._engine._branch_region = spec
-            try:
-                yield
-            finally:
-                self._engine._branch_region = outer
-
-    @property
-    def branch_times(self) -> list[float]:
-        return self._section.branch_times
 
 
 class Region:
@@ -297,21 +233,13 @@ class Region:
     def subregion(self, row0: int, col0: int, rows: int, cols: int) -> "Region":
         return Region(self.engine, self.spec.subregion(row0, col0, rows, cols))
 
-    def partition(self, grid_rows: int, grid_cols: int) -> list["Region"]:
-        """Cut into a grid of blocks (the paper's submesh partitionings)."""
-        from repro.mesh.topology import block_partition
-
-        return [Region(self.engine, s) for s in block_partition(self.spec, grid_rows, grid_cols)]
-
     # -- cost helpers --------------------------------------------------------
 
     def _charge(self, constant: float, label: str, volume: int = 0) -> None:
-        self.engine._check_scope(self.spec)
         self.engine.charge_primitive(self.spec, constant, label, volume=volume)
 
     def charge_local(self, steps: int = 1, label: str = "local") -> None:
         """Charge ``steps`` SIMD local steps (side-independent)."""
-        self.engine._check_scope(self.spec)
         self.engine.clock.charge(self.engine.clock.cost.local * steps, label)
 
     def check_capacity(self, count: int, per_proc: int = 1, what: str = "records") -> None:

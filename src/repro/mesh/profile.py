@@ -106,11 +106,6 @@ def profiled(clock: StepClock) -> Iterator[CostProfile]:
     The block runs in a span of the clock's tracer, so an outer tracer
     keeps every charge; a clock without one gets a fresh tracer for the
     block, detached again on exit (also on an exception).
-
-    Note: per-label costs are raw charges and do not apply parallel-max
-    folding — inside a ``parallel()`` section, branch charges all appear.
-    Use the clock's own time for the folded total; the profile answers
-    "what kind of work happened", not "what was the critical path".
     """
     outer = clock.tracer
     tracer = outer if outer is not None else Tracer(clock=clock)

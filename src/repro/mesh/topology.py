@@ -105,14 +105,6 @@ class RegionSpec:
             and other.col_end <= self.col_end
         )
 
-    def overlaps(self, other: "RegionSpec") -> bool:
-        return not (
-            other.row0 >= self.row_end
-            or other.row_end <= self.row0
-            or other.col0 >= self.col_end
-            or other.col_end <= self.col0
-        )
-
     def subregion(self, row0: int, col0: int, rows: int, cols: int) -> "RegionSpec":
         """A sub-rectangle given in coordinates relative to this region."""
         sub = RegionSpec(self.row0 + row0, self.col0 + col0, rows, cols)

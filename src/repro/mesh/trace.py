@@ -35,14 +35,9 @@ Exporters:
   ``root;child;grandchild <steps>`` line per span (inverse:
   :func:`parse_collapsed`).
 
-Parallel folding: inside a ``clock.parallel()`` section the clock folds
-branch totals by max.  The clock reports each section's fold to the
-tracer (:meth:`Tracer.on_parallel_fold`), which records the difference
-``max(branches) - sum(branches)`` on the innermost open span's ``fold``
-field.  ``Span.steps_total`` includes folds, so ``tracer.total_steps``
-equals ``clock.time`` *exactly*, parallel sections included — the tracer
-answers both "what work happened where" (raw ``steps``) and "what did
-the critical path cost" (``steps_total``).
+Charges only add, so ``Span.steps_total`` is the sum of the charges made
+inside the span and ``tracer.total_steps`` equals ``clock.time``
+*exactly*.
 
 Host-side (clock-less) code — the geometry builders that run before any
 engine exists — opens spans through the same :func:`traced` helper with
@@ -128,11 +123,6 @@ class Span:
     t1: float | None = None
     #: mesh steps charged while this span was innermost (self, not children)
     steps: float = 0.0
-    #: parallel-fold adjustment: for every ``clock.parallel()`` section
-    #: that closed while this span was innermost, the clock advanced by
-    #: ``max(branches)`` while the raw charges sum to ``sum(branches)``;
-    #: this accumulates ``max - sum`` (<= 0) so totals match the clock.
-    fold: float = 0.0
     counters: dict[str, PrimCounter] = field(default_factory=dict)
     #: zero-step host-side annotations (e.g. ``result-cache:hit``) — event
     #: name -> occurrence count while this span was innermost
@@ -145,18 +135,12 @@ class Span:
         return (self.t1 - self.t0) if self.t1 is not None else 0.0
 
     @property
-    def steps_self(self) -> float:
-        """Net self charges: raw charges plus this span's parallel folds."""
-        return self.steps + self.fold
-
-    @property
     def steps_total(self) -> float:
-        """Net charges of this span and all descendants (folds applied).
+        """Charges of this span and all descendants.
 
-        Equals the clock's advance across the span, parallel sections
-        included.
+        Equals the clock's advance across the span.
         """
-        return self.steps + self.fold + sum(c.steps_total for c in self.children)
+        return self.steps + sum(c.steps_total for c in self.children)
 
     @property
     def calls_total(self) -> int:
@@ -176,7 +160,6 @@ class Span:
             "name": self.name,
             "wall_s": self.wall_s,
             "steps": self.steps,
-            "fold": self.fold,
             "counters": {
                 label: {"calls": c.calls, "steps": c.steps, "volume": c.volume}
                 for label, c in self.counters.items()
@@ -192,7 +175,6 @@ class Span:
             t0=0.0,
             t1=float(data.get("wall_s", 0.0)),
             steps=float(data.get("steps", 0.0)),
-            fold=float(data.get("fold", 0.0)),
         )
         for label, c in data.get("counters", {}).items():
             span.counters[str(label)] = PrimCounter(
@@ -260,17 +242,6 @@ class Tracer:
         node = self._stack[-1]
         node.events[name] = node.events.get(name, 0) + count
 
-    def on_parallel_fold(self, branches: list[float], max_branch: float) -> None:
-        """Called by the clock when a ``parallel()`` section closes.
-
-        ``branches`` are the clock-measured branch totals (inner folds
-        already applied, because inner sections reported here first), so
-        charging ``max - sum`` to the innermost open span makes this
-        tracer's totals track the clock exactly through arbitrary
-        nesting.
-        """
-        self._stack[-1].fold += max_branch - sum(branches)
-
     def finish(self) -> "Tracer":
         """Close the root span's wall time (idempotent)."""
         if self.root.t1 is None:
@@ -288,7 +259,7 @@ class Tracer:
 
     @property
     def total_steps(self) -> float:
-        """Summed net span charges (== ``clock.time``, folds included)."""
+        """Summed span charges (== ``clock.time``)."""
         return self.root.steps_total
 
     # -- exporters ---------------------------------------------------------
@@ -312,7 +283,6 @@ class Tracer:
                     "args": {
                         "steps": span.steps_total,
                         "steps_self": span.steps,
-                        "fold": span.fold,
                         "calls": span.calls_total,
                         "volume": span.volume_total,
                         "counters": {
@@ -340,7 +310,7 @@ class Tracer:
     def render(self) -> str:
         """Plain-text tree: per-span steps, wall time, and top labels."""
         self.finish()
-        lines = ["span tree (steps are net charges; parallel folds applied)"]
+        lines = ["span tree (steps are charges, self and children)"]
 
         def walk(span: Span, depth: int) -> None:
             top = sorted(
@@ -353,10 +323,9 @@ class Tracer:
                 if top
                 else ""
             )
-            fold_txt = f" fold={span.fold:.0f}" if span.fold else ""
             lines.append(
                 f"{'  ' * depth}{span.name:<{max(1, 28 - 2 * depth)}} "
-                f"steps={span.steps_total:>10.0f} (self={span.steps:.0f}{fold_txt})  "
+                f"steps={span.steps_total:>10.0f} (self={span.steps:.0f})  "
                 f"wall={span.wall_s * 1e3:.2f}ms{top_txt}"
             )
             for child in span.children:
@@ -368,9 +337,8 @@ class Tracer:
     def collapsed(self) -> str:
         """Flamegraph collapsed-stack export: ``root;child <steps>`` lines.
 
-        One line per span (pre-order), value = the span's *net self*
-        steps (raw charges plus its parallel folds), so the values sum to
-        ``total_steps`` == ``clock.time``.  Span names are sanitized
+        One line per span (pre-order), value = the span's self steps, so
+        the values sum to ``total_steps`` == ``clock.time``.  Span names are sanitized
         (``;`` and whitespace replaced) to keep the format parseable;
         every span is emitted, zero-valued ones included, so the tree
         shape survives the round trip (:func:`parse_collapsed`).
@@ -380,7 +348,7 @@ class Tracer:
 
         def walk(span: Span, prefix: str) -> None:
             path = f"{prefix};{_collapsed_name(span.name)}" if prefix else _collapsed_name(span.name)
-            lines.append(f"{path} {_collapsed_value(span.steps_self)}")
+            lines.append(f"{path} {_collapsed_value(span.steps)}")
             for child in span.children:
                 walk(child, path)
 

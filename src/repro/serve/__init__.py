@@ -31,8 +31,6 @@ and EXPERIMENTS.md E13/E14.
 from repro.serve.batcher import BatchingServer
 from repro.serve.cache import (
     ResultCache,
-    cache_counters,
-    drain_cache_counters,
     note_coalesced,
     query_cache_key,
 )
@@ -75,8 +73,6 @@ __all__ = [
     "WorkerUnavailable",
     "BatchFailed",
     "ResultCache",
-    "cache_counters",
-    "drain_cache_counters",
     "note_coalesced",
     "query_cache_key",
     "MultisearchService",

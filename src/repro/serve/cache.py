@@ -4,9 +4,7 @@ Keyed on ``(snapshot_id, query bytes)`` — the snapshot id pins the exact
 structure arrays the answer was computed against, so a cache can safely
 outlive a restart as long as it is re-keyed against the same snapshot.
 
-Hit/miss counters are per-instance counts plus process-wide class-level
-totals drained per bench point by :func:`drain_cache_counters`, and
-zero-step trace events
+Hit/miss counters are per-instance counts plus zero-step trace events
 (``result-cache:hit`` / ``result-cache:miss``) on the ambient span so
 profiles can attribute a fast batch to caching rather than to the
 search.
@@ -23,8 +21,6 @@ from repro.mesh.trace import emit_event
 __all__ = [
     "ResultCache",
     "query_cache_key",
-    "cache_counters",
-    "drain_cache_counters",
     "note_coalesced",
 ]
 
@@ -56,15 +52,6 @@ class ResultCache:
     out numpy scalars and per-query copies).
     """
 
-    #: process-wide totals across every cache instance, for bench/profile
-    #: attribution (drained per point by ``drain_cache_counters``)
-    total_hits = 0
-    total_misses = 0
-    #: misses that were coalesced behind an identical in-flight computation
-    #: (single-flight dedup in the batching front-ends) rather than
-    #: re-submitted to the mesh
-    total_coalesced = 0
-
     def __init__(self, capacity: int = 4096):
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
@@ -85,19 +72,16 @@ class ResultCache:
         """
         if key is None:
             self.misses += 1
-            ResultCache.total_misses += 1
             emit_event("result-cache:miss")
             return False, None
         try:
             value = self._data[key]
         except KeyError:
             self.misses += 1
-            ResultCache.total_misses += 1
             emit_event("result-cache:miss")
             return False, None
         self._data.move_to_end(key)
         self.hits += 1
-        ResultCache.total_hits += 1
         emit_event("result-cache:hit")
         return True, value
 
@@ -133,25 +117,8 @@ def note_coalesced() -> None:
     Called by the batching front-ends when single-flight dedup piggybacks
     a cache miss on an identical pending computation instead of running
     it again.  Emits the zero-step ``result-cache:coalesced`` trace event
-    so profiles can see dedup working alongside hits and misses.
+    so profiles can see dedup working alongside hits and misses; the
+    front end counts it in its ``stats["coalesced"]``.
     """
-    ResultCache.total_coalesced += 1
     emit_event("result-cache:coalesced")
 
-
-def cache_counters() -> dict[str, int]:
-    """Process-wide result-cache totals (across all cache instances)."""
-    return {
-        "hits": ResultCache.total_hits,
-        "misses": ResultCache.total_misses,
-        "coalesced": ResultCache.total_coalesced,
-    }
-
-
-def drain_cache_counters() -> dict[str, int]:
-    """Read and reset the process-wide cache totals (bench-worker scoping)."""
-    out = cache_counters()
-    ResultCache.total_hits = 0
-    ResultCache.total_misses = 0
-    ResultCache.total_coalesced = 0
-    return out

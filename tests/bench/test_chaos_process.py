@@ -90,6 +90,26 @@ class TestProcessGate:
         assert list(spots) == ["supervised:serve_pool:worker_crash"]
         assert "seed=1" in spots["supervised:serve_pool:worker_crash"]
 
+    def test_failures_are_the_blind_spots_missing_from_baseline(self):
+        report = _report(
+            _cell("crash", kind="worker_crash", seed=1),
+            _cell("crash", kind="worker_crash", seed=2),
+            _cell("unresolved", kind="worker_hang", seed=1),
+            _cell("recovered", kind="worker_slow", seed=1),
+        )
+        spots = chaos.process_blind_spots(report)
+        assert set(spots) == {
+            "supervised:serve_pool:worker_crash",
+            "supervised:serve_pool:worker_hang",
+        }
+        baseline = {"process_blind_spots": {"supervised:serve_pool:worker_hang": "x"}}
+        failures = chaos.gate_process(report, baseline)
+        assert {f.split(" ")[0] for f in failures} == set(spots) - set(
+            baseline["process_blind_spots"]
+        )
+        assert len(failures) == 2  # both crash cells
+        assert chaos.gate_process(report, {"process_blind_spots": spots}) == []
+
     def test_matrix_rejects_engine_kinds(self):
         with pytest.raises(ValueError, match="not process fault kinds"):
             chaos.run_process_matrix([1], kinds=["perturb_sort_key"])

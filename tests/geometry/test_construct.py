@@ -83,23 +83,6 @@ class TestSpanAccounting:
         build(c)
         assert tracer.total_steps == c.clock.time
 
-    def test_parallel_folds_are_counted(self):
-        # kirkpatrick's hole retriangulation runs in parallel branches;
-        # the fold credit (max instead of sum) must appear in the tree
-        c = Construction(128)
-        tracer = Tracer(clock=c.clock)
-        _build_kirk(c)
-        folds = []
-
-        def walk(span):
-            folds.append(span.fold)
-            for child in span.children:
-                walk(child)
-
-        walk(tracer.root)
-        assert any(f < 0 for f in folds)
-        assert tracer.total_steps == c.clock.time
-
 
 def _all_outputs():
     """Every converted builder's outputs, with default constructions."""

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from repro.geometry.primitives import orient2d
 from repro.geometry.triangulate import ear_clip, ear_clip_many, signed_area2
+from repro.mesh.construct import Construction
+from repro.mesh.trace import Tracer
+from tests.conftest import RecordingTracer
 
 
 def total_area(polygon: np.ndarray, tris: np.ndarray) -> float:
@@ -214,3 +217,68 @@ class TestLockstepMatchesSequential:
             ear_clip_many(padded[:, ::-1], [5, 5])
         with pytest.raises(ValueError, match=">= 3 vertices"):
             ear_clip_many(padded, [4, 2])
+
+
+def _padded_regular_polygons(sizes):
+    """Regular ``k``-gons (CCW), zero-padded to the largest ``k``."""
+    padded = np.zeros((len(sizes), max(sizes, default=3), 2))
+    for h, k in enumerate(sizes):
+        ang = np.linspace(0, 2 * np.pi, k, endpoint=False)
+        padded[h, :k] = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    return padded
+
+
+class TestLockstepCharge:
+    """A lockstep round clips every polygon at once on disjoint submeshes,
+    so it is charged once, for its largest polygon, in one span."""
+
+    @pytest.mark.parametrize(
+        "sizes", [[3], [4, 4], [5, 3, 7], [9, 4, 6, 3]],
+        ids=["one", "equal", "three", "four"],
+    )
+    def test_round_charges_its_largest_polygon_once(self, sizes):
+        c = Construction(64)
+        tracer = RecordingTracer(clock=c.clock)
+        ear_clip_many(_padded_regular_polygons(sizes), sizes, construct=c)
+        want = c.clock.cost.local * max(sizes)
+        assert c.steps == want
+        assert tracer.charges == [("construct:local", want)]
+        (span,) = tracer.root.children
+        assert span.name == "triangulate:ear-clip"
+        assert span.steps_total == tracer.total_steps == c.clock.time
+
+    def test_empty_batch_charges_nothing(self):
+        c = Construction(64)
+        tracer = Tracer(clock=c.clock)
+        tris = ear_clip_many(np.zeros((0, 3, 2)), [], construct=c)
+        assert tris.shape == (0, 3)
+        assert c.steps == 0.0
+        assert tracer.root.children == []
+
+    def test_charge_is_the_largest_single_polygon_charge(self):
+        sizes = [6, 3, 8, 5]
+        alone = []
+        for k in sizes:
+            c = Construction(64)
+            ear_clip(_padded_regular_polygons([k])[0], construct=c)
+            alone.append(c.steps)
+        c = Construction(64)
+        ear_clip_many(_padded_regular_polygons(sizes), sizes, construct=c)
+        assert c.steps == max(alone)
+
+    def test_charge_independent_of_batch_order(self):
+        sizes = [7, 3, 5]
+        steps = []
+        for order in (sizes, sizes[::-1], sorted(sizes)):
+            c = Construction(64)
+            ear_clip_many(_padded_regular_polygons(order), order, construct=c)
+            steps.append(c.steps)
+        assert steps[0] == steps[1] == steps[2]
+
+    def test_triangles_independent_of_construction(self):
+        sizes = [5, 8, 3]
+        polys = _padded_regular_polygons(sizes)
+        bare = ear_clip_many(polys, sizes)
+        counted = ear_clip_many(polys, sizes, construct=Construction(64))
+        assert counted.dtype == bare.dtype
+        assert counted.tobytes() == bare.tobytes()

@@ -1,4 +1,4 @@
-"""Tests for step accounting and parallel-max charging."""
+"""Tests for step accounting."""
 
 import pytest
 
@@ -23,77 +23,54 @@ class TestCharge:
         c.reset()
         assert c.time == 0.0
 
-
-class TestParallel:
-    def test_max_of_branches(self):
+    def test_charges_after_reset_start_from_zero(self):
         c = StepClock()
-        with c.parallel() as par:
-            with par.branch():
-                c.charge(5)
-            with par.branch():
-                c.charge(9)
-            with par.branch():
-                c.charge(2)
-        assert c.time == 9
-
-    def test_empty_parallel_charges_nothing(self):
-        c = StepClock()
-        with c.parallel():
-            pass
-        assert c.time == 0
-
-    def test_serial_after_parallel(self):
-        c = StepClock()
-        c.charge(1)
-        with c.parallel() as par:
-            with par.branch():
-                c.charge(10)
+        c.charge(5)
+        c.reset()
         c.charge(2)
-        assert c.time == 13
+        assert c.time == 2.0
 
-    def test_nested_parallel(self):
+    def test_zero_charge_allowed(self):
         c = StepClock()
-        with c.parallel() as outer:
-            with outer.branch():
-                c.charge(1)
-                with c.parallel() as inner:
-                    with inner.branch():
-                        c.charge(5)
-                    with inner.branch():
-                        c.charge(3)
-                # branch total: 1 + max(5,3) = 6
-            with outer.branch():
-                c.charge(4)
-        assert c.time == 6
+        c.charge(0)
+        assert c.time == 0.0
 
-    def test_branch_times_exposed(self):
+    def test_rejected_charge_changes_nothing(self):
         c = StepClock()
-        with c.parallel() as par:
-            with par.branch():
-                c.charge(2)
-            with par.branch():
-                c.charge(7)
-            assert par.branch_times == [2, 7]
+        c.tracer = _Recorder()
+        c.charge(3, "a")
+        with pytest.raises(ValueError):
+            c.charge(-1, "b")
+        assert c.time == 3.0
+        assert c.tracer.seen == [("a", 3, 0)]
 
-    def test_time_read_inside_parallel_rejected(self):
-        c = StepClock()
-        with pytest.raises(RuntimeError):
-            with c.parallel():
-                _ = c.time
 
-    def test_sibling_branches_cannot_nest(self):
-        c = StepClock()
-        with c.parallel() as par:
-            with pytest.raises(RuntimeError):
-                with par.branch():
-                    with par.branch():
-                        pass
+class _Recorder:
+    def __init__(self):
+        self.seen = []
 
-    def test_reset_inside_parallel_rejected(self):
+    def on_charge(self, label, steps, volume):
+        self.seen.append((label, steps, volume))
+
+
+class TestTracerForwarding:
+    def test_every_charge_forwarded_in_order(self):
         c = StepClock()
-        with pytest.raises(RuntimeError):
-            with c.parallel():
-                c.reset()
+        c.tracer = _Recorder()
+        c.charge(3, "sort", volume=64)
+        c.charge(1.5, "scan")
+        assert c.tracer.seen == [("sort", 3, 64), ("scan", 1.5, 0)]
+        assert c.time == 4.5
+
+    def test_reset_keeps_cost_model_and_tracer(self):
+        model = CostModel(sort=7.0)
+        c = StepClock(model)
+        c.tracer = _Recorder()
+        c.charge(4)
+        c.reset()
+        assert c.cost is model and c.tracer is not None
+        c.charge(1, "after")
+        assert c.tracer.seen[-1] == ("after", 1, 0)
 
 
 class TestCostModel:

@@ -205,39 +205,6 @@ class TestCapacity:
             eng.root.check_capacity(100, per_proc=50)
 
 
-class TestParallelRegions:
-    def test_disjoint_regions_max_charged(self, engine8):
-        blocks = engine8.root.partition(2, 2)
-        with engine8.parallel(blocks) as par:
-            with par.branch(blocks[0]):
-                blocks[0].sort_by(np.arange(16))
-            with par.branch(blocks[1]):
-                blocks[1].sort_by(np.arange(16))
-                blocks[1].sort_by(np.arange(16))
-        # max = 2 sorts at side 4
-        assert engine8.clock.time == 2 * engine8.clock.cost.sort * 4
-
-    def test_overlapping_regions_rejected(self, engine8):
-        a = engine8.root.subregion(0, 0, 5, 5)
-        b = engine8.root.subregion(4, 4, 4, 4)
-        with pytest.raises(ValueError, match="overlap"):
-            with engine8.parallel([a, b]):
-                pass
-
-    def test_operation_outside_branch_region_rejected(self, engine8):
-        blocks = engine8.root.partition(2, 2)
-        with engine8.parallel(blocks) as par:
-            with par.branch(blocks[0]):
-                with pytest.raises(RuntimeError, match="outside"):
-                    blocks[1].sort_by(np.arange(16))
-
-    def test_subregion_of_branch_allowed(self, engine8):
-        blocks = engine8.root.partition(2, 2)
-        with engine8.parallel(blocks) as par:
-            with par.branch(blocks[0]):
-                blocks[0].subregion(0, 0, 2, 2).sort_by(np.arange(4))
-
-
 class TestTransfer:
     def test_moves_data_and_charges_distance(self, engine8):
         src = engine8.root.subregion(0, 0, 2, 2)
@@ -254,12 +221,40 @@ class TestTransfer:
             eng.transfer(src, dst, np.arange(16))
 
 
-class TestPartition:
-    def test_partition_covers_root(self, engine8):
-        blocks = engine8.root.partition(4, 2)
-        assert sum(b.size for b in blocks) == 64
-
+class TestForProblem:
     def test_for_problem(self):
         eng = MeshEngine.for_problem(100)
         assert eng.size >= 100
         assert eng.shape.rows == eng.shape.cols == 10
+
+
+class TestChargesAdd:
+    """Every charge adds to the clock, whichever region it runs on; a
+    phase run on every submesh at once is charged once via charge_phase."""
+
+    def test_disjoint_region_charges_add(self, engine8):
+        a = engine8.root.subregion(0, 0, 4, 4)
+        b = engine8.root.subregion(4, 4, 4, 4)
+        a.sort_by(np.arange(16))
+        b.sort_by(np.arange(16))
+        assert engine8.clock.time == 2 * engine8.clock.cost.sort * 4
+
+    def test_transfer_after_region_work_adds(self, engine8):
+        src = engine8.root.subregion(0, 0, 4, 4)
+        dst = engine8.root.subregion(4, 0, 4, 4)
+        (vals,) = src.sort_by(np.arange(16)[::-1])
+        (out,) = engine8.transfer(src, dst, vals)
+        dst.scan(out)
+        cost = engine8.clock.cost
+        want = cost.sort * 4 + cost.transfer * src.spec.distance_to(dst.spec)
+        assert engine8.clock.time == want + cost.scan * 4
+
+    def test_charge_phase_charges_one_submesh(self, engine8):
+        steps = engine8.charge_phase(2, 3.0, "phase", extra=1.5, grid=4)
+        assert steps == 3.0 * 2 + 1.5
+        assert engine8.clock.time == steps
+
+    def test_charge_local_independent_of_region(self, engine8):
+        engine8.root.charge_local(3)
+        engine8.root.subregion(0, 0, 1, 1).charge_local(3)
+        assert engine8.clock.time == 2 * 3 * engine8.clock.cost.local

@@ -1,10 +1,8 @@
 """Property tests for the engine's failure paths.
 
 The paper's O(1)-records-per-processor discipline is enforced by
-:class:`CapacityError`, and parallel-section isolation by a
-``RuntimeError`` on out-of-scope region use.  These must fire for *any*
-over-capacity count or out-of-branch region, not just the examples the
-unit tests happen to use.
+:class:`CapacityError`.  It must fire for *any* over-capacity count, not
+just the examples the unit tests happen to use.
 """
 
 import numpy as np
@@ -61,52 +59,3 @@ class TestCapacityProperties:
         n = eng.size * eng.capacity + excess
         with pytest.raises(CapacityError):
             eng.root.sort_by(np.zeros(n))
-
-
-class TestParallelScope:
-    def _halves(self, eng):
-        top = eng.root.subregion(0, 0, 2, 4)
-        bot = eng.root.subregion(2, 0, 2, 4)
-        return top, bot
-
-    def test_out_of_scope_primitive_raises(self):
-        eng = _engine()
-        top, bot = self._halves(eng)
-        with eng.parallel([top, bot]) as par:
-            with par.branch(top):
-                with pytest.raises(RuntimeError, match="outside active parallel branch"):
-                    bot.sort_by(np.arange(bot.size))
-
-    def test_out_of_scope_transfer_raises(self):
-        eng = _engine()
-        top, bot = self._halves(eng)
-        with eng.parallel([top, bot]) as par:
-            with par.branch(top):
-                with pytest.raises(RuntimeError, match="outside active parallel branch"):
-                    eng.transfer(bot, top, np.zeros(2))
-
-    def test_in_scope_allowed(self):
-        eng = _engine()
-        top, bot = self._halves(eng)
-        with eng.parallel([top, bot]) as par:
-            with par.branch(top):
-                top.sort_by(np.arange(top.size))
-            with par.branch(bot):
-                bot.sort_by(np.arange(bot.size))
-
-    def test_subregion_of_branch_allowed(self):
-        eng = _engine()
-        top, bot = self._halves(eng)
-        with eng.parallel([top, bot]) as par:
-            with par.branch(top):
-                sub = top.subregion(0, 0, 1, 2)
-                sub.sort_by(np.arange(sub.size))
-
-    def test_scope_restored_after_section(self):
-        eng = _engine()
-        top, bot = self._halves(eng)
-        with eng.parallel([top, bot]) as par:
-            with par.branch(top):
-                pass
-        # outside the section, any region is fair game again
-        bot.sort_by(np.arange(bot.size))

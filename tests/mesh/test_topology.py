@@ -56,12 +56,6 @@ class TestRegionSpec:
         r = RegionSpec(1, 1, 4, 4)
         assert r.contains(r)
 
-    def test_overlaps(self):
-        a = RegionSpec(0, 0, 4, 4)
-        assert a.overlaps(RegionSpec(3, 3, 4, 4))
-        assert not a.overlaps(RegionSpec(4, 0, 4, 4))  # edge-adjacent
-        assert not a.overlaps(RegionSpec(0, 4, 4, 4))
-
     def test_subregion_relative_coords(self):
         r = RegionSpec(2, 2, 6, 6)
         s = r.subregion(1, 1, 2, 2)
@@ -101,11 +95,11 @@ class TestBlockPartition:
     def test_covers_exactly(self):
         root = RegionSpec(0, 0, 7, 5)
         blocks = block_partition(root, 3, 2)
-        assert sum(b.size for b in blocks) == root.size
-        # pairwise disjoint
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                assert not blocks[i].overlaps(blocks[j])
+        # every processor lies in exactly one block
+        cover = np.zeros((root.rows, root.cols), dtype=np.int64)
+        for b in blocks:
+            cover[b.row0:b.row_end, b.col0:b.col_end] += 1
+        assert (cover == 1).all()
 
     def test_row_major_order(self):
         root = RegionSpec(0, 0, 4, 4)

@@ -54,40 +54,6 @@ class TestSpanTree:
             eng.root.scan(np.arange(64))
         assert tracer.total_steps == eng.clock.time
 
-    def test_parallel_fold_exact(self):
-        # inside clock.parallel the clock folds branch totals by max; the
-        # tracer applies the same fold to the innermost span so summed
-        # span charges equal clock.time exactly
-        eng = MeshEngine(8)
-        tracer = Tracer(clock=eng.clock)
-        quads = eng.root.partition(2, 2)
-        with tracer.span("par"):
-            with eng.parallel(quads[:2]) as par:
-                for q in quads[:2]:
-                    with par.branch(q):
-                        q.scan(np.arange(16))
-        assert eng.clock.time == eng.clock.cost.scan * 4  # max over branches
-        span = tracer.root.children[0]
-        assert span.steps == eng.clock.cost.scan * 4 * 2  # raw sum
-        assert span.fold == -eng.clock.cost.scan * 4  # max - sum
-        assert tracer.total_steps == eng.clock.time  # exact
-
-    def test_nested_parallel_fold_exact(self):
-        # nested clock.parallel sections compose: branch totals already
-        # include inner folds, so the outer fold stays exact
-        eng = MeshEngine(16)
-        tracer = Tracer(clock=eng.clock)
-        quads = eng.root.partition(2, 2)
-        with eng.parallel(quads) as par:
-            for i, q in enumerate(quads):
-                with par.branch(q):
-                    subs = q.partition(2, 2)
-                    with eng.parallel(subs[:2]) as inner:
-                        for s in subs[:2]:
-                            with inner.branch(s):
-                                s.scan(np.arange(4 * (i + 1)))
-        assert tracer.total_steps == eng.clock.time
-
     def test_detach_stops_recording(self):
         eng = MeshEngine(8)
         tracer = Tracer(clock=eng.clock)
@@ -175,6 +141,23 @@ class TestExporters:
         doc = chrome_doc([t1, t2])
         assert {e["pid"] for e in doc["traceEvents"]} == {1, 2}
 
+    def test_chrome_args_schema(self):
+        eng, tracer = self._traced_run()
+        by_name = {e["name"]: e for e in tracer.to_chrome()["traceEvents"]}
+        args = by_name["run"]["args"]
+        assert set(args) == {
+            "steps", "steps_self", "calls", "volume", "counters", "events",
+        }
+        assert args["steps_self"] == 0.0
+        assert by_name["sortphase"]["args"]["steps_self"] == eng.clock.cost.sort * 8
+
+    def test_span_dict_schema(self):
+        _, tracer = self._traced_run()
+        tracer.finish()
+        doc = tracer.root.to_dict()
+        assert set(doc) == {"name", "wall_s", "steps", "counters", "events", "children"}
+        assert [c["name"] for c in doc["children"]] == ["sortphase", "scanphase"]
+
     def test_render_tree(self):
         _, tracer = self._traced_run()
         text = tracer.render()
@@ -192,14 +175,11 @@ class TestCollapsed:
     def test_collapsed_values_sum_to_clock_time(self):
         eng = MeshEngine(8)
         tracer = Tracer(clock=eng.clock)
-        quads = eng.root.partition(2, 2)
         with tracer.span("sort"):
             eng.root.sort_by(np.arange(64))
-        with tracer.span("par"):
-            with eng.parallel(quads[:2]) as par:
-                for q in quads[:2]:
-                    with par.branch(q):
-                        q.scan(np.arange(16))
+        with tracer.span("quads"):
+            for col0 in (0, 4):
+                eng.root.subregion(0, col0, 4, 4).scan(np.arange(16))
         parsed = parse_collapsed(tracer.collapsed())
         assert sum(parsed.values()) == eng.clock.time
 
@@ -222,22 +202,18 @@ _steps = st.one_of(
     st.integers(min_value=0, max_value=10**6).map(float),
     st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
 )
-_folds = st.one_of(
-    st.just(0.0),
-    st.floats(min_value=-100.0, max_value=0.0, allow_nan=False),
-)
 _trees = st.recursive(
-    st.tuples(_names, _steps, _folds, st.just(())),
+    st.tuples(_names, _steps, st.just(())),
     lambda children: st.tuples(
-        _names, _steps, _folds, st.lists(children, max_size=3).map(tuple)
+        _names, _steps, st.lists(children, max_size=3).map(tuple)
     ),
     max_leaves=10,
 )
 
 
 def _build_span(node) -> Span:
-    name, steps, fold, children = node
-    span = Span(name, t0=0.0, t1=0.0, steps=steps, fold=fold)
+    name, steps, children = node
+    span = Span(name, t0=0.0, t1=0.0, steps=steps)
     span.children = [_build_span(c) for c in children]
     return span
 
@@ -245,7 +221,7 @@ def _build_span(node) -> Span:
 @pytest.mark.slow
 class TestCollapsedRoundTrip:
     """Property: parsing the collapsed export reconstructs the same
-    (sanitized path -> summed net steps) multiset for any span tree.
+    (sanitized path -> summed self steps) multiset for any span tree.
 
     Long hypothesis suite — nightly tier (``pytest -m slow``)."""
 
@@ -258,7 +234,7 @@ class TestCollapsedRoundTrip:
 
         def walk(span: Span, prefix: tuple[str, ...]) -> None:
             path = prefix + (_collapsed_name(span.name),)
-            expected[path] = expected.get(path, 0.0) + span.steps_self
+            expected[path] = expected.get(path, 0.0) + span.steps
             for child in span.children:
                 walk(child, path)
 
@@ -286,8 +262,7 @@ class TestEnvRegistry:
 
 class TestEndToEndE1:
     """Acceptance: a span-traced E1 run exports valid Chrome JSON whose
-    summed span step-charges equal the StepClock total (exact for any
-    driver — parallel folds are applied to the spans themselves)."""
+    summed span step-charges equal the StepClock total."""
 
     def _run(self):
         from repro.core.hierdag import hierdag_multisearch

@@ -7,12 +7,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.serve import (
-    BatchingServer,
-    ResultCache,
-    drain_cache_counters,
-    query_cache_key,
-)
+from repro.serve import BatchingServer, ResultCache, query_cache_key
 
 
 def _packed(results, kind):
@@ -203,21 +198,6 @@ class TestCache:
         assert k1 == query_cache_key(
             pointloc_env["snapshot"].snapshot_id, q.astype(np.float32)
         )
-
-    def test_process_wide_counters_drain(self, pointloc_env):
-        drain_cache_counters()  # scope to this test
-        asyncio.run(
-            _serve(
-                pointloc_env["service"],
-                pointloc_env["queries"][:6],
-                batch_size=3,
-                deadline_s=0.005,
-                cache=ResultCache(64),
-            )
-        )
-        totals = drain_cache_counters()
-        assert totals["misses"] == 6
-        assert drain_cache_counters() == {"hits": 0, "misses": 0, "coalesced": 0}
 
     def test_hit_events_reach_trace_spans(self, pointloc_env):
         # cache hits/misses annotate the ambient span like the argsort memo

@@ -11,14 +11,16 @@ first use): an ``IntervalCountService`` on a restored 8192-interval
 structure, and a ``PointLocationService`` on a restored Kirkpatrick DAG
 over 1024 sites (22 levels, one Algorithm 1 level step each).
 
-Each ceiling sits about 10% above the current count (2433 interval and
-807 point-location calls, at 1 and at 64 rows alike, Python 3.11 with
+Each ceiling sits about 10% above the current count (2387 interval and
+803 point-location calls, at 1 and at 64 rows alike, Python 3.11 with
 numpy 2.4): interpreter and numpy versions that add or remove
 Python-level wrappers move the count by a few percent.
 
 With tracing off, the same batch (and a point-location batch) must make
 no ``os.environ`` lookup at all: a tracer-less clock's ``traced()`` spans
 cost an attribute check and a list check, never an environment read.
+A batch without an engine (how pool workers call ``run_batch``) builds
+one, and reads exactly ``REPRO_TRACE`` and ``REPRO_PARANOID`` once each.
 """
 
 import os
@@ -76,10 +78,22 @@ def count_calls(fn, events=("call", "c_call"), code=None) -> int:
     return calls
 
 
-def count_env_reads(fn) -> int:
-    """``os.environ`` lookups ``fn()`` makes (``get``, ``in`` and ``[]``
-    all go through ``_Environ.__getitem__``)."""
-    return count_calls(fn, events=("call",), code=type(os.environ).__getitem__.__code__)
+def env_reads(fn) -> list[str]:
+    """The variables ``fn()`` looks up in ``os.environ``, in order
+    (``get``, ``in`` and ``[]`` all go through ``_Environ.__getitem__``)."""
+    code = type(os.environ).__getitem__.__code__
+    keys: list[str] = []
+
+    def profiler(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            keys.append(frame.f_locals["key"])
+
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return keys
 
 
 @pytest.mark.parametrize("m", [1, 64])
@@ -115,8 +129,8 @@ def test_pointloc_batch_call_count(pointloc_service, m, monkeypatch):
 
 def test_env_read_probe_sees_reads(monkeypatch):
     monkeypatch.setenv("REPRO_UNRELATED", "1")
-    assert count_env_reads(lambda: os.environ.get("REPRO_UNRELATED")) == 1
-    assert count_env_reads(lambda: "REPRO_UNRELATED" in os.environ) == 1
+    assert env_reads(lambda: os.environ.get("REPRO_UNRELATED")) == ["REPRO_UNRELATED"]
+    assert env_reads(lambda: "REPRO_UNRELATED" in os.environ) == ["REPRO_UNRELATED"]
 
 
 @pytest.mark.parametrize("m", [1, 64])
@@ -127,7 +141,7 @@ def test_interval_batch_reads_no_environment(service, m, monkeypatch):
     q = _rows(m, m)
     engine = service.make_engine(m, paranoid=False)
     service.run_batch(q, engine=service.make_engine(m, paranoid=False))
-    assert count_env_reads(lambda: service.run_batch(q, engine=engine)) == 0
+    assert env_reads(lambda: service.run_batch(q, engine=engine)) == []
 
 
 def test_pointloc_batch_reads_no_environment(pointloc_env, monkeypatch):
@@ -136,4 +150,22 @@ def test_pointloc_batch_reads_no_environment(pointloc_env, monkeypatch):
     q = pointloc_env["queries"]
     engine = svc.make_engine(len(q), paranoid=False)
     svc.run_batch(q, engine=svc.make_engine(len(q), paranoid=False))
-    assert count_env_reads(lambda: svc.run_batch(q, engine=engine)) == 0
+    assert env_reads(lambda: svc.run_batch(q, engine=engine)) == []
+
+
+@pytest.mark.parametrize("kind", ["interval", "pointloc"])
+@pytest.mark.parametrize("m", [1, 64])
+def test_engineless_batch_reads_environment_once(
+    service, pointloc_service, kind, m, monkeypatch
+):
+    # a pool worker's batch builds its own engine: the new clock looks up
+    # REPRO_TRACE once and the engine REPRO_PARANOID once, both live so a
+    # caller can switch tracing or paranoid mode between batches
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
+    svc = service if kind == "interval" else pointloc_service
+    q = _rows(m, m) if kind == "interval" else np.random.default_rng(m).random((m, 2))
+    svc.run_batch(q)
+    assert sorted(env_reads(lambda: svc.run_batch(q))) == [
+        "REPRO_PARANOID",
+        "REPRO_TRACE",
+    ]

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.serve import BatchingServer, ResultCache, query_cache_key
-from repro.serve.cache import drain_cache_counters
 
 
 class TestCanonicalContract:
@@ -89,7 +88,6 @@ class TestNonFiniteCacheKeys:
         assert query_cache_key(sid, np.array([0.5, 0.5])) is not None
 
     def test_cache_treats_refused_key_as_miss(self):
-        drain_cache_counters()
         cache = ResultCache(8)
         hit, value = cache.get(None)
         assert (hit, value) == (False, None)

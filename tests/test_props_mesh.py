@@ -78,16 +78,6 @@ class TestEngineProperties:
 class TestClockProperties:
     @given(st.lists(st.floats(0, 100), min_size=1, max_size=8))
     @settings(max_examples=50, deadline=None)
-    def test_parallel_charges_max(self, charges):
-        c = StepClock()
-        with c.parallel() as par:
-            for x in charges:
-                with par.branch():
-                    c.charge(x)
-        assert c.time == max(charges)
-
-    @given(st.lists(st.floats(0, 100), min_size=1, max_size=8))
-    @settings(max_examples=50, deadline=None)
     def test_serial_charges_sum(self, charges):
         c = StepClock()
         for x in charges:
