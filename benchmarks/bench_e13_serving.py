@@ -46,7 +46,7 @@ def sweep_setup(sites: int, queries: int, batch: int) -> dict:
     rng = np.random.default_rng(13)
     site_pts = rng.random((sites, 2))
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "e13_pointloc.npz"
+        path = Path(tmp) / "e13_pointloc.snap"
         snapshot_pointloc(path, site_pts, seed=13)
         blob = path.read_bytes()
     from repro.serve.snapshot import read_snapshot

@@ -63,7 +63,7 @@ def _build_snapshot(tmpdir: pathlib.Path) -> pathlib.Path:
 
     rng = np.random.default_rng(1331)
     sites = rng.standard_normal((48, 2))
-    path = tmpdir / "e14_pointloc.npz"
+    path = tmpdir / "e14_pointloc.snap"
     snapshot_pointloc(path, sites, seed=0)
     return path
 

@@ -444,7 +444,7 @@ def _process_snapshot(tmpdir: pathlib.Path) -> tuple[pathlib.Path, np.ndarray, l
 
     rng = np.random.default_rng(1331)
     sites = rng.standard_normal((48, 2))
-    path = tmpdir / "chaos_pointloc.npz"
+    path = tmpdir / "chaos_pointloc.snap"
     snapshot_pointloc(path, sites, seed=0)
     service = restore_service(read_snapshot(path))
     queries = rng.standard_normal((16, 2))

@@ -5,8 +5,8 @@ are expensive; the per-batch multisearch is cheap.  This package splits
 the two across process lifetimes:
 
 * :mod:`repro.serve.snapshot` — build once, serialize the flat structure
-  arrays + scalar meta to a versioned ``.npz``, restore without
-  re-running construction;
+  arrays + scalar meta to one versioned flat file (a JSON header, then
+  each array's raw bytes), restore without re-running construction;
 * :mod:`repro.serve.service` — per-application query services over
   restored structures, batch-in / per-query-results-out;
 * :mod:`repro.serve.batcher` — asyncio front-end turning individual

@@ -346,7 +346,7 @@ class WorkerPool:
     Parameters
     ----------
     snapshot_path:
-        The ``.npz`` snapshot every worker restores from.  Read once in
+        The snapshot file every worker restores from.  Read once in
         the supervisor (hash-validated) to learn the expected snapshot
         id; workers re-validate against that id on every (re)start.
     service_kwargs:

@@ -1,30 +1,29 @@
 """Structure snapshots: build once, serve forever.
 
-A snapshot is a single ``.npz`` file holding a structure's flat arrays
-plus a versioned JSON header (stored as a uint8 array under
-``__repro_header__``, so the whole file stays one ``np.savez`` archive
-loadable with ``allow_pickle=False``).  The header records:
-
-* ``magic`` / ``version`` — format identity, checked on read;
-* ``kind`` — which restore path applies (``pointloc`` / ``linepoly`` /
-  ``interval``);
-* ``meta`` — the scalar parameters the structure's successor function
-  needs (tree height, DAG levels, ``mu``, ...), so restore is a factory
-  call over the arrays with **no construction re-run**;
-* ``provenance`` — the environment that built the structure (library
-  versions, platform, CPU), mirroring the bench documents;
-* ``snapshot_id`` — a sha256 over ``kind`` plus every array's name,
-  dtype, shape and bytes.  The id is content-derived, so it doubles as
-  the cache-key component that pins answers to the exact arrays they
-  were computed against, and ``read_snapshot`` recomputes it to detect
-  corruption.
+A snapshot is one flat file: the prefix ``REPROSNP``, a JSON header's
+length as a little-endian u64, the header (space-padded to a 64-byte
+boundary), then each array's raw bytes at a 64-byte-aligned offset of
+the payload.  Only plain numeric and bool dtypes are written or read,
+so a restore never unpickles anything.  The header records ``magic`` /
+``version`` (format identity); ``kind`` (``pointloc`` / ``linepoly`` /
+``interval``: which restore path applies); ``meta``, the scalars the
+structure's successor function needs (tree height, DAG levels, ``mu``),
+so restore runs **no construction**; ``provenance``, the environment
+that built it, as in the bench documents; ``layout``, one ``[name,
+dtype, shape, offset, nbytes]`` per array, and ``payload_bytes``,
+checked against the file's size before any array is allocated; and
+``snapshot_id``, a sha256 over ``kind`` and every array's name, dtype,
+shape and bytes: the cache-key component that pins answers to the exact
+arrays, which ``read_snapshot`` recomputes to detect corruption.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
+import math
+import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,8 +43,11 @@ __all__ = [
 ]
 
 SNAPSHOT_MAGIC = "repro-snapshot"
-SNAPSHOT_VERSION = 1
-_HEADER_KEY = "__repro_header__"
+SNAPSHOT_VERSION = 2
+_PREFIX = b"REPROSNP"
+_LEAD = len(_PREFIX) + 8  # the prefix and the header's u64 length
+_ALIGN = 64
+_DTYPE_KINDS = "biufc"  # bool, signed, unsigned, float, complex
 _KINDS = ("pointloc", "linepoly", "interval")
 
 
@@ -65,132 +67,143 @@ class Snapshot:
     provenance: dict | None = None
 
 
+def _aligned(n: int) -> int:
+    return -(-n // _ALIGN) * _ALIGN
+
+
 def compute_snapshot_id(kind: str, arrays: dict[str, np.ndarray]) -> str:
-    """Content hash over ``kind`` and the arrays, order-independent."""
+    """Content hash over ``kind`` and the arrays, order-independent.
+
+    Hashes each buffer in place; a 0-d array hashes as shape ``(1,)``
+    (``ascontiguousarray``), as in every earlier format.
+    """
     digest = hashlib.sha256()
     digest.update(kind.encode())
     for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name])
-        digest.update(name.encode())
-        digest.update(str(arr.dtype).encode())
-        digest.update(repr(arr.shape).encode())
-        digest.update(arr.tobytes())
+        digest.update(f"{name}{arr.dtype}{arr.shape!r}".encode())
+        digest.update(arr)
     return digest.hexdigest()
 
 
 def write_snapshot(
     path, kind: str, arrays: dict[str, np.ndarray], meta: dict
 ) -> Snapshot:
-    """Serialize a built structure to ``path``; returns the Snapshot."""
+    """Serialize a built structure to ``path``; returns the Snapshot.
+
+    Writes a temporary sibling, removed if the write fails, and moves it
+    over ``path``: a reader sees the old snapshot or the new, never part.
+    """
     if kind not in _KINDS:
         raise SnapshotError(f"unknown snapshot kind {kind!r} (expected one of {_KINDS})")
-    if _HEADER_KEY in arrays:
-        raise SnapshotError(f"array name {_HEADER_KEY!r} is reserved")
+    arrays = {name: np.asarray(arr, order="C") for name, arr in arrays.items()}
+    bad = {n: str(a.dtype) for n, a in arrays.items() if a.dtype.kind not in _DTYPE_KINDS}
+    if bad:
+        raise SnapshotError(f"arrays {bad} are not plain numeric or bool")
     from repro.bench.runner import provenance
 
-    arrays = {name: np.ascontiguousarray(arr) for name, arr in arrays.items()}
     snapshot_id = compute_snapshot_id(kind, arrays)
+    layout, offset = [], 0
+    for name, arr in arrays.items():
+        layout.append([name, arr.dtype.str, list(arr.shape), offset, arr.nbytes])
+        offset = _aligned(offset + arr.nbytes)
     header = {
-        "magic": SNAPSHOT_MAGIC,
-        "version": SNAPSHOT_VERSION,
-        "kind": kind,
-        "meta": meta,
-        "snapshot_id": snapshot_id,
-        "provenance": provenance(),
+        "magic": SNAPSHOT_MAGIC, "version": SNAPSHOT_VERSION, "kind": kind,
+        "meta": meta, "snapshot_id": snapshot_id, "provenance": provenance(),
+        "layout": layout, "payload_bytes": offset,
     }
-    header_bytes = np.frombuffer(
-        json.dumps(header, sort_keys=True).encode(), dtype=np.uint8
-    )
+    body = json.dumps(header, sort_keys=True).encode()
+    body = body.ljust(_aligned(_LEAD + len(body)) - _LEAD)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    # write via an in-memory buffer then one atomic-ish rename-free dump;
-    # np.savez appends ".npz" to names without a suffix, so keep control
-    buf = io.BytesIO()
-    np.savez(buf, **{_HEADER_KEY: header_bytes}, **arrays)
-    path.write_bytes(buf.getvalue())
-    return Snapshot(
-        kind=kind,
-        arrays=arrays,
-        meta=dict(meta),
-        snapshot_id=snapshot_id,
-        version=SNAPSHOT_VERSION,
-        provenance=header["provenance"],
-    )
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_PREFIX + len(body).to_bytes(8, "little") + body)
+            for arr in arrays.values():
+                f.write(arr)
+                f.write(bytes(_aligned(arr.nbytes) - arr.nbytes))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return Snapshot(kind, arrays, dict(meta), snapshot_id, provenance=header["provenance"])
 
 
 def read_snapshot(path, expected_id: str | None = None) -> Snapshot:
-    """Load and validate a snapshot written by :func:`write_snapshot`.
+    """Load and validate a snapshot from a path or a seekable binary file.
 
-    Raises :class:`SnapshotError` on a bad magic, an unsupported version,
-    an unknown kind, or a content hash that no longer matches the header
-    (bit rot / truncation / hand-editing).  ``path`` may also be an open
-    binary file object.
-
-    A truncated or partially-written file (a torn write: the ``.npz``
-    zip directory lives at the end, so any prefix is unreadable) fails
-    *closed*: the low-level load error is wrapped in
-    :class:`SnapshotError` instead of leaking ``zipfile``/``numpy``
-    internals.  Pass ``expected_id`` (e.g. the id a supervisor restored
-    at startup) to pin the restore to one exact snapshot — the error
-    then names the snapshot id the caller wanted, even when the file is
-    too damaged to say what it holds.
+    Raises :class:`SnapshotError` on a bad prefix or magic, a version
+    other than 2 (a ``.npz`` is version 1), an unknown kind, a dtype
+    that is not plain numeric or bool, a size or layout that does not
+    fit the file (a torn write), or a content hash that disagrees with
+    the header.  Every error names ``expected_id``, when given, even if
+    the file is too damaged to say what it holds.
     """
-    source = path if hasattr(path, "read") else Path(path)
     want = f" (expected snapshot {expected_id})" if expected_id else ""
+
+    def fail(why: str) -> SnapshotError:
+        return SnapshotError(f"{path}: {why}{want}")
+
+    f = None
     try:
-        npz_ctx = np.load(source, allow_pickle=False)
-    except SnapshotError:
-        raise
-    except Exception as exc:  # zipfile.BadZipFile, OSError, ValueError, ...
-        raise SnapshotError(
-            f"{path}: unreadable snapshot — truncated, torn write, or not "
-            f"an archive ({type(exc).__name__}: {exc}){want}"
-        ) from exc
-    with npz_ctx as npz:
-        if _HEADER_KEY not in npz.files:
-            raise SnapshotError(
-                f"{path}: not a repro snapshot (missing header){want}"
-            )
+        f = path if hasattr(path, "read") else open(path, "rb", buffering=0)
+        size = f.seek(0, os.SEEK_END)
+        f.seek(0)
+        lead = f.read(_LEAD)
+        if lead.startswith(b"PK\x03\x04"):  # version 1 was a .npz (zip) archive
+            raise fail(f"snapshot version 1 (.npz) not supported (expected {SNAPSHOT_VERSION})")
+        if len(lead) < _LEAD or not lead.startswith(_PREFIX):
+            raise fail(f"not a repro snapshot, or a torn write (lead {lead!r} of {size} bytes)")
+        base = _LEAD + int.from_bytes(lead[len(_PREFIX):], "little")
+        if base > size:
+            raise fail(f"torn write: the header ends at byte {base} of {size}")
         try:
-            header = json.loads(bytes(npz[_HEADER_KEY].tobytes()).decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise SnapshotError(f"{path}: unreadable snapshot header: {exc}") from exc
+            header = dict(json.loads(f.read(base - _LEAD)))
+        except (TypeError, ValueError) as exc:  # not UTF-8 JSON, or not an object
+            raise fail(f"unreadable snapshot header: {exc}") from exc
         if header.get("magic") != SNAPSHOT_MAGIC:
-            raise SnapshotError(f"{path}: bad magic {header.get('magic')!r}")
-        if header.get("version") != SNAPSHOT_VERSION:
-            raise SnapshotError(
-                f"{path}: snapshot version {header.get('version')!r} "
-                f"not supported (expected {SNAPSHOT_VERSION})"
-            )
-        kind = header.get("kind")
-        if kind not in _KINDS:
-            raise SnapshotError(f"{path}: unknown snapshot kind {kind!r}")
+            raise fail(f"bad magic {header.get('magic')!r}")
+        if (version := header.get("version")) != SNAPSHOT_VERSION:
+            raise fail(f"snapshot version {version!r} not supported (expected {SNAPSHOT_VERSION})")
+        if (kind := header.get("kind")) not in _KINDS:
+            raise fail(f"unknown snapshot kind {kind!r}")
         try:
-            arrays = {name: npz[name] for name in npz.files if name != _HEADER_KEY}
-        except Exception as exc:  # a torn member decompresses short / CRC-fails
-            raise SnapshotError(
-                f"{path}: snapshot arrays unreadable — torn write or "
-                f"corruption ({type(exc).__name__}: {exc}){want}"
-            ) from exc
+            payload = int(header["payload_bytes"])
+            layout = [
+                (str(name), np.dtype(dtype), tuple(map(int, shape)), int(off), int(nbytes))
+                for name, dtype, shape, off, nbytes in header["layout"]
+            ]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise fail(f"malformed snapshot layout ({type(exc).__name__}: {exc})") from exc
+        if base + payload != size:
+            raise fail(f"{size} bytes, the header declares {base + payload} (torn write?)")
+        # arrays lie in order and apart, so what is allocated fits the file
+        arrays, end = {}, 0
+        for name, dtype, shape, off, nbytes in layout:
+            if dtype.kind not in _DTYPE_KINDS:
+                raise fail(f"array {name!r} has dtype {dtype}, not plain numeric or bool")
+            if (min(shape, default=0) < 0 or off < end or off % _ALIGN
+                    or off + nbytes > payload or nbytes != math.prod(shape) * dtype.itemsize):
+                raise fail(f"array {name!r} at bytes {off}+{nbytes} does not fit the payload")
+            arrays[name], end = np.empty(shape, dtype), off + nbytes
+            f.seek(base + off)
+            if f.readinto(arrays[name]) != nbytes:
+                raise fail(f"torn write: array {name!r} read short")
+    except OSError as exc:
+        raise fail(f"unreadable snapshot ({type(exc).__name__}: {exc})") from exc
+    finally:
+        if f is not None and f is not path:
+            f.close()
     recomputed = compute_snapshot_id(kind, arrays)
     if recomputed != header.get("snapshot_id"):
-        raise SnapshotError(
-            f"{path}: content hash mismatch (header {header.get('snapshot_id')!r}, "
-            f"recomputed {recomputed!r}) — file corrupt or modified{want}"
-        )
+        raise fail(f"content hash mismatch (header {header.get('snapshot_id')!r}, "
+                   f"recomputed {recomputed!r}) — file corrupt or modified")
     if expected_id is not None and recomputed != expected_id:
-        raise SnapshotError(
-            f"{path}: snapshot id {recomputed!r} is not the expected "
-            f"{expected_id!r} — file replaced or restored from the wrong build"
-        )
-    return Snapshot(
-        kind=kind,
-        arrays=arrays,
-        meta=header.get("meta", {}),
-        snapshot_id=recomputed,
-        version=int(header["version"]),
-        provenance=header.get("provenance"),
-    )
+        raise fail(f"snapshot id {recomputed!r} is not the expected one — file "
+                   "replaced or restored from the wrong build")
+    meta, prov = header.get("meta", {}), header.get("provenance")
+    return Snapshot(kind, arrays, meta, recomputed, version, prov)
 
 
 # -- per-application snapshot builders ---------------------------------------

@@ -16,7 +16,7 @@ RNG_SEED = 1331
 def pointloc_env(tmp_path_factory):
     rng = np.random.default_rng(RNG_SEED)
     sites = rng.random((48, 2))
-    path = tmp_path_factory.mktemp("serve") / "pointloc.npz"
+    path = tmp_path_factory.mktemp("serve") / "pointloc.snap"
     snapshot = snapshot_pointloc(path, sites, seed=7)
     queries = rng.random((37, 2))
     return {
@@ -33,7 +33,7 @@ def pointloc_env(tmp_path_factory):
 def linepoly_env(tmp_path_factory):
     rng = np.random.default_rng(RNG_SEED + 1)
     points = rng.random((40, 3))
-    path = tmp_path_factory.mktemp("serve") / "linepoly.npz"
+    path = tmp_path_factory.mktemp("serve") / "linepoly.snap"
     snapshot = snapshot_linepoly(path, points, seed=7)
     p0 = rng.random((11, 3)) * 4.0 - 1.5
     direction = rng.standard_normal((11, 3))
@@ -52,7 +52,7 @@ def interval_env(tmp_path_factory):
     rng = np.random.default_rng(RNG_SEED + 2)
     lefts = rng.random(80)
     rights = lefts + rng.random(80) * 0.3
-    path = tmp_path_factory.mktemp("serve") / "interval.npz"
+    path = tmp_path_factory.mktemp("serve") / "interval.snap"
     snapshot = snapshot_intervals(path, lefts, rights, k=2)
     a = rng.random(23)
     return {

@@ -42,7 +42,7 @@ def service(tmp_path_factory):
     rng = np.random.default_rng(2024)
     lefts = rng.uniform(0.0, 1000.0, N_INTERVALS)
     rights = lefts + rng.exponential(1.0, N_INTERVALS)
-    path = tmp_path_factory.mktemp("calls") / "intervals.npz"
+    path = tmp_path_factory.mktemp("calls") / "intervals.snap"
     snapshot_intervals(path, lefts, rights)
     return restore_service(path)
 
@@ -50,7 +50,7 @@ def service(tmp_path_factory):
 @pytest.fixture(scope="module")
 def pointloc_service(tmp_path_factory):
     sites = np.random.default_rng(2024).random((N_SITES, 2))
-    path = tmp_path_factory.mktemp("calls") / "pointloc.npz"
+    path = tmp_path_factory.mktemp("calls") / "pointloc.snap"
     snapshot_pointloc(path, sites, seed=7)
     return restore_service(path)
 

@@ -39,7 +39,7 @@ def interval_set():
 
 @pytest.fixture(scope="module")
 def snapshot_path(interval_set, tmp_path_factory):
-    path = tmp_path_factory.mktemp("resident") / "intervals.npz"
+    path = tmp_path_factory.mktemp("resident") / "intervals.snap"
     snapshot_intervals(path, *interval_set)
     return path
 
