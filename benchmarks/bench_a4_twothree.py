@@ -5,13 +5,13 @@ for arbitrary alpha-partitionable graphs, but E3 exercises only complete
 trees.  This bench runs the same lookup batch over (a) a complete binary
 search tree and (b) a 2-3 tree built by random inserts + deletes over the
 same key set, and checks the costs stay within a constant factor —
-irregular arities and allocation-ordered vertex ids change nothing.
+irregular arities and allocation-ordered vertex ids change nothing.  The
+verdict is ``tests/bench/test_paper_verdicts.py`` over the committed
+``BENCH_a4_twothree.json``.
 """
 
 import numpy as np
-import pytest
 
-from repro.bench.reporting import Table
 from repro.core.alpha import alpha_multisearch
 from repro.core.model import QuerySet
 from repro.core.splitters import splitting_from_labels
@@ -20,11 +20,10 @@ from repro.graphs.ktree import tree_from_keys
 from repro.graphs.twothree import TwoThreeTree, flatten_two_three
 from repro.mesh.engine import MeshEngine
 
-SIZES = [256, 1024, 4096]
 M = 1024
 
 
-def run_once(n: int, variant: str):
+def run_once(n: int, variant: str) -> dict:
     rng = np.random.default_rng(n)
     keys = np.sort(rng.choice(10 * n, n, replace=False)).astype(float)
     queries = keys[rng.integers(0, n, M)]
@@ -47,29 +46,4 @@ def run_once(n: int, variant: str):
     qs = QuerySet.start(queries, 0)
     res = alpha_multisearch(eng, st, qs, sp)
     assert not qs.active.any()
-    return res.mesh_steps, size
-
-
-@pytest.fixture(scope="module")
-def a4_table(save_table):
-    table = Table(
-        "A4: Theorem 5 on complete vs irregular (2-3) trees, m=1024 lookups",
-        ["n_keys", "complete_n", "complete_steps", "tt_n", "tt_steps",
-         "steps_ratio"],
-    )
-    rows = []
-    for n in SIZES:
-        cs, cn = run_once(n, "complete")
-        ts, tn = run_once(n, "twothree")
-        rows.append((cs, cn, ts, tn))
-        table.add(n, cn, cs, tn, ts, ts / cs)
-    save_table(table, "a4_twothree")
-    return rows
-
-
-def test_a4_generality(a4_table, benchmark):
-    for cs, cn, ts, tn in a4_table:
-        # normalize by structure size (the trees differ in |V|+|E|)
-        ratio = (ts / tn**0.5) / (cs / cn**0.5)
-        assert 0.3 < ratio < 3.0
-    benchmark(run_once, 1024, "twothree")
+    return {"mesh_steps": res.mesh_steps, "n": int(size)}

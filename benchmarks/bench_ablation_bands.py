@@ -8,23 +8,22 @@ Three variants of hierarchical-DAG multisearch at fixed n:
 * ``none``  — bands disabled: every level processed at full-mesh side,
               i.e. the naive O(sqrt(n) log n) schedule.
 
-Plus the per-stage cost profile of the ``c=2`` run, showing where the
-steps go (B* tail vs band phases).
+``bands`` is the number of bands in the variant's plan.  The per-stage
+cost profile of a run, showing where the steps go (B* tail vs band
+phases), is what ``python -m repro.bench.runner ablation_bands --trace``
+prints.  The verdict is ``tests/bench/test_paper_verdicts.py`` over the
+committed ``BENCH_ablation_bands.json``.
 """
 
 import numpy as np
-import pytest
 
-from repro.bench.reporting import Table
 from repro.core.bands import compute_bands
 from repro.core.hierdag import HierDagPlan, hierdag_multisearch, plan_hierdag
 from repro.core.model import QuerySet
 from repro.graphs.adapters import hierdag_search_structure
 from repro.graphs.hierarchical import build_mu_ary_search_dag
 from repro.mesh.engine import MeshEngine
-from repro.mesh.profile import profiled
 
-HEIGHTS = [12, 14, 16]
 M = 1024
 
 
@@ -36,7 +35,7 @@ def no_band_plan(st, mesh_side: int) -> HierDagPlan:
     return HierDagPlan(deco, [], mesh_side, 1 + st.adjacency.shape[1])
 
 
-def run_once(height: int, variant: str):
+def run_once(height: int, variant: str) -> dict:
     dag, leaf_keys = build_mu_ary_search_dag(2, height, seed=1)
     st = hierdag_search_structure(dag)
     rng = np.random.default_rng(2)
@@ -45,61 +44,8 @@ def run_once(height: int, variant: str):
     qs = QuerySet.start(keys, 0)
     if variant == "none":
         plan = no_band_plan(st, eng.shape.rows)
-        res = hierdag_multisearch(eng, st, qs, mu=2.0, plan=plan)
     else:
-        res = hierdag_multisearch(eng, st, qs, mu=2.0, c=int(variant[2:]))
+        plan = plan_hierdag(st, eng.shape.rows, 2.0, c=int(variant[2:]))
+    res = hierdag_multisearch(eng, st, qs, mu=2.0, plan=plan)
     assert not qs.active.any()
-    return res, dag.size
-
-
-@pytest.fixture(scope="module")
-def ablation_table(save_table):
-    table = Table(
-        "Ablation: Algorithm 1 band machinery (steps / sqrt(n))",
-        ["height", "n", "c=2", "c=4", "no bands", "bands_c2", "bands_c4"],
-    )
-    rows = []
-    for h in HEIGHTS:
-        res2, n = run_once(h, "c=2")
-        res4, _ = run_once(h, "c=4")
-        res0, _ = run_once(h, "none")
-        deco2 = compute_bands(np.array([2**i for i in range(h + 1)]), 2.0, c=2)
-        deco4 = compute_bands(np.array([2**i for i in range(h + 1)]), 2.0, c=4)
-        rows.append((n, res2.mesh_steps, res4.mesh_steps, res0.mesh_steps))
-        table.add(
-            h, n,
-            res2.mesh_steps / n**0.5,
-            res4.mesh_steps / n**0.5,
-            res0.mesh_steps / n**0.5,
-            len(deco2.bands),
-            len(deco4.bands),
-        )
-    save_table(table, "ablation_bands")
-
-    # stage profile at the largest height
-    dag, leaf_keys = build_mu_ary_search_dag(2, HEIGHTS[-1], seed=1)
-    st = hierdag_search_structure(dag)
-    eng = MeshEngine.for_problem(max(dag.size, M))
-    qs = QuerySet.start(
-        np.random.default_rng(2).uniform(leaf_keys[0], leaf_keys[-1], M), 0
-    )
-    with profiled(eng.clock) as prof:
-        hierdag_multisearch(eng, st, qs, mu=2.0, c=2)
-    t2 = Table(
-        f"Ablation: c=2 cost profile at height={HEIGHTS[-1]}",
-        ["label", "steps", "fraction"],
-    )
-    for label, cost in prof.top(8):
-        t2.add(label, cost, cost / prof.total)
-    save_table(t2, "ablation_bands_profile")
-    return rows
-
-
-def test_ablation_bands(ablation_table, benchmark):
-    for n, c2, c4, none in ablation_table:
-        # bands help monotonically: more bands, fewer steps
-        assert c2 <= c4 <= none
-    # at the largest height the band machinery saves a solid margin
-    n, c2, _, none = ablation_table[-1]
-    assert none / c2 > 1.3
-    benchmark(run_once, 12, "c=2")
+    return {"mesh_steps": res.mesh_steps, "n": int(dag.size), "bands": len(plan.bands)}

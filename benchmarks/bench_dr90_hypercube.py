@@ -12,13 +12,13 @@ The point the table makes: the synchronous strategy's cost is governed
 by the network diameter, so it is viable on the hypercube and hopeless
 on the mesh; the paper's contribution is recovering mesh-optimality
 despite the sqrt(n) diameter (a mesh algorithm cannot beat sqrt(n) —
-that is the distance information must travel).
+that is the distance information must travel).  The verdict is
+``tests/bench/test_paper_verdicts.py`` over the committed
+``BENCH_dr90_hypercube.json``.
 """
 
 import numpy as np
-import pytest
 
-from repro.bench.reporting import Table
 from repro.core.alpha import alpha_multisearch
 from repro.core.baseline import synchronous_multisearch
 from repro.core.model import QuerySet
@@ -27,10 +27,9 @@ from repro.hypercube import HypercubeEngine
 from repro.mesh.engine import MeshEngine
 
 M = 1024
-HANDLES = [16, 64, 192]
 
 
-def run_once(handle_len: int, strategy: str):
+def run_once(handle_len: int, strategy: str) -> dict:
     br = build_broom(2, 6, handle_len, seed=1)
     st = broom_structure(br)
     rng = np.random.default_rng(2)
@@ -47,35 +46,4 @@ def run_once(handle_len: int, strategy: str):
         eng = MeshEngine.for_problem(max(br.size, M))
         qs = QuerySet.start(keys, 0)
         res = alpha_multisearch(eng, st, qs, br.splitting())
-    return res.mesh_steps, br.size, br.longest_path
-
-
-@pytest.fixture(scope="module")
-def dr90_table(save_table):
-    table = Table(
-        "DR90 context: synchronous-on-hypercube vs mesh strategies (broom)",
-        ["r", "n", "hypercube_sync", "mesh_sync", "mesh_multisearch",
-         "mesh_ms/mesh_sync"],
-    )
-    rows = []
-    for L in HANDLES:
-        hc, n, r = run_once(L, "hypercube")
-        ms, _, _ = run_once(L, "mesh-sync")
-        mm, _, _ = run_once(L, "multisearch")
-        rows.append((r, n, hc, ms, mm))
-        table.add(r, n, hc, ms, mm, mm / ms)
-    save_table(table, "dr90_hypercube")
-    return rows
-
-
-def test_dr90_context(dr90_table, benchmark):
-    for r, n, hc, ms, mm in dr90_table:
-        # the diameter gap: hypercube synchronous beats mesh synchronous
-        assert hc < ms / 3
-        # per-advancement: hypercube pays ~log n, mesh-sync ~sqrt(n)
-        assert hc / r < 4 * np.log2(n) + 8
-    # on the mesh, multisearch closes most of the synchronous deficit at
-    # large r (the paper's contribution)
-    r, n, hc, ms, mm = dr90_table[-1]
-    assert mm < ms
-    benchmark(run_once, 64, "multisearch")
+    return {"mesh_steps": res.mesh_steps, "n": int(br.size), "r": br.longest_path}

@@ -10,12 +10,10 @@ in a bounded band, i.e. construction really is O(sqrt(n)) in the model.
 
 Each pipeline is the full build: hierarchy plus the flattened search
 structure the applications query (``kirkpatrick_structure`` /
-``dk_support_structure``).  ``run_once`` returns the charged step count,
-so the runner's generic extractor records it as ``mesh_steps``; the
-builder outputs themselves are exercised but not returned.
+``dk_support_structure``).  ``run_once`` returns the charged step count
+as ``mesh_steps``; the builder outputs themselves are exercised but not
+returned.
 """
-
-import numpy as np
 
 from repro.bench.workloads import sphere_points
 from repro.mesh.construct import Construction
@@ -44,16 +42,11 @@ def _dk3d(n: int, seed: int, construct: Construction) -> None:
 _PIPELINES = {"kirkpatrick": _kirkpatrick, "dk3d": _dk3d}
 
 
-def run_once(pipeline: str, n: int, seed: int = 1) -> float:
+def run_once(pipeline: str, n: int, seed: int = 1) -> dict:
     """Build one pipeline's structures; return total modelled mesh steps."""
     construct = Construction(n + 3)  # +3: kirkpatrick's bounding triangle
     _PIPELINES[pipeline](int(n), int(seed), construct)
     steps = float(construct.steps)
     if not steps > 0:
         raise AssertionError(f"{pipeline} n={n} charged no construction steps")
-    return steps
-
-
-def sqrt_ratio(steps: float, n: int) -> float:
-    """The gated quantity: steps normalised by the paper's sqrt(n) bound."""
-    return steps / float(np.sqrt(n))
+    return {"mesh_steps": steps}

@@ -27,7 +27,7 @@ import asyncio
 
 import numpy as np
 
-__all__ = ["sweep_setup", "sweep_run", "run_once"]
+__all__ = ["sweep_setup", "sweep_run"]
 
 
 def sweep_setup(sites: int, queries: int, batch: int) -> dict:
@@ -69,22 +69,8 @@ async def _serve_load(service, load, batch: int):
     return results, server.stats
 
 
-def sweep_run(ctx: dict, sites: int, queries: int, batch: int) -> tuple[float, int]:
-    """Timed: the full load through a fresh server; returns (steps, m)."""
+def sweep_run(ctx: dict, sites: int, queries: int, batch: int) -> dict:
+    """Timed: the full load through a fresh server; returns its mesh steps."""
     results, stats = asyncio.run(_serve_load(ctx["service"], ctx["load"], batch))
     assert len(results) == queries
-    return float(stats["mesh_steps"]), len(results)
-
-
-def run_once(sites: int, queries: int, batch: int):
-    return sweep_run(sweep_setup(sites, queries, batch), sites, queries, batch)
-
-
-def test_e13_batching_matches_direct():
-    """The batched answers equal one direct run over the same load."""
-    ctx = sweep_setup(sites=64, queries=48, batch=16)
-    steps, m = sweep_run(ctx, 64, 48, 16)
-    assert m == 48 and steps > 0
-    direct, _ = ctx["service"].run_batch(ctx["load"])
-    rebatched, _stats = asyncio.run(_serve_load(ctx["service"], ctx["load"], 16))
-    assert np.array_equal(np.array(rebatched), np.array(direct))
+    return {"mesh_steps": stats["mesh_steps"]}

@@ -20,8 +20,7 @@ varies only the decomposition and the link bandwidth, for three drivers:
 
 ``k_chip=1`` is the unsharded engine by construction (byte-identical
 charges), so each driver's ``k_chip=1`` rows anchor its curves.
-``run_once`` returns total charged steps, which the runner records as
-``mesh_steps``.
+``sweep_run`` returns the total charged steps as ``mesh_steps``.
 """
 
 import numpy as np
@@ -36,7 +35,7 @@ from repro.core.model import QuerySet
 from repro.mesh.shard import MultiChipMesh, ShardedMeshEngine, XChipCost
 from repro.util.rng import make_rng
 
-__all__ = ["DRIVERS", "drive", "sweep_setup", "sweep_run", "run_once"]
+__all__ = ["DRIVERS", "drive", "sweep_setup", "sweep_run"]
 
 #: global mesh side, fixed across the sweep so only the decomposition
 #: varies; every swept k_chip must divide it
@@ -79,7 +78,7 @@ def drive(ctx: dict, engine) -> tuple[float, np.ndarray]:
     return float(engine.clock.time), counts
 
 
-def sweep_run(ctx: dict, driver: str, k_chip: int, bandwidth: float) -> float:
+def sweep_run(ctx: dict, driver: str, k_chip: int, bandwidth: float) -> dict:
     """Timed part: the sharded engine plus the driver; returns total steps."""
     k_chip = int(k_chip)
     if SIDE % k_chip:
@@ -90,8 +89,4 @@ def sweep_run(ctx: dict, driver: str, k_chip: int, bandwidth: float) -> float:
     steps, _ = drive(ctx, engine)
     if not steps > 0:
         raise AssertionError(f"{driver} at k_chip={k_chip} charged no steps")
-    return steps
-
-
-def run_once(driver: str, k_chip: int, bandwidth: float) -> float:
-    return sweep_run(sweep_setup(driver, k_chip, bandwidth), driver, k_chip, bandwidth)
+    return {"mesh_steps": steps}

@@ -1,16 +1,16 @@
 """E1 — Theorem 2: multisearch on hierarchical DAGs in O(sqrt(n)).
 
-Regenerates the table the theorem implies: for a mu-ary search DAG and
-n key queries, measured mesh steps for Algorithm 1 vs the synchronous
-baseline, as n sweeps.  Success criteria (DESIGN.md): steps/sqrt(n)
+Measures the table the theorem implies: for a mu-ary search DAG and
+n key queries, mesh steps for Algorithm 1 vs the synchronous baseline,
+as n sweeps (``e1_hierdag``), and for mu in {2, 3, 4} and query loads m
+around n (``e1b_variants``).  Success criteria (DESIGN.md): steps/sqrt(n)
 bounded for Algorithm 1 while the baseline's grows like log n; widening
-gap.
+gap.  The verdicts are ``tests/bench/test_paper_verdicts.py`` over the
+committed ``BENCH_e1_hierdag.json`` and ``BENCH_e1b_variants.json``.
 """
 
 import numpy as np
-import pytest
 
-from repro.bench.reporting import Table
 from repro.core.baseline import synchronous_multisearch
 from repro.core.hierdag import hierdag_multisearch
 from repro.core.model import QuerySet
@@ -18,7 +18,6 @@ from repro.graphs.adapters import hierdag_search_structure
 from repro.graphs.hierarchical import build_mu_ary_search_dag
 from repro.mesh.engine import MeshEngine
 
-HEIGHTS = [8, 10, 12, 14, 16]
 M_QUERIES = 1024
 
 
@@ -31,7 +30,7 @@ def sweep_setup(height: int, method: str) -> dict:
     return {"st": st, "keys": keys, "n": int(dag.size)}
 
 
-def sweep_run(ctx: dict, height: int, method: str) -> tuple[float, int]:
+def sweep_run(ctx: dict, height: int, method: str) -> dict:
     """Timed part: engine + query set + the multisearch itself."""
     eng = MeshEngine.for_problem(max(ctx["n"], M_QUERIES))
     qs = QuerySet.start(ctx["keys"], 0)
@@ -39,30 +38,11 @@ def sweep_run(ctx: dict, height: int, method: str) -> tuple[float, int]:
         res = hierdag_multisearch(eng, ctx["st"], qs, mu=2.0, c=2)
     else:
         res = synchronous_multisearch(eng, ctx["st"], qs)
-    return res.mesh_steps, ctx["n"]
+    return {"mesh_steps": res.mesh_steps, "n": ctx["n"]}
 
 
-def run_once(height: int, method: str) -> tuple[float, int]:
-    return sweep_run(sweep_setup(height, method), height, method)
-
-
-@pytest.fixture(scope="module")
-def e1_table(save_table):
-    table = Table(
-        "E1 / Theorem 2: hierarchical-DAG multisearch, mu=2, m=1024 queries",
-        ["height", "n", "alg1_steps", "alg1/sqrt(n)", "base_steps", "base/sqrt(n)", "speedup"],
-    )
-    rows = []
-    for h in HEIGHTS:
-        ours, n = run_once(h, "hierdag")
-        base, _ = run_once(h, "baseline")
-        rows.append((h, n, ours, base))
-        table.add(h, n, ours, ours / n**0.5, base, base / n**0.5, base / ours)
-    save_table(table, "e1_hierdag")
-    return rows
-
-
-def run_variant(mu: int, height: int, m: int) -> tuple[float, int]:
+def run_variant(mu: int, height: int, m: int) -> dict:
+    """Algorithm 1 on a mu-ary DAG of ``height`` with ``m`` key queries."""
     dag, leaf_keys = build_mu_ary_search_dag(mu, height, seed=1)
     st = hierdag_search_structure(dag)
     rng = np.random.default_rng(2)
@@ -71,50 +51,6 @@ def run_variant(mu: int, height: int, m: int) -> tuple[float, int]:
     qs = QuerySet.start(keys, 0)
     res = hierdag_multisearch(eng, st, qs, mu=float(mu), c=2)
     assert not qs.active.any()
-    return res.mesh_steps, dag.size
+    return {"mesh_steps": res.mesh_steps, "n": int(dag.size)}
 
 
-@pytest.fixture(scope="module")
-def e1_variants(save_table):
-    table = Table(
-        "E1b / Theorem 2: mu and query-load variants",
-        ["mu", "height", "n", "m", "steps", "steps/sqrt(n)"],
-    )
-    rows = []
-    cases = [
-        (2, 13, 2048),
-        (3, 8, 2048),
-        (4, 6, 2048),
-        (2, 13, 512),
-        (2, 13, 8192),
-    ]
-    for mu, h, m in cases:
-        steps, n = run_variant(mu, h, m)
-        rows.append((mu, h, n, m, steps))
-        table.add(mu, h, n, m, steps, steps / n**0.5)
-    save_table(table, "e1b_variants")
-    return rows
-
-
-def test_e1_shape(e1_table, benchmark):
-    """Algorithm 1's steps/sqrt(n) stays bounded; the baseline's grows."""
-    ratios_ours = [ours / n**0.5 for _, n, ours, _ in e1_table]
-    ratios_base = [base / n**0.5 for _, n, _, base in e1_table]
-    assert max(ratios_ours) / min(ratios_ours) < 1.6
-    assert ratios_base[-1] / ratios_base[0] > 1.5  # ~ h growth
-    speedup = [b / o for (_, _, o, b) in e1_table]
-    assert speedup[-1] > speedup[0]
-    benchmark(run_once, 12, "hierdag")
-
-
-def test_e1_variants(e1_variants, benchmark):
-    """mu in {2,3,4} all O(sqrt(n)); schedule oblivious to the query load m
-    as long as m = O(n) (the paper's regime)."""
-    by_case = {(mu, h, m): steps for mu, h, n, m, steps in e1_variants}
-    # load-independence: the mesh is sized by n here, so the schedule and
-    # hence the step count are identical for every m <= n
-    assert by_case[(2, 13, 512)] == by_case[(2, 13, 2048)] == by_case[(2, 13, 8192)]
-    # every mu within the same sqrt(n) envelope
-    for mu, h, n, m, steps in e1_variants:
-        assert steps / n**0.5 < 130
-    benchmark(run_variant, 3, 7, 1024)

@@ -1,16 +1,17 @@
 """E2 — Lemma 3: Constrained-Multisearch runs in O(sqrt(n)) regardless of
 congestion.
 
-Two sweeps: (a) n sweep at maximum congestion (all queries in one
-subgraph); (b) congestion sweep at fixed n, from uniform spread to
-everything-on-one-subgraph.  Success: steps/sqrt(n) bounded in (a);
-steps vary by at most a small constant factor across (b).
+One grid over the tree height and the congestion ``skew`` (the fraction
+of queries starting at the root; the rest start spread over the
+depth-cut subtree roots).  Success: steps/sqrt(n) bounded across heights
+at maximum congestion (skew = 1, E2a); steps vary by at most a small
+constant factor across skews at height 12 (E2b).  The verdicts are
+``tests/bench/test_paper_verdicts.py`` over the committed
+``BENCH_e2_constrained.json``.
 """
 
 import numpy as np
-import pytest
 
-from repro.bench.reporting import Table
 from repro.core.constrained import constrained_multisearch
 from repro.core.model import QuerySet
 from repro.core.splitters import splitting_from_labels
@@ -48,45 +49,9 @@ def sweep_run(ctx, height=12, skew=1.0):
     eng = MeshEngine.for_problem(max(ctx["n"], M))
     qs = QuerySet.start(ctx["keys"], ctx["starts"])
     stats = constrained_multisearch(eng, ctx["st"], qs, ctx["sp"])
-    return eng.clock.time, ctx["n"], stats
-
-
-def run_once(height=12, skew=1.0):
-    """skew = fraction of queries starting at the root (max congestion);
-    the rest start spread over the depth-cut subtree roots."""
-    return sweep_run(sweep_setup(height, skew), height, skew)
-
-
-@pytest.fixture(scope="module")
-def e2_tables(save_table):
-    t1 = Table(
-        "E2a / Lemma 3: n sweep at max congestion (all queries on one subgraph)",
-        ["height", "n", "steps", "steps/sqrt(n)", "copies", "max_q_per_copy"],
-    )
-    nsweep = []
-    for h in (8, 10, 12, 14):
-        steps, n, stats = run_once(height=h, skew=1.0)
-        nsweep.append((n, steps))
-        t1.add(h, n, steps, steps / n**0.5, stats.copies_created, stats.max_queries_per_copy)
-    save_table(t1, "e2a_constrained_nsweep")
-
-    t2 = Table(
-        "E2b / Lemma 3: congestion sweep at height=12 (skew = fraction at root)",
-        ["skew", "steps", "copies", "max_q_per_copy"],
-    )
-    skews = []
-    for s in (0.0, 0.25, 0.5, 0.75, 1.0):
-        steps, _, stats = run_once(height=12, skew=s)
-        skews.append(steps)
-        t2.add(s, steps, stats.copies_created, stats.max_queries_per_copy)
-    save_table(t2, "e2b_constrained_skew")
-    return nsweep, skews
-
-
-def test_e2_shape(e2_tables, benchmark):
-    nsweep, skews = e2_tables
-    ratios = [steps / n**0.5 for n, steps in nsweep]
-    assert max(ratios) / min(ratios) < 2.0
-    # congestion invariance: the whole sweep within a 2.5x envelope
-    assert max(skews) / min(skews) < 2.5
-    benchmark(run_once, 12, 1.0)
+    return {
+        "mesh_steps": eng.clock.time,
+        "n": ctx["n"],
+        "copies": stats.copies_created,
+        "max_q_per_copy": stats.max_queries_per_copy,
+    }

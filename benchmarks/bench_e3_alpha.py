@@ -4,15 +4,14 @@ O(sqrt(n) + r*sqrt(n)/log n), vs the O(r*sqrt(n)) synchronous baseline.
 The broom workload sweeps the longest search path r (handle length) at
 roughly constant n.  Success: Algorithm 2's cost grows like r/log n
 full-phase units, the baseline's like r; the speedup approaches
-Theta(log n); the crossover sits at r = Theta(log n).
+Theta(log n); the crossover sits at r = Theta(log n).  The verdict is
+``tests/bench/test_paper_verdicts.py`` over the committed
+``BENCH_e3_alpha.json``, against ``repro.core.analysis``'s closed forms.
 """
 
 import numpy as np
-import pytest
 
-from repro.bench.reporting import Table
 from repro.core.alpha import alpha_multisearch
-from repro.core.analysis import predict_baseline, predict_theorem5
 from repro.core.baseline import synchronous_multisearch
 from repro.core.model import QuerySet
 from repro.graphs.broom import broom_structure, build_broom
@@ -20,10 +19,9 @@ from repro.mesh.engine import MeshEngine
 
 TREE_HEIGHT = 6  # 64 handles
 M = 1024
-HANDLES = [4, 16, 64, 192, 448]
 
 
-def run_once(handle_len: int, method: str):
+def run_once(handle_len: int, method: str) -> dict:
     br = build_broom(2, TREE_HEIGHT, handle_len, seed=1)
     st = broom_structure(br)
     rng = np.random.default_rng(2)
@@ -35,38 +33,4 @@ def run_once(handle_len: int, method: str):
     else:
         res = synchronous_multisearch(eng, st, qs, max_steps=10**6)
     # predictions must use the engine's actual mesh size (>= max(n, m))
-    return res.mesh_steps, eng.size, br.longest_path
-
-
-@pytest.fixture(scope="module")
-def e3_table(save_table):
-    table = Table(
-        "E3 / Theorem 5: r sweep on the broom (64 handles, m=1024 queries)",
-        ["L", "r", "n", "alg2_steps", "base_steps", "speedup",
-         "pred_alg2", "pred_base"],
-    )
-    rows = []
-    for L in HANDLES:
-        ours, n, r = run_once(L, "alpha")
-        base, _, _ = run_once(L, "baseline")
-        rows.append((r, n, ours, base))
-        table.add(L, r, n, ours, base, base / ours,
-                  predict_theorem5(n, r), predict_baseline(n, r))
-    save_table(table, "e3_alpha")
-    return rows
-
-
-def test_e3_shape(e3_table, benchmark):
-    rows = e3_table
-    speedups = [b / o for (_, _, o, b) in rows]
-    # baseline wins for tiny r (phase overhead), ours wins for large r,
-    # with the crossover between the small-r and large-r ends of the sweep
-    assert speedups[0] < 1.0
-    assert speedups[-1] > 1.3
-    # monotone improving advantage along the sweep
-    assert speedups[-1] == max(speedups)
-    # the closed-form predictions track the measurements
-    for r, n, ours, base in rows:
-        assert ours <= 3.0 * predict_theorem5(n, r)
-        assert abs(base - predict_baseline(n, r)) <= 0.05 * base
-    benchmark(run_once, 64, "alpha")
+    return {"mesh_steps": res.mesh_steps, "n": eng.size, "r": br.longest_path}

@@ -3,13 +3,13 @@ walks) in O(sqrt(n) + r*sqrt(n)/log n).
 
 Range walks over an undirected balanced tree; the range width sweeps the
 walk length r.  Success: Algorithm 3's steps grow like ceil(r / Omega(log
-n)) phase units while the baseline pays r full-mesh multisteps.
+n)) phase units while the baseline pays r full-mesh multisteps.  The
+verdict is ``tests/bench/test_paper_verdicts.py`` over the committed
+``BENCH_e4_alphabeta.json``.
 """
 
 import numpy as np
-import pytest
 
-from repro.bench.reporting import Table
 from repro.core.alphabeta import alphabeta_multisearch
 from repro.core.baseline import synchronous_multisearch
 from repro.core.model import QuerySet, run_reference
@@ -20,63 +20,34 @@ from repro.mesh.engine import MeshEngine
 
 HEIGHT = 11
 M = 512
-WIDTHS = [2.0, 16.0, 64.0, 256.0]
 
 
-def setup():
+def sweep_setup(width: float, method: str) -> dict:
+    """Untimed: the tree, its splitters, the range keys and the longest
+    walk ``r_max`` of the sequential reference run."""
     t = build_balanced_search_tree(2, HEIGHT, seed=1)
     st = ktree_range_structure(t)
     s1, s2, _ = t.alpha_beta_splitters()
-    sp1 = splitting_from_labels(s1.comp, t.children, 0.5)
-    sp2 = splitting_from_labels(s2.comp, t.children, 1 / 3)
-    return t, st, sp1, sp2
-
-
-def make_keys(t, width):
     rng = np.random.default_rng(3)
     lo = rng.uniform(t.leaf_keys[0], t.leaf_keys[-1] - width, M)
-    return np.stack([lo, lo + width], axis=1)
+    keys = np.stack([lo, lo + width], axis=1)
+    ref = run_reference(st, keys, 0, state_width=2, max_steps=200_000)
+    return {
+        "st": st,
+        "sp1": splitting_from_labels(s1.comp, t.children, 0.5),
+        "sp2": splitting_from_labels(s2.comp, t.children, 1 / 3),
+        "keys": keys,
+        "n": int(t.size),
+        "r_max": max(len(p) for p in ref.paths()),
+    }
 
 
-def run_once(width: float, method: str):
-    t, st, sp1, sp2 = setup()
-    keys = make_keys(t, width)
-    eng = MeshEngine.for_problem(max(t.size, M))
-    qs = QuerySet.start(keys, 0, state_width=2)
+def sweep_run(ctx: dict, width: float, method: str) -> dict:
+    """Timed part: engine + query set + the range-walk multisearch."""
+    eng = MeshEngine.for_problem(max(ctx["n"], M))
+    qs = QuerySet.start(ctx["keys"], 0, state_width=2)
     if method == "alphabeta":
-        res = alphabeta_multisearch(eng, st, qs, sp1, sp2)
+        res = alphabeta_multisearch(eng, ctx["st"], qs, ctx["sp1"], ctx["sp2"])
     else:
-        res = synchronous_multisearch(eng, st, qs, max_steps=10**6)
-    return res.mesh_steps, t.size
-
-
-@pytest.fixture(scope="module")
-def e4_table(save_table):
-    t, st, _, _ = setup()
-    table = Table(
-        f"E4 / Theorem 7: range-walk width sweep (height={HEIGHT}, m={M})",
-        ["width", "r_max", "alg3_steps", "base_steps", "speedup"],
-    )
-    rows = []
-    for w in WIDTHS:
-        keys = make_keys(t, w)
-        ref = run_reference(st, keys, 0, state_width=2, max_steps=200_000)
-        r = max(len(p) for p in ref.paths())
-        ours, n = run_once(w, "alphabeta")
-        base, _ = run_once(w, "baseline")
-        rows.append((r, n, ours, base))
-        table.add(w, r, ours, base, base / ours)
-    save_table(table, "e4_alphabeta")
-    return rows
-
-
-def test_e4_shape(e4_table, benchmark):
-    rows = e4_table
-    speedups = [b / o for (_, _, o, b) in rows]
-    assert speedups[-1] > 1.4
-    assert speedups[-1] == max(speedups)
-    # ours sublinear in r: the widest walk costs far less than r/ r0 times
-    r0, _, o0, _ = rows[0]
-    r1, _, o1, _ = rows[-1]
-    assert o1 / o0 < 0.5 * r1 / r0
-    benchmark(run_once, 64.0, "alphabeta")
+        res = synchronous_multisearch(eng, ctx["st"], qs, max_steps=10**6)
+    return {"mesh_steps": res.mesh_steps, "n": ctx["n"], "r_max": ctx["r_max"]}

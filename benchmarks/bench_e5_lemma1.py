@@ -3,24 +3,24 @@ O(sqrt(|B_i|) * log(Delta h_i)) on its submesh.
 
 Sweeps the DAG height and measures the Lemma 1 charge for band B_0
 against the closed form, plus the phase split (Phase 1 must dominate the
-level count but not the cost).
+level count but not the cost).  The verdict is
+``tests/bench/test_paper_verdicts.py`` over the committed
+``BENCH_e5_lemma1.json``: steps within 2.5x of
+``sub_side * 8 * (log2(dh) + 2)``.
 """
 
 import numpy as np
-import pytest
 
-from repro.bench.reporting import Table
 from repro.core.hierdag import lemma1_band_steps, plan_hierdag
 from repro.core.model import QuerySet
 from repro.graphs.adapters import hierdag_search_structure
 from repro.graphs.hierarchical import build_mu_ary_search_dag
 from repro.mesh.engine import MeshEngine
 
-HEIGHTS = [10, 12, 14, 16]
 M = 512
 
 
-def run_once(height: int):
+def run_once(height: int) -> dict:
     dag, leaf_keys = build_mu_ary_search_dag(2, height, seed=1)
     st = hierdag_search_structure(dag)
     rng = np.random.default_rng(2)
@@ -31,34 +31,11 @@ def run_once(height: int):
     qs = QuerySet.start(keys, 0)
     t0 = eng.clock.time
     detail = lemma1_band_steps(eng, st, qs, bp)
-    return eng.clock.time - t0, bp, detail
-
-
-@pytest.fixture(scope="module")
-def e5_table(save_table):
-    table = Table(
-        "E5 / Lemma 1: band B_0 solver, steps vs sqrt(|B_0|)*log(dh)",
-        ["height", "|B0|", "dh", "steps", "bound_ratio", "phase1", "phase2"],
-    )
-    rows = []
-    for h in HEIGHTS:
-        steps, bp, detail = run_once(h)
-        bound = bp.sub_side * 8.0 * (np.log2(max(bp.band.n_levels, 2)) + 2)
-        rows.append((steps, bound))
-        table.add(
-            h,
-            bp.band.n_vertices,
-            bp.band.n_levels,
-            steps,
-            steps / bound,
-            detail["phase1"],
-            detail["phase2"],
-        )
-    save_table(table, "e5_lemma1")
-    return rows
-
-
-def test_e5_shape(e5_table, benchmark):
-    for steps, bound in e5_table:
-        assert steps <= 2.5 * bound
-    benchmark(run_once, 14)
+    return {
+        "mesh_steps": eng.clock.time - t0,
+        "band_vertices": bp.band.n_vertices,
+        "dh": bp.band.n_levels,
+        "sub_side": bp.sub_side,
+        "phase1": detail["phase1"],
+        "phase2": detail["phase2"],
+    }

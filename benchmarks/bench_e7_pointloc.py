@@ -3,23 +3,22 @@ subdivision hierarchy, as a Theorem 2 multisearch.
 
 Sweeps the subdivision size; all answers verified geometrically.
 Success: Algorithm 1's steps/sqrt(DAG size) bounded while the synchronous
-baseline's ratio grows with the hierarchy depth.
+baseline's ratio grows with the hierarchy depth.  E7b locates queries in
+the faces of polygonal subdivisions ([Kir83]'s full setting), verified
+against a brute-force face search.  The verdicts are
+``tests/bench/test_paper_verdicts.py`` over the committed
+``BENCH_e7_pointloc.json`` and ``BENCH_e7b_faces.json``.
 """
 
-import numpy as np
-import pytest
-
-from repro.apps.pointloc import locate_points_mesh
-from repro.bench.reporting import Table
+from repro.apps.pointloc import locate_faces_mesh, locate_points_mesh
 from repro.bench.workloads import uniform_sites
 from repro.geometry.primitives import point_in_triangle
 from repro.util.rng import make_rng
 
-SIZES = [100, 200, 400, 800]
 M = 512
 
 
-def run_once(n_sites: int, method: str):
+def run_once(n_sites: int, method: str) -> dict:
     sites = uniform_sites(n_sites, seed=n_sites)
     q = make_rng(1).uniform(0, 100, (M, 2))
     run = locate_points_mesh(sites, q, seed=2, method=method)
@@ -29,74 +28,23 @@ def run_once(n_sites: int, method: str):
     for p, t in zip(q, run.triangle):
         if t >= 0 and point_in_triangle(p, pts[tris[t, 0]], pts[tris[t, 1]], pts[tris[t, 2]]):
             ok += 1
-    return run, ok / M
+    return {
+        "mesh_steps": run.mesh_steps,
+        "dag_size": run.dag_size,
+        "levels": run.hierarchy.n_levels,
+        "correct": ok / M,
+    }
 
 
-@pytest.fixture(scope="module")
-def e7_table(save_table):
-    table = Table(
-        f"E7 / Section 5: point location, m={M} queries",
-        ["sites", "dag_size", "levels", "alg1_steps", "alg1/sqrt(n)",
-         "base_steps", "base/sqrt(n)", "verified"],
-    )
-    rows = []
-    for n in SIZES:
-        ours, ok1 = run_once(n, "hierdag")
-        base, ok2 = run_once(n, "baseline")
-        rows.append((ours.mesh_steps, base.mesh_steps, ours.dag_size, ok1, ok2))
-        table.add(
-            n,
-            ours.dag_size,
-            ours.hierarchy.n_levels,
-            ours.mesh_steps,
-            ours.mesh_steps / ours.dag_size**0.5,
-            base.mesh_steps,
-            base.mesh_steps / base.dag_size**0.5,
-            min(ok1, ok2),
-        )
-    save_table(table, "e7_pointloc")
-    return rows
-
-
-@pytest.fixture(scope="module")
-def e7_faces_table(save_table):
-    """Face location in polygonal subdivisions ([Kir83]'s full setting)."""
-    from repro.apps.pointloc import locate_faces_mesh
-
-    table = Table(
-        f"E7b / Section 5: polygonal-face location, m={M} queries",
-        ["sites", "faces", "largest_face", "mesh_steps", "verified"],
-    )
-    rows = []
-    for n in (100, 400):
-        sites = uniform_sites(n, seed=n + 1)
-        q = make_rng(2).uniform(0, 100, (M, 2))
-        run = locate_faces_mesh(sites, q, merge_fraction=0.7, seed=3)
-        want = run.subdivision.locate_face_brute(q)
-        ok = bool((run.face == want).all())
-        rows.append(ok)
-        table.add(
-            n,
-            run.subdivision.n_faces,
-            int(run.subdivision.face_sizes().max()),
-            run.mesh_steps,
-            ok,
-        )
-    save_table(table, "e7b_faces")
-    return rows
-
-
-def test_e7_shape(e7_table, benchmark):
-    for ours, base, dag_size, ok1, ok2 in e7_table:
-        assert ok1 == 1.0 and ok2 == 1.0
-    ratios_ours = [o / d**0.5 for o, _, d, _, _ in e7_table]
-    ratios_base = [b / d**0.5 for _, b, d, _, _ in e7_table]
-    assert max(ratios_ours) / min(ratios_ours) < 2.0
-    # at the largest size the baseline pays more per sqrt(n)
-    assert ratios_base[-1] > ratios_ours[-1]
-    benchmark(run_once, 200, "hierdag")
-
-
-def test_e7_faces(e7_faces_table, benchmark):
-    assert all(e7_faces_table)
-    benchmark(run_once, 100, "hierdag")
+def run_faces(n_sites: int) -> dict:
+    """Face location in a subdivision merged from ``n_sites`` sites' triangles."""
+    sites = uniform_sites(n_sites, seed=n_sites + 1)
+    q = make_rng(2).uniform(0, 100, (M, 2))
+    run = locate_faces_mesh(sites, q, merge_fraction=0.7, seed=3)
+    want = run.subdivision.locate_face_brute(q)
+    return {
+        "mesh_steps": run.mesh_steps,
+        "faces": run.subdivision.n_faces,
+        "largest_face": int(run.subdivision.face_sizes().max()),
+        "correct": bool((run.face == want).all()),
+    }

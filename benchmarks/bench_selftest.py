@@ -11,9 +11,9 @@ import os
 import time
 
 
-def run_once(mode: str = "ok") -> tuple[float, int]:
+def run_once(mode: str = "ok") -> dict:
     if mode == "ok":
-        return 1.0, 1
+        return {"mesh_steps": 1.0}
     if mode == "fail":
         raise RuntimeError("selftest: deliberate failure")
     if mode == "crash":

@@ -1,4 +1,4 @@
-"""Benchmark harness support: workload generators and table reporting."""
+"""Benchmark harness support: workload generators, the runner and its report."""
 
 from repro.bench.workloads import (
     sphere_points,
@@ -6,12 +6,10 @@ from repro.bench.workloads import (
     random_lines,
     uniform_sites,
 )
-from repro.bench.reporting import Table
 
 __all__ = [
     "sphere_points",
     "random_intervals",
     "random_lines",
     "uniform_sites",
-    "Table",
 ]

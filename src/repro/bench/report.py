@@ -10,17 +10,16 @@ read:
   the same rendering after each sweep);
 * ``python -m repro.bench.report --diff OLD.json NEW.json`` — per-point
   wall-clock and mesh-step deltas, per-label profile deltas when both
-  documents carry profiles, and the same regression verdict as the
-  runner's ``--compare``: the exit status is non-zero exactly when
-  ``runner.compare(NEW, OLD)`` reports a changed mesh-step count or a
-  wall regression above the tolerance (default
+  documents carry profiles, and the regression verdict: the exit status
+  is non-zero exactly when :func:`compare` reports a changed mesh-step
+  count or a wall regression above the tolerance (default
   ``REGRESSION_TOLERANCE``);
 * ``python -m repro.bench.report --diff TRACE_OLD.json TRACE_NEW.json``
   — when both files are ``TRACE_*`` span-tree sidecars (they carry a
   ``spanTrees`` key), the diff is *structural*: per-span-path net step
   deltas (which phase regressed), added/removed spans, and the same
-  exit-code convention as the runner's ``--compare`` (1 on a per-span
-  step regression above the tolerance).
+  exit-code convention (1 on a per-span step regression above the
+  tolerance).
 
 Missing or malformed input files exit with status 2 (distinct from the
 regression exit 1), so CI can tell "worse" from "broken".
@@ -33,12 +32,14 @@ import json
 import pathlib
 import sys
 
-from repro.bench.runner import REGRESSION_TOLERANCE, _params_key, compare
+from repro.bench.runner import _is_number, _params_key
 from repro.mesh.profile import CostProfile
 from repro.mesh.trace import Span
 
 __all__ = [
+    "REGRESSION_TOLERANCE",
     "ReportError",
+    "compare",
     "render_doc",
     "render_diff",
     "render_trace_doc",
@@ -46,6 +47,10 @@ __all__ = [
     "span_paths",
     "main",
 ]
+
+
+#: ``--diff`` fails when wall time exceeds the baseline's by this factor
+REGRESSION_TOLERANCE = 0.10
 
 
 class ReportError(Exception):
@@ -111,6 +116,52 @@ def _fmt_delta(old: float, new: float) -> str:
     return f"{(new / old - 1):+.1%}"
 
 
+def compare(doc: dict, baseline: dict, tolerance: float = REGRESSION_TOLERANCE) -> list[str]:
+    """Regressions of ``doc`` vs ``baseline``, one message per failure.
+
+    Mesh steps are exact: a point whose numeric ``mesh_steps`` differs
+    from the baseline's fails whatever its wall clock.  ``wall_s_min``
+    fails beyond ``tolerance``.  Errored points — in either document —
+    surface as explicit failures: a point that crashed or timed out must
+    never read as a silent pass.
+    """
+    failures: list[str] = []
+    base_by_params = {_params_key(p["params"]): p for p in baseline["points"]}
+    for point in doc["points"]:
+        params = point["params"]
+        key = _params_key(params)
+        if "error" in point:
+            failures.append(
+                f"{doc['bench']} {point['params']}: "
+                f"{point['error_kind']} — {point['error']}"
+            )
+            continue
+        base = base_by_params.get(key)
+        if base is None:
+            continue
+        if "error" in base:
+            failures.append(
+                f"{doc['bench']} {point['params']}: baseline point errored "
+                f"({base['error_kind']} — {base['error']}); no comparison possible"
+            )
+            continue
+        old_steps = base.get("mesh_steps")
+        new_steps = point.get("mesh_steps")
+        if _is_number(old_steps) and _is_number(new_steps) and old_steps != new_steps:
+            failures.append(
+                f"{doc['bench']} {params}: mesh steps {new_steps:g} "
+                f"vs baseline {old_steps:g} (steps are exact)"
+            )
+        old = base["wall_s_min"]
+        new = point["wall_s_min"]
+        if old > 0 and new > old * (1 + tolerance):
+            failures.append(
+                f"{doc['bench']} {params}: wall {new * 1e3:.2f}ms "
+                f"vs baseline {old * 1e3:.2f}ms (+{(new / old - 1):.0%} > {tolerance:.0%})"
+            )
+    return failures
+
+
 def render_doc(doc: dict) -> str:
     """Per-phase breakdown of one bench run."""
     total = doc.get("wall_s_total")
@@ -137,12 +188,15 @@ def render_doc(doc: dict) -> str:
             continue
         steps = point.get("mesh_steps")
         steps_txt = "-" if steps is None else f"{steps:.0f}"
+        outputs = "".join(
+            f" {k}={v:.4g}" if isinstance(v, float) else f" {k}={v}"
+            for k, v in point.get("outputs", {}).items()
+        )
         lines.append(
             f"  [{_params_txt(point)}] wall={point['wall_s_min'] * 1e3:.2f}ms "
             f"steps={steps_txt} rss={point.get('peak_rss_kb', 0) / 1024:.0f}MB"
+            + outputs
         )
-        for warning in point.get("warnings", ()):
-            lines.append(f"    WARNING {warning}")
         if "profile" in point:
             prof = CostProfile.from_dict(point["profile"])
             lines.extend("    " + ln for ln in prof.render().splitlines())
@@ -180,7 +234,7 @@ def render_trace_diff(old: dict, new: dict, tolerance: float) -> tuple[str, list
     Per common span path, the self-step delta; paths only in one
     document are reported as added/removed.  A common path whose steps
     grew by more than ``tolerance`` is a regression (exit 1 in the CLI,
-    matching ``runner --compare``'s convention).
+    as for bench documents).
     """
     old_paths = span_paths(old)
     new_paths = span_paths(new)
@@ -218,9 +272,8 @@ def render_trace_diff(old: dict, new: dict, tolerance: float) -> tuple[str, list
 def render_diff(old: dict, new: dict, tolerance: float) -> tuple[str, list[str]]:
     """Human-readable delta of two bench documents + regression failures.
 
-    The failure list is exactly what ``runner --compare`` would produce
-    for ``new`` against baseline ``old`` — the caller turns non-emptiness
-    into the exit status.
+    The failure list is :func:`compare` of ``new`` against baseline
+    ``old`` — the caller turns non-emptiness into the exit status.
     """
     lines = [
         f"diff {old['bench']} -> {new['bench']}  "

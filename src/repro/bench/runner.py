@@ -1,15 +1,17 @@
 """Parallel benchmark harness: fan sweep points across cores, emit JSON.
 
 Every ``benchmarks/bench_*.py`` defines a sweep (heights, sizes, widths,
-...) driven through a ``run_once``-style entry point.  Under pytest those
-sweeps run sequentially inside one process; this module is the
-machine-readable, parallel alternative:
+...) driven through a ``run_once``-style entry point, and this module is
+the one harness that runs them:
 
 * the :data:`REGISTRY` names each bench's entry point and sweep points;
+* an entry point returns a dict: ``mesh_steps`` (``None`` for a bench
+  with no mesh cost) plus whatever per-point values the paper's verdict
+  on that bench reads, which the point records as ``outputs``;
 * every point runs in its own spawned worker process (fresh process per
   point, so ``getrusage`` peak RSS is per-point);
 * per point it records min-of-repeats wall time, the mesh-step count
-  (the paper's cost measure) and peak RSS;
+  (the paper's cost measure), the entry point's outputs and peak RSS;
 * the sweep is *crash-proof*: a worker that raises, segfaults, is
   OOM-killed, or exceeds ``--timeout`` produces a point record with
   ``{"error": ..., "traceback": ...}`` instead of killing the sweep;
@@ -18,31 +20,28 @@ machine-readable, parallel alternative:
 * completed points stream to ``BENCH_<name>.partial.json`` (written
   atomically after every point), and ``--resume`` skips points that
   checkpoint already completed successfully — errored points rerun;
-* results land in ``BENCH_<name>.json`` at the repo root, and
-  ``--compare`` re-runs a sweep and fails on a changed mesh-step count
-  or a >10% wall-clock regression against a previously committed JSON.
-  Errored points always surface as failures (exit code 1), never as a
-  silent pass.
+* results land in ``BENCH_<name>.json`` at the repo root.  Errored
+  points always surface as failures (exit code 1), never as a silent
+  pass.
 
 Document schema 2: each point is ``{params, wall_s_min, repeats,
-mesh_steps, peak_rss_kb, ...}``; an errored point is ``{params, error,
-error_kind, traceback, attempts, ...}``.
+mesh_steps, outputs?, peak_rss_kb, ...}``; an errored point is
+``{params, error, error_kind, traceback, attempts, ...}``.  The committed
+documents are replayed by the tier-1 tests (``tests/bench/``), which
+also hold the paper's verdicts over them.
 
 Usage::
 
     python -m repro.bench.runner --all --jobs 4
     python -m repro.bench.runner e1_hierdag e2_constrained
     python -m repro.bench.runner --all --smoke          # smallest points
-    python -m repro.bench.runner e1_hierdag --compare BENCH_e1_hierdag.json
     python -m repro.bench.runner e1_hierdag --trace   # traces + step profile
     python -m repro.bench.runner e3_alpha --timeout 120 --resume
 
 ``python -m repro.bench.report`` renders one BENCH JSON's per-phase
-breakdown (the same rendering the runner prints after each sweep) and
-diffs two of them (same regression rule as ``--compare``).
-
-``bench_figures.py`` (plot aggregation over other benches' saved tables)
-is intentionally not in the registry — it has no sweep of its own.
+breakdown (the same rendering the runner prints after each sweep), and
+``report --diff OLD.json NEW.json`` is the regression gate: it fails on
+a changed mesh-step count or a wall-clock regression.
 """
 
 from __future__ import annotations
@@ -68,6 +67,7 @@ __all__ = [
     "REGISTRY",
     "BenchSpec",
     "provenance",
+    "replay_point",
     "run_bench",
     "run_point",
     "main",
@@ -76,8 +76,6 @@ __all__ = [
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
 BENCH_DIR = REPO_ROOT / "benchmarks"
 SCHEMA_VERSION = 2
-#: --compare fails when wall time exceeds baseline by this factor
-REGRESSION_TOLERANCE = 0.10
 
 
 @dataclass(frozen=True)
@@ -87,9 +85,6 @@ class BenchSpec:
     module: str
     entry: str
     points: tuple
-    #: False for sweeps whose return value carries no mesh-step count
-    #: (e.g. a relative volume error) — guards the generic extractor.
-    has_steps: bool = True
     #: name of an untimed setup function ``setup(**point) -> ctx`` whose
     #: result is passed as the entry point's first argument; benches with
     #: one measure only engine + algorithm, not problem construction.
@@ -116,9 +111,17 @@ REGISTRY: dict[str, BenchSpec] = {
         _pts(height=[8, 10, 12, 14, 16], method=["hierdag", "baseline"]),
         setup="sweep_setup",
     ),
+    # E1b: the mu and query-load variants, one (mu, height) structure per
+    # mu; concatenated in ascending key order like E11
+    "e1b_variants": BenchSpec(
+        "bench_e1_hierdag", "run_variant",
+        _pts(mu=[2], height=[13], m=[512, 2048, 8192])
+        + _pts(mu=[3], height=[8], m=[2048])
+        + _pts(mu=[4], height=[6], m=[2048]),
+    ),
     "e2_constrained": BenchSpec(
         "bench_e2_constrained", "sweep_run",
-        _pts(height=[8, 10, 12, 14], skew=[0.0, 0.5, 1.0]),
+        _pts(height=[8, 10, 12, 14], skew=[0.0, 0.25, 0.5, 0.75, 1.0]),
         setup="sweep_setup",
     ),
     "e3_alpha": BenchSpec(
@@ -126,8 +129,9 @@ REGISTRY: dict[str, BenchSpec] = {
         _pts(handle_len=[4, 16, 64, 192, 448], method=["alpha", "baseline"]),
     ),
     "e4_alphabeta": BenchSpec(
-        "bench_e4_alphabeta", "run_once",
+        "bench_e4_alphabeta", "sweep_run",
         _pts(width=[2.0, 16.0, 64.0, 256.0], method=["alphabeta", "baseline"]),
+        setup="sweep_setup",
     ),
     "e5_lemma1": BenchSpec(
         "bench_e5_lemma1", "run_once", _pts(height=[10, 12, 14, 16])
@@ -139,16 +143,25 @@ REGISTRY: dict[str, BenchSpec] = {
         "bench_e7_pointloc", "run_once",
         _pts(n_sites=[100, 200, 400, 800], method=["hierdag", "baseline"]),
     ),
+    "e7b_faces": BenchSpec(
+        "bench_e7_pointloc", "run_faces", _pts(n_sites=[100, 400])
+    ),
     "e8_intervals": BenchSpec(
         "bench_e8_intervals", "run_once",
         _pts(n=[256, 512, 1024, 2048], mode=["count", "report"]),
+    ),
+    # E8b: reporting cost against the answer size, one structure at n=1024
+    "e8b_output": BenchSpec(
+        "bench_e8_intervals", "output_run",
+        _pts({"n": 1024}, width=[2.0, 10.0, 50.0, 250.0]),
+        setup="output_setup",
     ),
     "e9a_separation": BenchSpec(
         "bench_e9_hull3d", "run_separation",
         _pts(offset=[0.2, 0.8, 1.4, 2.0, 2.6, 3.2]),
     ),
     "e9b_hull": BenchSpec(
-        "bench_e9_hull3d", "run_hull", _pts(n=[200, 400, 800]), has_steps=False
+        "bench_e9_hull3d", "run_hull", _pts(n=[200, 400, 800])
     ),
     "e10_vm": BenchSpec("bench_e10_vm", "vm_costs", _pts(side=[8, 16, 32, 64])),
     # E11 sweeps each pipeline over its own 64x size range (dk3d keeps the
@@ -226,7 +239,7 @@ def provenance() -> dict:
     """Environment identity stamped into every bench document.
 
     A ``wall_s_min`` column is meaningless without knowing *what* ran it:
-    which interpreter/library versions and which CPU.  ``--compare``
+    which interpreter/library versions and which CPU.  ``report --diff``
     baselines from a different environment still compare, but the
     mismatch is visible in the JSON instead of silently attributed to
     the code.
@@ -253,32 +266,28 @@ def _peak_rss_kib(ru_maxrss: int, platform: str | None = None) -> int:
     return int(ru_maxrss)
 
 
-def _extract_steps(result) -> float | None:
-    """Best-effort mesh-step count from a bench entry point's return value.
+def _result_fields(bench: str, result) -> dict:
+    """A point's ``mesh_steps`` and ``outputs`` from its entry point's result.
 
-    Accepts the shapes used across ``benchmarks/``: a bare number, a tuple
-    whose leading numeric element is the step count, an object exposing
-    ``mesh_steps``, or a per-primitive ``{label: steps}`` dict (E10).
+    The result is a dict holding ``mesh_steps`` (a number, or ``None`` for
+    a bench with no mesh cost); every other key is a per-point output.
+    Numpy scalars become plain numbers so the record is JSON.
     """
-    def probe(obj):
-        ms = getattr(obj, "mesh_steps", None)
-        if ms is not None:
-            return float(ms)
-        if isinstance(obj, bool):
-            return None
-        if isinstance(obj, (int, float, np.integer, np.floating)):
-            return float(obj)
-        if isinstance(obj, dict) and obj and all(
-            isinstance(v, (int, float, np.integer, np.floating)) for v in obj.values()
-        ):
-            return float(sum(obj.values()))
-        return None
-
-    for obj in result if isinstance(result, tuple) else (result,):
-        found = probe(obj)
-        if found is not None:
-            return found
-    return None
+    if not isinstance(result, dict) or "mesh_steps" not in result:
+        raise TypeError(
+            f"{bench}: an entry point returns a dict with a 'mesh_steps' key, "
+            f"got {type(result).__name__}"
+        )
+    steps = result["mesh_steps"]
+    fields: dict = {"mesh_steps": None if steps is None else float(steps)}
+    outputs = {
+        k: v.item() if isinstance(v, np.generic) else v
+        for k, v in result.items()
+        if k != "mesh_steps"
+    }
+    if outputs:
+        fields["outputs"] = outputs
+    return fields
 
 
 def _bench_callable(bench: str):
@@ -287,6 +296,20 @@ def _bench_callable(bench: str):
     spec = REGISTRY[bench]
     module = importlib.import_module(spec.module)
     return spec, getattr(module, spec.entry)
+
+
+def _point_call(bench: str, point: dict):
+    """A no-argument callable for one point's timed part (setup already run)."""
+    spec, fn = _bench_callable(bench)
+    if spec.setup is None:
+        return lambda: fn(**point)
+    ctx = getattr(importlib.import_module(spec.module), spec.setup)(**point)
+    return lambda: fn(ctx, **point)
+
+
+def replay_point(bench: str, point: dict) -> dict:
+    """One untimed run of a sweep point: its ``mesh_steps`` and ``outputs``."""
+    return _result_fields(bench, _point_call(bench, point)())
 
 
 def run_point(
@@ -309,13 +332,7 @@ def run_point(
     """
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
-    spec, fn = _bench_callable(bench)
-    if spec.setup is not None:
-        module = importlib.import_module(spec.module)
-        ctx = getattr(module, spec.setup)(**point)
-        call = lambda: fn(ctx, **point)  # noqa: E731 - tight timing closure
-    else:
-        call = lambda: fn(**point)  # noqa: E731
+    call = _point_call(bench, point)
     record: dict = {"params": dict(point)}
     saved_trace = os.environ.get("REPRO_TRACE")
     try:
@@ -326,15 +343,7 @@ def run_point(
             t0 = time.perf_counter()
             result = call()
             best = min(best, time.perf_counter() - t0)
-        steps = _extract_steps(result) if spec.has_steps else None
-        record.update(wall_s_min=best, repeats=repeats, mesh_steps=steps)
-        if spec.has_steps and steps is None:
-            # distinguish "extractor found nothing" from a genuine zero:
-            # steps stays null and the record says why
-            record["warnings"] = [
-                f"no mesh-step count found in {spec.module}.{spec.entry} "
-                "result; recording steps: null"
-            ]
+        record.update(wall_s_min=best, repeats=repeats, **_result_fields(bench, result))
         if trace:
             from repro.mesh.profile import CostProfile
             from repro.mesh.trace import chrome_doc, drain_traced_tracers
@@ -437,7 +446,7 @@ def _error_record(
 
     The distinction matters for triage (a timeout wants a bigger budget
     or a smaller point; a crash wants a debugger) and is rendered by
-    ``report``/``--compare``.
+    ``report`` and ``report --diff``.
     """
     rec: dict = {
         "params": dict(job.point),
@@ -669,52 +678,6 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def compare(doc: dict, baseline: dict, tolerance: float = REGRESSION_TOLERANCE) -> list[str]:
-    """Regressions of ``doc`` vs ``baseline``, one message per failure.
-
-    Mesh steps are exact: a point whose numeric ``mesh_steps`` differs
-    from the baseline's fails whatever its wall clock.  ``wall_s_min``
-    fails beyond ``tolerance``.  Errored points — in either document —
-    surface as explicit failures: a point that crashed or timed out must
-    never read as a silent pass.
-    """
-    failures: list[str] = []
-    base_by_params = {_params_key(p["params"]): p for p in baseline["points"]}
-    for point in doc["points"]:
-        params = point["params"]
-        key = _params_key(params)
-        if "error" in point:
-            failures.append(
-                f"{doc['bench']} {point['params']}: "
-                f"{point['error_kind']} — {point['error']}"
-            )
-            continue
-        base = base_by_params.get(key)
-        if base is None:
-            continue
-        if "error" in base:
-            failures.append(
-                f"{doc['bench']} {point['params']}: baseline point errored "
-                f"({base['error_kind']} — {base['error']}); no comparison possible"
-            )
-            continue
-        old_steps = base.get("mesh_steps")
-        new_steps = point.get("mesh_steps")
-        if _is_number(old_steps) and _is_number(new_steps) and old_steps != new_steps:
-            failures.append(
-                f"{doc['bench']} {params}: mesh steps {new_steps:g} "
-                f"vs baseline {old_steps:g} (steps are exact)"
-            )
-        old = base["wall_s_min"]
-        new = point["wall_s_min"]
-        if old > 0 and new > old * (1 + tolerance):
-            failures.append(
-                f"{doc['bench']} {params}: wall {new * 1e3:.2f}ms "
-                f"vs baseline {old * 1e3:.2f}ms (+{(new / old - 1):.0%} > {tolerance:.0%})"
-            )
-    return failures
-
-
 def _at_least(lo: int):
     """argparse ``type``: an int no smaller than ``lo``."""
 
@@ -775,14 +738,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--no-write", action="store_true", help="measure and print, write nothing"
     )
-    parser.add_argument(
-        "--compare", type=pathlib.Path, default=None, metavar="BASELINE",
-        help="baseline BENCH_<name>.json file (or a directory of them); "
-        # argparse %-formats help strings, so the percent sign is doubled
-        "exit 1 on a changed mesh-step count or a "
-        f">{REGRESSION_TOLERANCE * 100:.0f}%% wall-clock regression",
-    )
-    parser.add_argument("--tolerance", type=float, default=REGRESSION_TOLERANCE)
     args = parser.parse_args(argv)
     # report imports this module, so its renderer is imported late
     from repro.bench.report import render_doc
@@ -832,16 +787,7 @@ def main(argv: list[str] | None = None) -> int:
                 )
                 print(f"  wrote {tpath}", flush=True)
         print(render_doc(doc), flush=True)
-        if args.compare is not None:
-            path = args.compare
-            if path.is_dir():
-                path = path / f"BENCH_{bench}.json"
-            if path.exists():
-                baseline = json.loads(path.read_text())
-                failures += compare(doc, baseline, args.tolerance)
-            else:
-                failures.append(f"{bench}: baseline {path} not found")
-        if not args.no_write and args.compare is None:
+        if not args.no_write:
             args.out_dir.mkdir(parents=True, exist_ok=True)
             out = args.out_dir / f"BENCH_{bench}.json"
             out.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")

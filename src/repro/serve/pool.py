@@ -347,8 +347,8 @@ class WorkerPool:
     ----------
     snapshot_path:
         The snapshot file every worker restores from.  Read once in
-        the supervisor (hash-validated) to learn the expected snapshot
-        id; workers re-validate against that id on every (re)start.
+        the supervisor (hash-validated) and kept as ``snapshot``; its id
+        is the one workers re-validate against on every (re)start.
     service_kwargs:
         Extra keyword arguments for :func:`repro.serve.restore_service`.
     workers:
@@ -416,9 +416,11 @@ class WorkerPool:
         from repro.serve.snapshot import read_snapshot
 
         self.snapshot_path = str(snapshot_path)
-        # one validating read up front: a bad file fails fast here, and the
-        # id pins every worker restore (and the result cache) to these bytes
-        self.snapshot_id = read_snapshot(self.snapshot_path).snapshot_id
+        # one validating read up front: a bad file fails fast here, the id
+        # pins every worker restore (and the result cache) to these bytes,
+        # and a supervisor restores its local service from this snapshot
+        self.snapshot = read_snapshot(self.snapshot_path)
+        self.snapshot_id = self.snapshot.snapshot_id
         self.service_kwargs = dict(service_kwargs or {})
         self.n_workers = int(workers)
         self.batch_deadline_s = float(batch_deadline_s)

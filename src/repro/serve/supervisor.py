@@ -47,9 +47,9 @@ class SupervisedServer(FrontEnd):
     pool:
         The :class:`WorkerPool` that answers flushed batches.  The
         server restores a lightweight local copy of the pool's service
-        (construction-free, from the same pinned snapshot) purely for
-        query canonicalization and cache keys — no engine ever runs in
-        the supervisor process.
+        (construction-free, from the snapshot the pool already read and
+        verified) purely for query canonicalization and cache keys — no
+        engine ever runs in the supervisor process.
     batch_size / deadline_s:
         The flush state machine, identical to the in-process batcher.
     cache:
@@ -65,12 +65,8 @@ class SupervisedServer(FrontEnd):
         cache: ResultCache | None = None,
     ):
         from repro.serve.service import restore_service
-        from repro.serve.snapshot import read_snapshot
 
-        service = restore_service(
-            read_snapshot(pool.snapshot_path, expected_id=pool.snapshot_id),
-            **pool.service_kwargs,
-        )
+        service = restore_service(pool.snapshot, **pool.service_kwargs)
         super().__init__(service, batch_size, deadline_s, cache, slots=pool.n_workers)
         self.pool = pool
 

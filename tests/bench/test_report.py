@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.bench import report
-from repro.bench.runner import REPO_ROOT, compare
+from repro.bench.report import compare
+from repro.bench.runner import REPO_ROOT
 
 
 def _point(params, wall, steps):
@@ -54,6 +55,12 @@ def _write(tmp_path, name, doc):
 
 
 class TestRender:
+    def test_outputs_on_the_point_line(self):
+        doc = _doc("demo", [({"n": 1}, 0.010, 100.0)])
+        doc["points"][0]["outputs"] = {"r": 11, "correct": True, "ratio": 0.123456}
+        (line,) = [ln for ln in report.render_doc(doc).splitlines() if "[n=1]" in ln]
+        assert line.endswith("steps=100 rss=4MB r=11 correct=True ratio=0.1235")
+
     def test_render_single_doc(self, capsys, tmp_path):
         assert report.main([_write(tmp_path, "a.json", BASE)]) == 0
         out = capsys.readouterr().out
@@ -83,13 +90,12 @@ class TestDiff:
         assert "REGRESSIONS" in out
 
     def test_exit_matches_runner_compare(self, tmp_path):
-        # acceptance: --diff exits non-zero iff runner --compare would fail
+        # acceptance: --diff exits non-zero iff compare() reports a failure
         for new_doc in (SAME, REGRESSED):
             old = _write(tmp_path, "old.json", BASE)
             new = _write(tmp_path, "new.json", new_doc)
             rc = report.main(["--diff", old, new])
-            runner_failures = compare(new_doc, BASE)
-            assert (rc != 0) == bool(runner_failures)
+            assert (rc != 0) == bool(compare(new_doc, BASE))
 
     def test_tolerance_forwarded(self, tmp_path):
         old = _write(tmp_path, "old.json", BASE)

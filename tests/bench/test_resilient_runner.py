@@ -12,11 +12,11 @@ import json
 import pytest
 
 from repro.bench import report, runner
+from repro.bench.report import compare
 from repro.bench.runner import (
     BenchSpec,
     _load_checkpoint,
     _pts,
-    compare,
     run_bench,
     run_point,
 )
@@ -162,22 +162,6 @@ class TestCheckpointResume:
 
 
 class TestStepsNullWarning:
-    def test_warning_distinguishes_missing_from_zero(self, monkeypatch):
-        # register a spec whose entry returns something step-less while
-        # claiming has_steps: the record must carry null + a warning
-        monkeypatch.setitem(
-            runner.REGISTRY,
-            "selftest",
-            BenchSpec("bench_selftest", "run_once", _pts(mode=["ok"]),
-                      has_steps=True),
-        )
-        monkeypatch.setattr(
-            runner, "_extract_steps", lambda result: None
-        )
-        record = run_point("selftest", {"mode": "ok"}, repeats=1, warmup=0)
-        assert record["mesh_steps"] is None
-        assert any("steps: null" in w for w in record["warnings"])
-
     def test_no_warning_when_steps_found(self):
         record = run_point("selftest", {"mode": "ok"}, repeats=1, warmup=0)
         assert record["mesh_steps"] == 1.0

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from repro.bench import runner
+from repro.bench.report import compare
 from repro.bench.runner import (
     BENCH_DIR,
     REGISTRY,
-    _extract_steps,
     _peak_rss_kib,
     _pts,
-    compare,
     main,
     provenance,
+    replay_point,
     run_point,
 )
 
@@ -22,12 +22,11 @@ from repro.bench.runner import (
 class TestRegistry:
     def test_every_bench_module_is_registered(self):
         # every benchmarks/bench_*.py is driven by the runner, except the
-        # figure-generation script (plots, not measurements) and the
         # supervision bench (its qps-vs-kill-rate points don't fit the
         # runner's per-point record schema; it ships its own CLI + gates)
         on_disk = {p.stem for p in BENCH_DIR.glob("bench_*.py")}
         registered = {spec.module for spec in REGISTRY.values()}
-        assert on_disk - registered == {"bench_figures", "bench_e14_supervision"}
+        assert on_disk - registered == {"bench_e14_supervision"}
         assert registered <= on_disk
 
     def test_points_ascend(self):
@@ -70,27 +69,6 @@ class TestPeakRssKib:
 
         expected = 2048 // 1024 if sys.platform == "darwin" else 2048
         assert _peak_rss_kib(2048) == expected
-
-
-class _WithSteps:
-    mesh_steps = 42.0
-
-
-class TestExtractSteps:
-    def test_shapes(self):
-        assert _extract_steps(17) == 17.0
-        assert _extract_steps(3.5) == 3.5
-        assert _extract_steps(np.int64(9)) == 9.0
-        assert _extract_steps(_WithSteps()) == 42.0
-        assert _extract_steps((_WithSteps(), 1024)) == 42.0
-        assert _extract_steps((12.0, 4096)) == 12.0
-        assert _extract_steps({"sort": 2.0, "route": 3.0}) == 5.0
-
-    def test_non_steps(self):
-        assert _extract_steps(True) is None  # bool is not a step count
-        assert _extract_steps("nope") is None
-        assert _extract_steps((None, "x")) is None
-        assert _extract_steps({"sort": 2.0, "note": "hi"}) is None
 
 
 def _doc(wall_by_params):
@@ -153,13 +131,41 @@ class TestRunPoint:
         # the smallest E10 point is cheap enough to measure inline
         record = run_point("e10_vm", {"side": 8}, repeats=1, warmup=0)
         assert set(record) == {
-            "params", "wall_s_min", "repeats", "mesh_steps", "peak_rss_kb"
+            "params", "wall_s_min", "repeats", "mesh_steps", "outputs", "peak_rss_kb"
         }
         assert record["params"] == {"side": 8}
         assert record["wall_s_min"] > 0
         assert record["repeats"] == 1
         assert record["mesh_steps"] > 0
         assert record["peak_rss_kb"] > 0
+        # E10's outputs are the per-primitive VM steps that sum to mesh_steps
+        assert set(record["outputs"]) == {"sort", "route", "scan", "broadcast", "rar"}
+        assert sum(record["outputs"].values()) == record["mesh_steps"]
+
+    def test_replay_matches_the_measured_record(self):
+        record = run_point("e10_vm", {"side": 8}, repeats=1, warmup=0)
+        assert replay_point("e10_vm", {"side": 8}) == {
+            "mesh_steps": record["mesh_steps"], "outputs": record["outputs"]
+        }
+
+    @pytest.mark.parametrize("result", [1.0, (2.0, 1024), {"steps": 3.0}])
+    def test_result_without_mesh_steps_is_a_type_error(self, monkeypatch, result):
+        _probe_callable(monkeypatch, [], result=result)
+        with pytest.raises(TypeError, match="'mesh_steps'"):
+            run_point("probe", {}, repeats=1, warmup=0)
+
+    def test_outputs_become_plain_json(self, monkeypatch):
+        result = {"mesh_steps": np.int64(7), "n": np.int64(3), "ok": np.bool_(True)}
+        _probe_callable(monkeypatch, [], result=result)
+        record = run_point("probe", {}, repeats=1, warmup=0)
+        assert record["mesh_steps"] == 7.0
+        assert record["outputs"] == {"n": 3, "ok": True}
+        json.dumps(record, allow_nan=False)  # raises on a numpy scalar
+
+    def test_steps_only_result_records_no_outputs(self):
+        record = run_point("selftest", {"mode": "ok"}, repeats=1, warmup=0)
+        assert record["mesh_steps"] == 1.0
+        assert "outputs" not in record
 
     def test_trace_record(self):
         record = run_point(
@@ -258,7 +264,7 @@ class TestMain:
             main([])
 
 
-def _probe_callable(monkeypatch, seen, result=1.0):
+def _probe_callable(monkeypatch, seen, result=None):
     """Swap the bench entry point for a closure that records the env flags."""
     import os
 
@@ -267,7 +273,7 @@ def _probe_callable(monkeypatch, seen, result=1.0):
     def fake(bench):
         def fn(**kwargs):
             seen.append(os.environ.get("REPRO_TRACE"))
-            return result
+            return {"mesh_steps": 1.0} if result is None else result
 
         return spec, fn
 

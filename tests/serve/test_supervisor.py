@@ -96,6 +96,32 @@ class TestCleanPath:
         with _fast_pool(pointloc_env["path"]) as pool:
             assert pool.snapshot_id == pointloc_env["snapshot"].snapshot_id
 
+    def test_supervisor_hashes_the_snapshot_once(self, pointloc_env, monkeypatch):
+        """The pool's validating read is the only one in this process: the
+        server restores its local service from the pool's snapshot."""
+        from repro.serve import snapshot
+
+        calls = []
+        hash_arrays = snapshot.compute_snapshot_id
+
+        def counting(kind, arrays):
+            calls.append(kind)
+            return hash_arrays(kind, arrays)
+
+        monkeypatch.setattr(snapshot, "compute_snapshot_id", counting)
+        with _fast_pool(pointloc_env["path"], workers=1) as pool:
+            server = SupervisedServer(pool, batch_size=4)
+            assert server.service.snapshot_id == pool.snapshot_id
+            assert calls == ["pointloc"]
+
+    def test_bad_snapshot_raises_at_pool_construction(self, tmp_path):
+        from repro.serve import SnapshotError
+
+        bad = tmp_path / "bad.snap"
+        bad.write_bytes(b"not a snapshot")
+        with pytest.raises(SnapshotError, match="not a repro snapshot"):
+            WorkerPool(bad, workers=1)
+
 
 class TestCrashRecovery:
     def test_crash_retries_to_byte_identity(self, pointloc_env):

@@ -1,9 +1,7 @@
-"""Tests for the bench harness support (workloads, tables)."""
+"""Tests for the bench harness support (workloads)."""
 
 import numpy as np
-import pytest
 
-from repro.bench.reporting import Table
 from repro.bench.workloads import (
     random_intervals,
     random_lines,
@@ -36,34 +34,3 @@ class TestWorkloads:
         assert (lefts <= rights).all()
         assert (lefts >= 0).all()
 
-
-class TestTable:
-    def test_add_and_render(self):
-        t = Table("demo", ["a", "b"])
-        t.add(1, 2.5)
-        t.add(10, 0.000123)
-        text = t.render()
-        assert "demo" in text
-        assert "0.000123" in text
-        assert text.count("\n") == 3  # title + header + 2 rows
-
-    def test_wrong_arity_rejected(self):
-        t = Table("demo", ["a", "b"])
-        with pytest.raises(ValueError):
-            t.add(1)
-
-    def test_columns_aligned(self):
-        t = Table("demo", ["col", "x"])
-        t.add("aaaa", 1)
-        t.add("b", 22222)
-        lines = t.render().splitlines()
-        assert len(lines[1]) == len(lines[2]) == len(lines[3])
-
-    def test_empty_table_renders(self):
-        t = Table("empty", ["only"])
-        assert "only" in t.render()
-
-    def test_float_formatting(self):
-        t = Table("demo", ["v"])
-        t.add(123456.789)
-        assert "1.23e+05" in t.render()

@@ -30,9 +30,10 @@ class TestFigure2:
 
 
 class TestFigure3:
-    def test_distance_positive(self):
-        rep = figure3(height=12)
-        assert rep.facts["border_distance"] >= 1
+    @pytest.mark.parametrize("height,least", [(12, 1), (18, 2)])
+    def test_distance_positive(self, height, least):
+        rep = figure3(height=height)
+        assert rep.facts["border_distance"] >= least  # ~h/6 - 1
 
     def test_distance_tracks_h_over_6(self):
         r12 = figure3(height=12)
@@ -44,8 +45,10 @@ class TestFigure3:
 
 
 class TestFigure4:
-    def test_band_size_law_holds(self):
-        rep = figure4(height=24)
+    @pytest.mark.parametrize("height", [24, 32])
+    def test_band_size_law_holds(self, height):
+        rep = figure4(height=height, c=2)
+        assert rep.facts["bands"] >= 1
         ratios = [v for k, v in rep.facts.items() if k.endswith("size_over_bound")]
         assert ratios and all(r <= 4.0 for r in ratios)
 
@@ -56,8 +59,9 @@ class TestFigure4:
 
 
 class TestFigure5:
-    def test_b1_size_law(self):
-        rep = figure5(height=24)
+    @pytest.mark.parametrize("height", [24, 32])
+    def test_b1_size_law(self, height):
+        rep = figure5(height=height, c=2)
         ratios = [v for k, v in rep.facts.items() if k.endswith("size_ratio")]
         assert ratios and all(r <= 8.0 for r in ratios)
 
