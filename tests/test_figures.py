@@ -37,11 +37,17 @@ class TestFigure3:
 
     def test_distance_tracks_h_over_6(self):
         r12 = figure3(height=12)
-        r24 = figure3(height=24)
-        assert r24.facts["border_distance"] > r12.facts["border_distance"]
+        r18 = figure3(height=18)
+        assert r18.facts["border_distance"] > r12.facts["border_distance"]
         # distance = h/6 - 1 for heights divisible by 6 (borders are the
         # level pairs around each cut)
-        assert r24.facts["border_distance"] == pytest.approx(24 / 6 - 1)
+        assert r18.facts["border_distance"] == 18 // 6 - 1
+
+    @pytest.mark.slow
+    def test_distance_at_h24(self):
+        # a 2^25-vertex tree: seconds of build, so it runs nightly
+        r24 = figure3(height=24)
+        assert r24.facts["border_distance"] == 24 // 6 - 1
 
 
 class TestFigure4:
